@@ -4,6 +4,7 @@ environments, and an experiment harness."""
 from .agents import DdpgAgent, DdpgConfig, DqnAgent, DqnConfig, OUNoise
 from .envs import env_names, env_spec, extract_achieved_goal, make_env
 from .errors import (
+    CheckpointError,
     ConfigurationError,
     IntegrityError,
     NotReadyError,
@@ -23,14 +24,15 @@ from .harness import (
     sweep,
     train,
 )
-from .hindsight import Episode, GoalSpec, goal_spec_for, relabel_episode
+from .hindsight import Episode, GoalSpec, goal_spec_for, relabeled_transitions
 from .prioritized import PerConfig, PrioritizedSampler, SumTree
-from .replay import Batch, ReplayBuffer, Transition, sample_combined, sample_uniform
+from .replay import Batch, ReplayBuffer, sample_combined, sample_uniform
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Batch",
+    "CheckpointError",
     "ConfigurationError",
     "DdpgAgent",
     "DdpgConfig",
@@ -51,7 +53,6 @@ __all__ = [
     "RunConfig",
     "SumTree",
     "TrainRecord",
-    "Transition",
     "UnsupportedGoalError",
     "build_run",
     "check_convergence",
@@ -61,7 +62,7 @@ __all__ = [
     "extract_achieved_goal",
     "goal_spec_for",
     "make_env",
-    "relabel_episode",
+    "relabeled_transitions",
     "run_to_dir",
     "sample_combined",
     "sample_uniform",

@@ -1,11 +1,12 @@
 """Value-based (DQN) and actor-critic (DDPG) learners.
 
-Both agents consume batches of transitions with per-sample loss
-weights, return the TD errors they trained on (for priority updates),
-and keep frozen target copies of their networks: DQN refreshes its
-target by hard copy on a fixed period, DDPG blends continuously with a
-small Polyak factor. Observations are scaled by a fixed per-environment
-affine map before they reach any network.
+Both agents train on a replay :class:`~replaykit.replay.Batch`, whose
+states already carry any goal and whose weights are the per-sample
+loss weights; they return the TD errors they trained on (for priority
+updates) and keep frozen target copies of their networks: DQN
+refreshes its target by hard copy on a fixed period, DDPG blends
+continuously with a small Polyak factor. Observations are scaled by a
+fixed per-environment affine map before they reach any network.
 """
 
 from __future__ import annotations
@@ -16,9 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
-from .hindsight import augment_observation
 from .nn import (
-    Gradients,
     adam_init,
     adam_step,
     backward,
@@ -28,10 +27,18 @@ from .nn import (
     init_mlp,
     soft_update,
 )
-from .replay import Transition
+from .replay import Batch
 
 # Above this TD error magnitude training is considered diverged.
 DIVERGENCE_LIMIT = 1e6
+
+
+def check_divergence(td_errors: np.ndarray) -> None:
+    """Raise NumericalError when any TD error is non-finite or beyond
+    :data:`DIVERGENCE_LIMIT` in magnitude."""
+    worst = float(np.max(np.abs(td_errors)))
+    if not np.isfinite(worst) or worst > DIVERGENCE_LIMIT:
+        raise NumericalError(f"TD error magnitude {worst:.3g} exceeds divergence limit")
 
 
 class ObservationScaler:
@@ -76,19 +83,6 @@ def epsilon_schedule(start: float, end: float, decay_steps: int, step: int) -> f
         raise ValueError(f"step must be >= 0, got {step}")
     fraction = min(step / decay_steps, 1.0)
     return start + (end - start) * fraction
-
-
-def batch_arrays(transitions: list[Transition]) -> tuple[np.ndarray, ...]:
-    """Stack a transition batch into (states, actions, rewards,
-    next_states, dones); states include the goal when present."""
-    states = np.stack([augment_observation(t.state, t.goal) for t in transitions])
-    next_states = np.stack(
-        [augment_observation(t.next_state, t.goal) for t in transitions]
-    )
-    actions = np.stack([np.asarray(t.action) for t in transitions])
-    rewards = np.array([t.reward for t in transitions])
-    dones = np.array([t.done for t in transitions], dtype=np.float64)
-    return states, actions, rewards, next_states, dones
 
 
 @dataclass(frozen=True)
@@ -165,34 +159,24 @@ class DqnAgent:
         next_q, _ = forward(self.q_target, self.scaler(next_states))
         return rewards + self.config.gamma * (1.0 - dones) * next_q.max(axis=1)
 
-    def update(self, transitions: list[Transition], weights: np.ndarray) -> np.ndarray:
+    def update(self, batch: Batch) -> np.ndarray:
         """One weighted TD regression step; returns per-sample TD errors."""
-        states, actions, rewards, next_states, dones = batch_arrays(transitions)
-        weights = np.asarray(weights, dtype=np.float64)
-        n = len(transitions)
-        targets = self.td_targets(rewards, next_states, dones)
-        q_all, cache = forward(self.q, self.scaler(states))
+        n = len(batch)
+        targets = self.td_targets(batch.rewards, batch.next_states, batch.dones)
+        q_all, cache = forward(self.q, self.scaler(batch.states))
         rows = np.arange(n)
-        action_idx = actions.astype(int)
+        action_idx = batch.actions.astype(int)
         td_errors = q_all[rows, action_idx] - targets
-        self._check_divergence(td_errors)
+        check_divergence(td_errors)
         # d/dQ(s_i, a_i) of mean_i w_i * delta_i^2
         output_grad = np.zeros_like(q_all)
-        output_grad[rows, action_idx] = 2.0 * weights * td_errors / n
+        output_grad[rows, action_idx] = 2.0 * batch.weights * td_errors / n
         grads, _ = backward(self.q, cache, output_grad)
         adam_step(self.q, grads, self.adam)
         self.updates += 1
         if self.updates % self.config.target_update_period == 0:
             hard_copy(self.q_target, self.q)
         return td_errors
-
-    @staticmethod
-    def _check_divergence(td_errors: np.ndarray) -> None:
-        worst = float(np.max(np.abs(td_errors)))
-        if not np.isfinite(worst) or worst > DIVERGENCE_LIMIT:
-            raise NumericalError(
-                f"TD error magnitude {worst:.3g} exceeds divergence limit"
-            )
 
     def greedy_action(self, obs: np.ndarray) -> int:
         return int(np.argmax(self.q_values(obs)))
@@ -314,35 +298,25 @@ class DdpgAgent:
         actions = actions.reshape(scaled_states.shape[0], self.action_dim)
         return np.concatenate([scaled_states, actions], axis=1)
 
-    def critic_update(
-        self, transitions: list[Transition], weights: np.ndarray
-    ) -> np.ndarray:
-        """Weighted TD regression on the critic; returns TD errors."""
-        states, actions, rewards, next_states, dones = batch_arrays(transitions)
-        weights = np.asarray(weights, dtype=np.float64)
-        n = len(transitions)
-        scaled_next = self.scaler(next_states)
+    def critic_update(self, batch: Batch, scaled_states: np.ndarray) -> np.ndarray:
+        """Weighted TD regression on the critic; returns TD errors.
+        ``scaled_states`` is ``self.scaler(batch.states)``."""
+        n = len(batch)
+        scaled_next = self.scaler(batch.next_states)
         next_actions, _ = forward(self.actor_target, scaled_next)
         next_q, _ = forward(self.critic_target, self._critic_input(scaled_next, next_actions))
-        targets = rewards + self.config.gamma * (1.0 - dones) * next_q[:, 0]
-        q, cache = forward(self.critic, self._critic_input(self.scaler(states), actions))
+        targets = batch.rewards + self.config.gamma * (1.0 - batch.dones) * next_q[:, 0]
+        q, cache = forward(self.critic, self._critic_input(scaled_states, batch.actions))
         td_errors = q[:, 0] - targets
-        worst = float(np.max(np.abs(td_errors)))
-        if not np.isfinite(worst) or worst > DIVERGENCE_LIMIT:
-            raise NumericalError(
-                f"TD error magnitude {worst:.3g} exceeds divergence limit"
-            )
-        output_grad = (2.0 * weights * td_errors / n)[:, None]
+        check_divergence(td_errors)
+        output_grad = (2.0 * batch.weights * td_errors / n)[:, None]
         grads, _ = backward(self.critic, cache, output_grad)
         adam_step(self.critic, grads, self.critic_adam)
         return td_errors
 
-    def actor_update(self, transitions: list[Transition]) -> None:
-        """Ascend mean_i Q(s_i, actor(s_i)) through the frozen critic."""
-        states = np.stack(
-            [augment_observation(t.state, t.goal) for t in transitions]
-        )
-        scaled = self.scaler(states)
+    def actor_update(self, scaled: np.ndarray) -> None:
+        """Ascend mean_i Q(s_i, actor(s_i)) through the frozen critic,
+        over already scaled states."""
         n = scaled.shape[0]
         actions, actor_cache = forward(self.actor, scaled)
         q, critic_cache = forward(self.critic, self._critic_input(scaled, actions))
@@ -357,10 +331,11 @@ class DdpgAgent:
         soft_update(self.actor_target, self.actor, self.config.tau)
         soft_update(self.critic_target, self.critic, self.config.tau)
 
-    def update(self, transitions: list[Transition], weights: np.ndarray) -> np.ndarray:
+    def update(self, batch: Batch) -> np.ndarray:
         """Critic step, actor step, then target blend; returns the
-        critic's TD errors."""
-        td_errors = self.critic_update(transitions, weights)
-        self.actor_update(transitions)
+        critic's TD errors. The states are scaled once for both steps."""
+        scaled = self.scaler(batch.states)
+        td_errors = self.critic_update(batch, scaled)
+        self.actor_update(scaled)
         self.sync_targets()
         return td_errors

@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from .envs import env_names
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ReplayKitError
 from .harness import (
     RunConfig,
     check_convergence,
@@ -124,6 +124,9 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except (ReplayKitError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -31,3 +31,8 @@ class IntegrityError(ReplayKitError, RuntimeError):
 
 class UnsupportedGoalError(ReplayKitError, ValueError):
     """The environment does not define a goal space."""
+
+
+class CheckpointError(ReplayKitError, ValueError):
+    """A checkpoint file is malformed or truncated, or lacks what the
+    caller needs from it."""

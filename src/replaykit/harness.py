@@ -32,8 +32,8 @@ from .agents import (
     epsilon_schedule,
     scaler_for,
 )
-from .envs import BoxAction, DiscreteActions, EnvSpec, env_spec, make_env
-from .errors import ConfigurationError
+from .envs import BoxAction, DiscreteActions, EnvSpec, env_names, env_spec, make_env
+from .errors import CheckpointError, ConfigurationError
 from .hindsight import (
     Episode,
     GoalSpec,
@@ -43,14 +43,7 @@ from .hindsight import (
 )
 from .nn import forward, load_checkpoint, save_checkpoint
 from .prioritized import PerConfig, PrioritizedSampler
-from .replay import (
-    Batch,
-    ReplayBuffer,
-    Transition,
-    rows_to_batch,
-    sample_combined,
-    sample_uniform,
-)
+from .replay import Batch, ReplayBuffer, sample_combined, sample_uniform
 
 CSV_HEADER = "episode,train_reward,eval_mean,eval_std,steps,wallclock_ms"
 
@@ -280,8 +273,8 @@ class ReplayStack:
     def __len__(self) -> int:
         return len(self.buffer)
 
-    def append(self, transition: Transition) -> int:
-        index = self.buffer.append(transition)
+    def append(self, state, action, reward, next_state, done, goal=None) -> int:
+        index = self.buffer.append(state, action, reward, next_state, done, goal)
         if self.per is not None:
             self.per.insert(index)
         return index
@@ -289,10 +282,10 @@ class ReplayStack:
     def sample(self, batch_size: int) -> Batch:
         inner = self.per.sample if self.per is not None else sample_uniform
         if self.combined:
-            rows = sample_combined(self.buffer, batch_size, inner, self.rng)
+            indices, weights = sample_combined(self.buffer, batch_size, inner, self.rng)
         else:
-            rows = inner(self.buffer, batch_size, self.rng)
-        return rows_to_batch(rows)
+            indices, weights = inner(self.buffer, batch_size, self.rng)
+        return self.buffer.gather(indices, weights)
 
     def update_priorities(self, indices, td_errors) -> None:
         if self.per is not None:
@@ -474,29 +467,23 @@ def train(exp: Experiment) -> list[TrainRecord]:
             else:
                 action = agent.act(observation, exp.noise, exp.explore_rng)
             result = exp.env.step(action)
-            transition = Transition(
-                state=obs,
-                action=action,
-                reward=result.reward,
-                next_state=result.next_state,
-                done=result.done,
-                goal=goal,
+            exp.stack.append(
+                obs, action, result.reward, result.next_state, result.done, goal
             )
-            exp.stack.append(transition)
             if episode_log is not None:
-                episode_log.append(transition)
+                episode_log.append(obs, action, result.next_state, result.done)
             env_steps += 1
             episode_reward += result.reward
             if len(exp.stack) >= agent_cfg.warmup:
                 batch = exp.stack.sample(agent_cfg.batch_size)
-                td_errors = agent.update(batch.transitions, batch.weights)
+                td_errors = agent.update(batch)
                 exp.stack.update_priorities(batch.indices, td_errors)
             obs = result.next_state
             if result.done or result.truncated:
                 break
         if episode_log is not None and len(episode_log) > 0:
-            for extra in relabeled_transitions(episode_log, exp.goal_spec):
-                exp.stack.append(extra)
+            for row in zip(*relabeled_transitions(episode_log, exp.goal_spec)):
+                exp.stack.append(*row)
         fresh_eval = episode % cfg.eval_interval == 0
         if fresh_eval:
             eval_mean, eval_std = evaluate_policy(
@@ -577,10 +564,19 @@ def save_run_checkpoint(path, exp: Experiment) -> None:
 
 
 def evaluate_checkpoint(path, episodes: int, seed: int = 0) -> tuple[float, float]:
-    """Reload a checkpoint and run frozen-policy evaluation episodes."""
+    """Reload a checkpoint and run frozen-policy evaluation episodes.
+
+    Raises CheckpointError when the file lacks a known env, agent or
+    the agent's policy network."""
     nets, meta = load_checkpoint(path)
-    env_name = meta["env"]
-    agent_kind = meta["agent"]
+    env_name = meta.get("env")
+    agent_kind = meta.get("agent")
+    policy_net = {"dqn": "q", "ddpg": "actor"}.get(agent_kind)
+    if env_name not in env_names() or policy_net not in nets:
+        raise CheckpointError(
+            f"{path}: needs a known env, agent and policy network; has env "
+            f"{env_name!r}, agent {agent_kind!r}, networks {sorted(nets)}"
+        )
     hindsight = meta.get("hindsight") == "true"
     goal = None
     if hindsight:
@@ -590,24 +586,21 @@ def evaluate_checkpoint(path, episodes: int, seed: int = 0) -> tuple[float, floa
         scaler = scaler_for(env_spec(env_name), gspec)
     else:
         scaler = scaler_for(env_spec(env_name))
+    net = nets[policy_net]
     if agent_kind == "dqn":
-        q = nets["q"]
 
         def policy(obs):
-            values, _ = forward(q, scaler(augment_observation(obs, goal)))
+            values, _ = forward(net, scaler(augment_observation(obs, goal)))
             return int(np.argmax(values))
 
-    elif agent_kind == "ddpg":
-        actor = nets["actor"]
+    else:
         spec = env_spec(env_name)
         assert isinstance(spec.actions, BoxAction)
 
         def policy(obs):
-            action, _ = forward(actor, scaler(augment_observation(obs, goal)))
+            action, _ = forward(net, scaler(augment_observation(obs, goal)))
             return np.clip(action, spec.actions.low, spec.actions.high)
 
-    else:
-        raise ConfigurationError(f"checkpoint has unknown agent {agent_kind!r}")
     return evaluate_policy(
         make_env(env_name), policy, episodes, np.random.default_rng([seed, _EVAL_TAG])
     )

@@ -1,9 +1,12 @@
 """Final-state goal relabeling for goal-reaching tasks.
 
-After an episode ends, every transition is duplicated with the goal
-replaced by the goal actually achieved at the episode's final state,
-and the reward recomputed under that substitute goal. The original
-transitions pass through untouched, so a relabeled episode contributes
+An :class:`Episode` records the states, actions and next states of
+the steps taken so far. After the episode ends,
+:func:`relabeled_transitions` returns one copy of every step as
+columns, with the goal replaced by the goal actually achieved at the
+episode's final state and the reward recomputed under that substitute
+goal. The harness appends those rows to the replay buffer after the
+originals it stored step by step, so a relabeled episode contributes
 exactly twice its length in stored transitions.
 
 Goal-conditioned rewards are evaluated on the arrival state of each
@@ -14,45 +17,62 @@ construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .envs import MountainCar, extract_achieved_goal, wrap_angle
 from .errors import IntegrityError, UnsupportedGoalError
-from .replay import Transition
 
 # Default success tolerances in goal space.
 MOUNTAINCAR_TOLERANCE = 0.05
 PENDULUM_TOLERANCE = 0.1
 
 
-@dataclass
 class Episode:
-    """Ordered transitions of one episode, chained state to state."""
+    """The steps of one episode, chained state to state: parallel lists
+    of state, action and next-state arrays."""
 
-    transitions: list[Transition] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.states: list[np.ndarray] = []
+        self.actions: list = []
+        self.next_states: list[np.ndarray] = []
+        self._ended = False
 
-    def append(self, transition: Transition) -> None:
-        if self.transitions:
-            previous = self.transitions[-1]
-            if previous.done:
+    def append(self, state, action, next_state, done: bool) -> None:
+        if self.states:
+            if self._ended:
                 raise IntegrityError("cannot append past a terminal transition")
-            if not np.array_equal(previous.next_state, transition.state):
+            if not np.array_equal(self.next_states[-1], state):
                 raise IntegrityError(
                     "transition does not chain: state differs from previous next_state"
                 )
-        self.transitions.append(transition)
+        self.states.append(state)
+        self.actions.append(action)
+        self.next_states.append(next_state)
+        self._ended = bool(done)
 
     def __len__(self) -> int:
-        return len(self.transitions)
+        return len(self.states)
 
     @property
     def final_state(self) -> np.ndarray:
-        if not self.transitions:
+        if not self.states:
             raise IntegrityError("episode is empty")
-        return self.transitions[-1].next_state
+        return self.next_states[-1]
+
+
+class Columns(NamedTuple):
+    """Steps as parallel arrays, one row per step, in the order
+    of ``ReplayBuffer.append``'s arguments."""
+
+    states: np.ndarray
+    actions: np.ndarray
+    rewards: np.ndarray
+    next_states: np.ndarray
+    dones: np.ndarray
+    goals: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -157,31 +177,26 @@ def augment_observation(state: np.ndarray, goal: np.ndarray | None) -> np.ndarra
     return np.concatenate([np.asarray(state, dtype=np.float64), np.asarray(goal, dtype=np.float64)])
 
 
-def relabeled_transitions(episode: Episode, spec: GoalSpec) -> list[Transition]:
-    """Copies of the episode's transitions relabeled with the goal
-    achieved at the final state, rewards recomputed accordingly.
+def relabeled_transitions(episode: Episode, spec: GoalSpec) -> Columns:
+    """The episode's steps relabeled with the goal achieved at the
+    final state, rewards recomputed accordingly, in episode order.
 
     A relabeled transition is terminal exactly when it succeeds under
     the substitute goal; the last one always does.
     """
-    if len(episode) == 0:
+    n = len(episode)
+    if n == 0:
         raise IntegrityError("cannot relabel an empty episode")
     new_goal = spec.achieved(episode.final_state)
-    relabeled = []
-    for transition in episode.transitions:
-        reward, success = spec.goal_reward(transition.next_state, transition.action, new_goal)
-        relabeled.append(
-            replace(
-                transition,
-                reward=reward,
-                done=success,
-                goal=new_goal.copy(),
-            )
-        )
-    return relabeled
-
-
-def relabel_episode(episode: Episode, spec: GoalSpec) -> list[Transition]:
-    """Original transitions followed by their relabeled copies, in
-    episode order; twice the episode length in total."""
-    return list(episode.transitions) + relabeled_transitions(episode, spec)
+    rewards = np.empty(n)
+    dones = np.empty(n, dtype=bool)
+    for i, (action, next_state) in enumerate(zip(episode.actions, episode.next_states)):
+        rewards[i], dones[i] = spec.goal_reward(next_state, action, new_goal)
+    return Columns(
+        states=np.array(episode.states, dtype=np.float64),
+        actions=np.array(episode.actions),
+        rewards=rewards,
+        next_states=np.array(episode.next_states, dtype=np.float64),
+        dones=dones,
+        goals=np.tile(new_goal, (n, 1)),
+    )

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IntegrityError, NumericalError
+from .errors import CheckpointError, IntegrityError, NumericalError
 
 HIDDEN_ACTIVATIONS = ("tanh", "relu")
 OUTPUT_ACTIVATIONS = ("identity", "tanh")
@@ -234,13 +234,6 @@ def adam_step(net: Mlp, grads: Gradients, state: AdamState) -> None:
     net.version += 1
 
 
-def scale_gradients(grads: Gradients, factor: float) -> Gradients:
-    return Gradients(
-        weights=[factor * g for g in grads.weights],
-        biases=[factor * g for g in grads.biases],
-    )
-
-
 def _check_same_architecture(target: Mlp, online: Mlp) -> None:
     if (
         target.layer_sizes != online.layer_sizes
@@ -319,11 +312,19 @@ def save_checkpoint(path, nets: dict[str, Mlp], meta: dict[str, str] | None = No
 
 
 def load_checkpoint(path) -> tuple[dict[str, Mlp], dict[str, str]]:
-    """Read a file written by :func:`save_checkpoint`."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [line.rstrip("\n") for line in fh]
-    if not lines or lines[0] != _MAGIC:
-        raise ValueError(f"{path} is not a {_MAGIC} file")
+    """Read a file written by :func:`save_checkpoint`; raises
+    CheckpointError when the file does not have that structure."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = [line.rstrip("\n") for line in fh]
+        if not lines or lines[0] != _MAGIC:
+            raise ValueError(f"not a {_MAGIC} file")
+        return _parse_checkpoint(lines)
+    except (IndexError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
+        raise CheckpointError(f"{path}: malformed checkpoint: {exc}") from None
+
+
+def _parse_checkpoint(lines: list[str]) -> tuple[dict[str, Mlp], dict[str, str]]:
     meta: dict[str, str] = {}
     nets: dict[str, Mlp] = {}
     i = 1

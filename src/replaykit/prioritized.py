@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NotReadyError, NumericalError
-from .replay import ReplayBuffer, Transition
+from .replay import ReplayBuffer
 
 
 class SumTree:
@@ -107,11 +107,6 @@ class SumTree:
             us = np.where(go_left, us, us - self._nodes[left])
         return nodes - (self._padded - 1)
 
-    def rebuild(self) -> None:
-        """Recompute every internal sum from the leaves."""
-        for node in range(self._padded - 2, -1, -1):
-            self._nodes[node] = self._nodes[2 * node + 1] + self._nodes[2 * node + 2]
-
     def _check_index(self, index: int) -> None:
         if not 0 <= index < self.leaf_capacity:
             raise IndexError(
@@ -184,8 +179,9 @@ class PrioritizedSampler:
 
     def sample(
         self, buffer: ReplayBuffer, batch_size: int, rng: np.random.Generator
-    ) -> list[tuple[int, Transition, float]]:
-        """Stratified proportional draw of ``batch_size`` transitions.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Stratified proportional draw of ``batch_size`` slots; returns
+        ``(indices, weights)``.
 
         The total mass is split into batch_size equal segments with one
         uniform draw per segment. Weights are (N * P(i)) ** -beta,
@@ -204,9 +200,7 @@ class PrioritizedSampler:
         offsets = np.minimum(offsets, np.nextafter(total, 0.0))
         indices = self.tree.sample_batch(offsets)
         n = len(buffer)
-        probs = np.array([self.tree.leaf(int(i)) for i in indices]) / total
+        probs = self.tree._nodes[self.tree._padded - 1 + indices] / total
         weights = (n * probs) ** -self.config.beta
         weights /= weights.max()
-        return [
-            (int(i), buffer.get(int(i)), float(w)) for i, w in zip(indices, weights)
-        ]
+        return indices, weights

@@ -1,14 +1,17 @@
 """Ring-buffer transition storage with uniform and combined sampling.
 
-The buffer is a fixed-capacity FIFO over :class:`Transition` records.
-Samplers are free functions so that strategies can be stacked: combined
-sampling wraps any inner sampler and forces the most recent transition
-into slot 0 of every batch.
+The buffer is a fixed-capacity FIFO kept as struct-of-arrays columns:
+state, action, reward, next_state, done and, on goal tasks, goal. This
+module is the only one that knows that layout. Samplers are free
+functions returning ``(indices, weights)`` arrays, so strategies can
+be stacked: combined sampling wraps any inner sampler and forces the
+newest slot into position 0 of every batch. :meth:`ReplayBuffer.gather`
+turns sampled slots into one :class:`Batch` of arrays for the learner.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,47 +19,24 @@ from .errors import ConfigurationError, NotReadyError
 
 
 @dataclass(frozen=True)
-class Transition:
-    """One environment step.
+class Batch:
+    """Sampled rows as parallel arrays.
 
-    ``done`` records task termination only; episodes cut off by a step
-    limit store ``done=False`` so that learners bootstrap through the
-    cutoff. ``goal`` is None unless the run relabels goals, in which
-    case it holds the goal vector the reward was computed against.
+    ``states`` and ``next_states`` already carry the goal appended when
+    the buffer stores goals; ``dones`` is 0.0/1.0; ``weights`` are the
+    per-sample loss weights (all 1.0 for unweighted samplers).
     """
 
-    state: np.ndarray
-    action: int | float | np.ndarray
-    reward: float
-    next_state: np.ndarray
-    done: bool
-    goal: np.ndarray | None = None
+    indices: np.ndarray
+    states: np.ndarray
+    actions: np.ndarray
+    rewards: np.ndarray
+    next_states: np.ndarray
+    dones: np.ndarray
+    weights: np.ndarray
 
-    def __post_init__(self) -> None:
-        state = np.asarray(self.state, dtype=np.float64)
-        next_state = np.asarray(self.next_state, dtype=np.float64)
-        if state.ndim != 1 or next_state.ndim != 1:
-            raise ValueError("states must be 1-D vectors")
-        if state.shape != next_state.shape:
-            raise ValueError(
-                f"state shape {state.shape} != next_state shape {next_state.shape}"
-            )
-        if not np.all(np.isfinite(state)) or not np.all(np.isfinite(next_state)):
-            raise ValueError("state components must be finite")
-        if not np.isfinite(self.reward):
-            raise ValueError(f"reward must be finite, got {self.reward!r}")
-        goal = self.goal
-        if goal is not None:
-            goal = np.asarray(goal, dtype=np.float64)
-            if goal.ndim != 1:
-                raise ValueError("goal must be a 1-D vector")
-            if not np.all(np.isfinite(goal)):
-                raise ValueError("goal components must be finite")
-        object.__setattr__(self, "state", state)
-        object.__setattr__(self, "next_state", next_state)
-        object.__setattr__(self, "reward", float(self.reward))
-        object.__setattr__(self, "done", bool(self.done))
-        object.__setattr__(self, "goal", goal)
+    def __len__(self) -> int:
+        return self.indices.shape[0]
 
 
 class ReplayBuffer:
@@ -65,70 +45,122 @@ class ReplayBuffer:
     Slots are reused in insertion order once the buffer is full; the
     slot index returned by :meth:`append` is stable until that slot is
     overwritten, so priority samplers can key their bookkeeping on it.
+
+    ``done`` records task termination only; episodes cut off by a step
+    limit store ``done=False`` so that learners bootstrap through the
+    cutoff. ``goal`` is None unless the run relabels goals, in which
+    case it holds the goal vector the reward was computed against.
+
+    The columns are allocated by the first append, which fixes the
+    state, action and goal shapes. They are zero-filled, so pages of
+    slots never written are not resident in memory.
     """
 
     def __init__(self, capacity: int) -> None:
         if not isinstance(capacity, int) or capacity < 1:
             raise ConfigurationError(f"capacity must be a positive int, got {capacity!r}")
         self.capacity = capacity
-        self._slots: list[Transition | None] = [None] * capacity
         self._cursor = 0  # next slot to write
         self._count = 0
-        self._state_dim: int | None = None
-        self._has_goal: bool | None = None
+        # (state, action, goal) shapes of every row; None until the
+        # first append allocates the columns.
+        self._shapes: tuple | None = None
 
     def __len__(self) -> int:
         return self._count
 
-    def append(self, transition: Transition) -> int:
-        """Store ``transition``, evicting the oldest entry when full.
+    @property
+    def newest(self) -> int:
+        """Slot index of the most recently appended transition."""
+        if self._count == 0:
+            raise NotReadyError("buffer is empty")
+        return (self._cursor - 1) % self.capacity
+
+    def append(self, state, action, reward, next_state, done, goal=None) -> int:
+        """Store one transition, evicting the oldest entry when full.
 
         Returns the slot index written.
         """
-        if not isinstance(transition, Transition):
-            raise TypeError(f"expected Transition, got {type(transition).__name__}")
-        if self._state_dim is None:
-            self._state_dim = transition.state.shape[0]
-            self._has_goal = transition.goal is not None
-        else:
-            if transition.state.shape[0] != self._state_dim:
-                raise ValueError(
-                    f"state dim {transition.state.shape[0]} != buffer dim {self._state_dim}"
-                )
-            if (transition.goal is not None) != self._has_goal:
-                raise ValueError("mixing goal-labelled and goal-free transitions")
+        state = np.asarray(state, dtype=np.float64)
+        next_state = np.asarray(next_state, dtype=np.float64)
+        action = np.asarray(action, dtype=np.float64)
+        if state.ndim != 1 or next_state.ndim != 1:
+            raise ValueError("states must be 1-D vectors")
+        if state.shape != next_state.shape:
+            raise ValueError(
+                f"state shape {state.shape} != next_state shape {next_state.shape}"
+            )
+        if not (np.isfinite(state).all() and np.isfinite(next_state).all()):
+            raise ValueError("state components must be finite")
+        if not np.isfinite(reward):
+            raise ValueError(f"reward must be finite, got {reward!r}")
+        if goal is not None:
+            goal = np.asarray(goal, dtype=np.float64)
+            if goal.ndim != 1:
+                raise ValueError("goal must be a 1-D vector")
+            if not np.isfinite(goal).all():
+                raise ValueError("goal components must be finite")
+        shapes = (state.shape, action.shape, None if goal is None else goal.shape)
+        if self._shapes is None:
+            self._allocate(shapes)
+        elif shapes != self._shapes:
+            raise ValueError(
+                f"(state, action, goal) shapes {shapes} != the buffer's {self._shapes}"
+            )
         index = self._cursor
-        self._slots[index] = transition
+        self._states[index] = state
+        self._actions[index] = action
+        self._rewards[index] = reward
+        self._next_states[index] = next_state
+        self._dones[index] = done
+        if goal is not None:
+            self._goals[index] = goal
         self._cursor = (self._cursor + 1) % self.capacity
         self._count = min(self._count + 1, self.capacity)
         return index
 
-    def get(self, index: int) -> Transition:
-        if not 0 <= index < self.capacity:
-            raise IndexError(f"slot {index} out of range for capacity {self.capacity}")
-        slot = self._slots[index]
-        if slot is None:
-            raise IndexError(f"slot {index} is empty")
-        return slot
+    def _allocate(self, shapes: tuple) -> None:
+        state_shape, action_shape, goal_shape = shapes
+        self._shapes = shapes
+        self._states = np.zeros((self.capacity, *state_shape))
+        self._actions = np.zeros((self.capacity, *action_shape))
+        self._rewards = np.zeros(self.capacity)
+        self._next_states = np.zeros((self.capacity, *state_shape))
+        self._dones = np.zeros(self.capacity, dtype=bool)
+        self._goals = None if goal_shape is None else np.zeros((self.capacity, *goal_shape))
 
-    def latest(self) -> tuple[int, Transition]:
-        """Index and value of the most recently appended transition."""
-        if self._count == 0:
-            raise NotReadyError("buffer is empty")
-        index = (self._cursor - 1) % self.capacity
-        return index, self._slots[index]  # type: ignore[return-value]
+    def gather(self, indices, weights=None) -> Batch:
+        """The rows at slots ``indices`` as one :class:`Batch`, goals
+        appended to both states; ``weights`` default to 1.0."""
+        indices = np.asarray(indices, dtype=np.int64)
+        if not (indices.size and 0 <= indices.min() and indices.max() < self._count):
+            raise IndexError(f"slots {indices} are not among the {self._count} filled")
+        states = self._states[indices]
+        next_states = self._next_states[indices]
+        if self._goals is not None:
+            goals = self._goals[indices]
+            states = np.concatenate([states, goals], axis=1)
+            next_states = np.concatenate([next_states, goals], axis=1)
+        return Batch(
+            indices=indices,
+            states=states,
+            actions=self._actions[indices],
+            rewards=self._rewards[indices],
+            next_states=next_states,
+            dones=self._dones[indices].astype(np.float64),
+            weights=np.ones(indices.size) if weights is None else weights,
+        )
 
 
 def sample_uniform(
     buffer: ReplayBuffer, batch_size: int, rng: np.random.Generator
-) -> list[tuple[int, Transition]]:
-    """Draw ``batch_size`` transitions uniformly with replacement."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``batch_size`` slots uniformly with replacement; unit weights."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if len(buffer) == 0:
         raise NotReadyError("cannot sample from an empty buffer")
-    indices = rng.integers(0, len(buffer), size=batch_size)
-    return [(int(i), buffer.get(int(i))) for i in indices]
+    return rng.integers(0, len(buffer), size=batch_size), np.ones(batch_size)
 
 
 def sample_combined(
@@ -136,51 +168,18 @@ def sample_combined(
     batch_size: int,
     inner_sampler,
     rng: np.random.Generator,
-) -> list[tuple]:
-    """Sample a batch whose first element is always the newest transition.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample a batch whose first slot is always the newest transition.
 
-    The remaining ``batch_size - 1`` rows come from ``inner_sampler``,
-    called as ``inner_sampler(buffer, n, rng)``. The forced row mirrors
-    the arity of the inner rows; weighted samplers get weight 1.0 for
-    the forced transition.
+    The remaining ``batch_size - 1`` slots come from ``inner_sampler``,
+    called as ``inner_sampler(buffer, n, rng)``; the forced slot gets
+    weight 1.0.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if len(buffer) == 0:
         raise NotReadyError("cannot sample from an empty buffer")
-    rest: list[tuple] = []
+    indices, weights = np.empty(0, dtype=np.int64), np.empty(0)
     if batch_size > 1:
-        rest = list(inner_sampler(buffer, batch_size - 1, rng))
-    index, latest = buffer.latest()
-    if rest and len(rest[0]) == 3:
-        head: tuple = (index, latest, 1.0)
-    else:
-        head = (index, latest)
-    return [head] + rest
-
-
-@dataclass
-class Batch:
-    """Normalized sample: parallel slot indices, transitions, and
-    per-sample loss weights (all 1.0 for unweighted samplers)."""
-
-    indices: list[int]
-    transitions: list[Transition]
-    weights: np.ndarray = field(default_factory=lambda: np.empty(0))
-
-    def __post_init__(self) -> None:
-        if self.weights.size == 0:
-            self.weights = np.ones(len(self.transitions))
-        if not (len(self.indices) == len(self.transitions) == len(self.weights)):
-            raise ValueError("batch fields must have equal length")
-
-    def __len__(self) -> int:
-        return len(self.transitions)
-
-
-def rows_to_batch(rows: list[tuple]) -> Batch:
-    """Convert sampler output rows, with or without weights, to a Batch."""
-    indices = [int(r[0]) for r in rows]
-    transitions = [r[1] for r in rows]
-    weights = np.array([float(r[2]) if len(r) == 3 else 1.0 for r in rows])
-    return Batch(indices=indices, transitions=transitions, weights=weights)
+        indices, weights = inner_sampler(buffer, batch_size - 1, rng)
+    return np.append(buffer.newest, indices), np.append(1.0, weights)

@@ -34,12 +34,11 @@ from replaykit.hindsight import (
     goal_spec_for,
     mountaincar_goal_reward,
     pendulum_goal_reward,
-    relabel_episode,
     relabeled_transitions,
 )
 from replaykit.nn import backward, forward, init_mlp, soft_update
 from replaykit.prioritized import PerConfig, PrioritizedSampler, SumTree
-from replaykit.replay import ReplayBuffer, Transition
+from replaykit.replay import ReplayBuffer
 
 SEEDS = (0, 1, 2)
 EPISODE_LIMIT = 2000
@@ -57,7 +56,8 @@ def cartpole_runs():
     """Three baseline and three combined-replay CartPole runs.
 
     Combined runs are instrumented to record, for every batch drawn,
-    whether slot 0 holds the newest stored transition.
+    whether slot 0 is the newest slot and holds the row the harness
+    appended last.
     """
     out = {"baseline": [], "cer": [], "cer_batch_flags": []}
     for combined in (False, True):
@@ -73,14 +73,28 @@ def cartpole_runs():
             exp = build_run(cfg)
             if combined:
                 flags: list[bool] = []
-                original = exp.stack.sample
+                appended: list[tuple] = []
+                append, sample = exp.stack.append, exp.stack.sample
 
-                def recording(batch_size, _exp=exp, _orig=original, _flags=flags):
+                def recording_append(*row, _append=append, _appended=appended):
+                    _appended[:] = [row]
+                    return _append(*row)
+
+                def recording(batch_size, _exp=exp, _orig=sample, _flags=flags,
+                              _appended=appended):
                     batch = _orig(batch_size)
-                    _, latest = _exp.stack.buffer.latest()
-                    _flags.append(batch.transitions[0] is latest)
+                    state, action, reward, next_state, done, _ = _appended[0]
+                    _flags.append(
+                        batch.indices[0] == _exp.stack.buffer.newest
+                        and np.array_equal(batch.states[0], state)
+                        and batch.actions[0] == action
+                        and batch.rewards[0] == reward
+                        and np.array_equal(batch.next_states[0], next_state)
+                        and batch.dones[0] == float(done)
+                    )
                     return batch
 
+                exp.stack.append = recording_append
                 exp.stack.sample = recording
             records = train(exp)
             solved_at = check_convergence(records, exp.spec)
@@ -133,9 +147,7 @@ def test_per_sampling_fidelity() -> None:
     sampler = PrioritizedSampler(2, cfg)
     buffer = ReplayBuffer(2)
     for i in range(2):
-        idx = buffer.append(
-            Transition(np.array([float(i)]), 0, 0.0, np.array([float(i)]), False)
-        )
+        idx = buffer.append(np.array([float(i)]), 0, 0.0, np.array([float(i)]), False)
         sampler.insert(idx)
     # raw priority is |td| + epsilon, so offset the targets by epsilon
     sampler.update_priorities(
@@ -146,8 +158,8 @@ def test_per_sampling_fidelity() -> None:
     batch = 1_000
     counts = np.zeros(2)
     for _ in range(draws // batch):
-        for index, _, _ in sampler.sample(buffer, batch, rng):
-            counts[index] += 1
+        indices, _ = sampler.sample(buffer, batch, rng)
+        counts += np.bincount(indices, minlength=2)
     freq = counts / counts.sum()
     ratio_ok = abs(freq[0] - 0.75) < 0.005 and abs(freq[1] - 0.25) < 0.005
 
@@ -297,14 +309,11 @@ def test_dqn_learns_toy_mdp() -> None:
     for s in (0, 1):
         for a in (0, 1):
             stack.append(
-                Transition(
-                    one_hot(s), a, rewards_table[s, a],
-                    one_hot(transitions_table[s, a]), False,
-                )
+                one_hot(s), a, rewards_table[s, a],
+                one_hot(transitions_table[s, a]), False,
             )
     for _ in range(20_000):
-        batch = stack.sample(cfg.batch_size)
-        agent.update(batch.transitions, batch.weights)
+        agent.update(stack.sample(cfg.batch_size))
     learned = np.array(
         [[agent.q_values(one_hot(s))[a] for a in (0, 1)] for s in (0, 1)]
     )
@@ -327,9 +336,11 @@ def test_cer_invariant_holds_in_full_runs(cartpole_runs) -> None:
 
 
 def test_her_accounting_and_native_restriction() -> None:
-    """Relabeling doubles an episode's transitions, the final relabeled
-    copy succeeds with the sparse goal reward, and the goal reward at
-    the native goal reproduces native step rewards exactly."""
+    """Relabeling yields one copy per step of an episode and leaves the
+    episode's own steps untouched, the final relabeled copy succeeds
+    with the sparse goal reward, a training run stores exactly twice
+    its steps, and the goal reward at the native goal reproduces native
+    step rewards exactly."""
     spec = goal_spec_for("mountaincar")
     env = make_env("mountaincar")
     rng = np.random.default_rng(3)
@@ -337,23 +348,25 @@ def test_her_accounting_and_native_restriction() -> None:
     for _ in range(20):
         obs = env.reset(rng)
         episode = Episode()
+        steps = []
         for _ in range(int(rng.integers(5, 60))):
             action = int(rng.integers(3))
             result = env.step(action)
-            episode.append(
-                Transition(obs, action, result.reward, result.next_state,
-                           result.done, goal=np.asarray(spec.native_goal))
-            )
+            episode.append(obs, action, result.next_state, result.done)
+            steps.append((obs, action, result.next_state))
             obs = result.next_state
             if result.done or result.truncated:
                 break
-        both = relabel_episode(episode, spec)
         relabeled = relabeled_transitions(episode, spec)
-        accounting_ok &= len(both) == 2 * len(episode)
-        accounting_ok &= both[: len(episode)] == list(episode.transitions)
-        last = relabeled[-1]
-        accounting_ok &= bool(last.done) and last.reward == 0.0
-        accounting_ok &= last.goal == pytest.approx([episode.final_state[0]])
+        accounting_ok &= all(len(column) == len(episode) for column in relabeled)
+        accounting_ok &= len(episode) == len(steps) and all(
+            s is step[0] and a == step[1] and n is step[2]
+            for s, a, n, step in zip(
+                episode.states, episode.actions, episode.next_states, steps
+            )
+        )
+        accounting_ok &= bool(relabeled.dones[-1]) and relabeled.rewards[-1] == 0.0
+        accounting_ok &= relabeled.goals[-1] == pytest.approx([episode.final_state[0]])
 
     # a training run stores originals plus relabeled copies: exactly 2x
     cfg = RunConfig(

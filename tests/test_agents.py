@@ -14,7 +14,6 @@ from replaykit.agents import (
     DqnConfig,
     ObservationScaler,
     OUNoise,
-    batch_arrays,
     epsilon_schedule,
     scaler_for,
 )
@@ -22,7 +21,7 @@ from replaykit.envs import env_spec
 from replaykit.errors import ConfigurationError, NumericalError
 from replaykit.hindsight import goal_spec_for
 from replaykit.nn import Mlp, forward
-from replaykit.replay import Transition
+from replaykit.replay import Batch, ReplayBuffer
 
 
 def identity_scaler(dim: int) -> ObservationScaler:
@@ -41,20 +40,24 @@ def make_ddpg(obs_dim=3, action_dim=1, rng_seed=0, **config) -> DdpgAgent:
                      np.random.default_rng(rng_seed))
 
 
-def random_transitions(n, obs_dim=3, discrete=True, rng_seed=1, done_rate=0.2):
+def make_batch(rows, weights=None) -> Batch:
+    """Store (state, action, reward, next_state, done) rows in a fresh
+    buffer and gather them back in order."""
+    buffer = ReplayBuffer(len(rows))
+    for row in rows:
+        buffer.append(*row)
+    return buffer.gather(np.arange(len(rows)), weights)
+
+
+def random_rows(n, obs_dim=3, discrete=True, rng_seed=1, done_rate=0.2):
     rng = np.random.default_rng(rng_seed)
     out = []
     for _ in range(n):
         action = int(rng.integers(2)) if discrete else rng.uniform(-2.0, 2.0, size=1)
-        out.append(
-            Transition(
-                state=rng.normal(size=obs_dim),
-                action=action,
-                reward=float(rng.normal()),
-                next_state=rng.normal(size=obs_dim),
-                done=bool(rng.random() < done_rate),
-            )
-        )
+        state = rng.normal(size=obs_dim)
+        reward = float(rng.normal())
+        next_state = rng.normal(size=obs_dim)
+        out.append((state, action, reward, next_state, bool(rng.random() < done_rate)))
     return out
 
 
@@ -88,24 +91,6 @@ def test_scaler_for_env_and_goal() -> None:
     scaled = scaler(np.array([-0.3, 0.0, 0.6]))
     assert scaled[0] == pytest.approx(0.0)
     assert scaled[2] == pytest.approx(1.0)
-
-
-def test_batch_arrays_stacks_and_augments() -> None:
-    transitions = random_transitions(4)
-    states, actions, rewards, next_states, dones = batch_arrays(transitions)
-    assert states.shape == (4, 3)
-    assert next_states.shape == (4, 3)
-    assert rewards.shape == (4,)
-    assert set(np.unique(dones)) <= {0.0, 1.0}
-    goal = np.array([0.7])
-    with_goals = [
-        Transition(t.state, t.action, t.reward, t.next_state, t.done, goal=goal)
-        for t in transitions
-    ]
-    states, _, _, next_states, _ = batch_arrays(with_goals)
-    assert states.shape == (4, 4)
-    assert np.all(states[:, 3] == 0.7)
-    assert np.all(next_states[:, 3] == 0.7)
 
 
 def test_dqn_act_greedy_and_tie_break() -> None:
@@ -157,15 +142,14 @@ def test_dqn_td_targets_gamma_zero() -> None:
 
 def test_dqn_update_returns_pre_update_td_errors() -> None:
     agent = make_dqn()
-    transitions = random_transitions(8)
+    batch = make_batch(random_rows(8))
     frozen_q = copy.deepcopy(agent.q)
     frozen_target = copy.deepcopy(agent.q_target)
-    td = agent.update(transitions, np.ones(8))
-    states, actions, rewards, next_states, dones = batch_arrays(transitions)
-    next_q, _ = forward(frozen_target, next_states)
-    y = rewards + agent.config.gamma * (1.0 - dones) * next_q.max(axis=1)
-    q, _ = forward(frozen_q, states)
-    expected = q[np.arange(8), actions.astype(int)] - y
+    td = agent.update(batch)
+    next_q, _ = forward(frozen_target, batch.next_states)
+    y = batch.rewards + agent.config.gamma * (1.0 - batch.dones) * next_q.max(axis=1)
+    q, _ = forward(frozen_q, batch.states)
+    expected = q[np.arange(8), batch.actions.astype(int)] - y
     assert td == pytest.approx(expected)
 
 
@@ -173,15 +157,14 @@ def test_dqn_update_zero_td_error_leaves_params_fixed() -> None:
     # with gamma 0 and rewards equal to the current Q(s, a) values the
     # TD errors vanish, so the update must not move any parameter
     agent = make_dqn(gamma=0.0)
-    transitions = random_transitions(6)
-    states, actions, _, _, _ = batch_arrays(transitions)
-    q, _ = forward(agent.q, states)
+    rows = random_rows(6)
+    q, _ = forward(agent.q, np.array([row[0] for row in rows]))
     matched = [
-        Transition(t.state, t.action, float(q[i, int(t.action)]), t.next_state, t.done)
-        for i, t in enumerate(transitions)
+        (state, action, float(q[i, action]), next_state, done)
+        for i, (state, action, _, next_state, done) in enumerate(rows)
     ]
     before = [w.copy() for w in agent.q.weights]
-    td = agent.update(matched, np.ones(6))
+    td = agent.update(make_batch(matched))
     assert np.abs(td).max() < 1e-12
     for b, a in zip(before, agent.q.weights):
         assert np.array_equal(b, a)
@@ -189,9 +172,9 @@ def test_dqn_update_zero_td_error_leaves_params_fixed() -> None:
 
 def test_dqn_update_zero_weights_leave_params_fixed() -> None:
     agent = make_dqn()
-    transitions = random_transitions(5)
+    batch = make_batch(random_rows(5), weights=np.zeros(5))
     before = [w.copy() for w in agent.q.weights]
-    agent.update(transitions, np.zeros(5))
+    agent.update(batch)
     for b, a in zip(before, agent.q.weights):
         assert np.array_equal(b, a)
 
@@ -200,19 +183,19 @@ def test_dqn_weighted_loss_gradient_single_sample() -> None:
     """One transition with weight w: dLoss/dQ(s, a) must equal
     2 * w * delta, verified through the parameter update direction."""
     agent = make_dqn(gamma=0.0, learning_rate=1e-3)
-    t = Transition(np.ones(3), 1, 10.0, np.zeros(3), True)
+    batch = make_batch([(np.ones(3), 1, 10.0, np.zeros(3), True)], np.array([0.5]))
     q_before, _ = forward(agent.q, np.ones(3)[None, :])
     delta = float(q_before[0, 1] - 10.0)
-    td = agent.update([t], np.array([0.5]))
+    td = agent.update(batch)
     assert td[0] == pytest.approx(delta)
 
 
 def test_dqn_target_sync_period() -> None:
     agent = make_dqn(target_update_period=3, warmup=1)
-    transitions = random_transitions(4)
+    batch = make_batch(random_rows(4))
     snapshots = []
     for step in range(1, 7):
-        agent.update(transitions, np.ones(4))
+        agent.update(batch)
         snapshots.append([b.copy() for b in agent.q_target.biases])
     # target changed only after updates 3 and 6
     def same(a, b):
@@ -226,9 +209,9 @@ def test_dqn_target_sync_period() -> None:
 
 def test_dqn_divergence_guard() -> None:
     agent = make_dqn(gamma=0.0)
-    t = Transition(np.ones(3), 0, 1e9, np.zeros(3), True)
+    batch = make_batch([(np.ones(3), 0, 1e9, np.zeros(3), True)])
     with pytest.raises(NumericalError):
-        agent.update([t], np.ones(1))
+        agent.update(batch)
 
 
 def test_ou_noise_zero_sigma_stays_at_mu() -> None:
@@ -293,17 +276,17 @@ def test_ddpg_critic_target_hand_check() -> None:
     for b in agent.critic_target.biases:
         b[...] = 0.0
     agent.critic_target.biases[-1][0] = 1.0
-    t = Transition(np.zeros(3), np.array([0.3]), 0.5, np.zeros(3), False)
+    batch = make_batch([(np.zeros(3), np.array([0.3]), 0.5, np.zeros(3), False)])
     q, _ = forward(agent.critic, np.concatenate([np.zeros(3), np.array([0.3])])[None, :])
-    td = agent.critic_update([t], np.ones(1))
+    td = agent.critic_update(batch, agent.scaler(batch.states))
     assert td[0] == pytest.approx(float(q[0, 0]) - 1.4)
 
 
 def test_ddpg_critic_terminal_ignores_bootstrap() -> None:
     agent = make_ddpg(gamma=0.9)
-    t = Transition(np.zeros(3), np.array([0.0]), 2.0, np.zeros(3), True)
+    batch = make_batch([(np.zeros(3), np.array([0.0]), 2.0, np.zeros(3), True)])
     q, _ = forward(agent.critic, np.zeros(4)[None, :])
-    td = agent.critic_update([t], np.ones(1))
+    td = agent.critic_update(batch, agent.scaler(batch.states))
     assert td[0] == pytest.approx(float(q[0, 0]) - 2.0)
 
 
@@ -355,12 +338,9 @@ def test_ddpg_actor_update_increases_critic_value() -> None:
     )
     rng = np.random.default_rng(13)
     states = rng.normal(size=(16, 3))
-    transitions = [
-        Transition(s, np.array([0.0]), 0.0, s, False) for s in states
-    ]
     before = float(np.mean(forward(agent.actor, states)[0]))
     for _ in range(5):
-        agent.actor_update(transitions)
+        agent.actor_update(agent.scaler(states))
     after = float(np.mean(forward(agent.actor, states)[0]))
     assert after > before
 
@@ -371,9 +351,9 @@ def test_ddpg_actor_update_zero_critic_is_noop() -> None:
         w[...] = 0.0
     for b in agent.critic.biases:
         b[...] = 0.0
-    transitions = random_transitions(4, discrete=False)
+    batch = make_batch(random_rows(4, discrete=False))
     before = [w.copy() for w in agent.actor.weights]
-    agent.actor_update(transitions)
+    agent.actor_update(agent.scaler(batch.states))
     for b_, a in zip(before, agent.actor.weights):
         assert np.array_equal(b_, a)
 
@@ -390,8 +370,8 @@ def test_ddpg_soft_sync_small_tau_small_move() -> None:
 
 def test_ddpg_update_runs_full_cycle() -> None:
     agent = make_ddpg()
-    transitions = random_transitions(8, discrete=False, done_rate=0.1)
-    td = agent.update(transitions, np.ones(8))
+    batch = make_batch(random_rows(8, discrete=False, done_rate=0.1))
+    td = agent.update(batch)
     assert td.shape == (8,)
     assert np.all(np.isfinite(td))
 

@@ -164,3 +164,23 @@ def test_eval_hindsight_checkpoint_round_trip(tmp_path, capsys) -> None:
                     "--episodes", 2])
     assert code == 0
     assert "eval_mean=" in capsys.readouterr().out
+
+
+def test_train_out_is_a_file_exits_nonzero(tmp_path, capsys) -> None:
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    code = run_cli(["train", "--env", "cartpole", "--agent", "dqn",
+                    "--out", out, *TINY])
+    assert code == 1
+    assert str(out) in capsys.readouterr().err
+    assert out.read_text() == "not a directory\n"
+
+
+def test_eval_checkpoint_without_network_exits_nonzero(tmp_path, capsys) -> None:
+    checkpoint = tmp_path / "checkpoint.txt"
+    checkpoint.write_text(
+        "mlp-checkpoint-v1\nmeta env cartpole\nmeta agent dqn\nmeta hindsight false\n"
+    )
+    code = run_cli(["eval", "--checkpoint", checkpoint])
+    assert code == 1
+    assert "network" in capsys.readouterr().err

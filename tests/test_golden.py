@@ -6,7 +6,8 @@ the replay buffer wraps (FIFO eviction) and that learning steps follow
 the warm-up. The sha256 of its ``run.csv`` and ``checkpoint.txt`` is
 committed below. A refactor that does not mean to change the maths
 must leave every hash as it is; a change that alters results on
-purpose regenerates the table and says why in CHANGES.md.
+purpose regenerates the table (``golden_run(name, out_dir)`` returns
+the new hashes) and says why in CHANGES.md.
 
 The hashes were generated with numpy 2.4.6 linked against OpenBLAS
 (x86-64, Python 3.11). Matrix products round differently under another

@@ -32,7 +32,6 @@ from replaykit.harness import (
     write_manifest,
 )
 from replaykit.prioritized import PerConfig
-from replaykit.replay import Transition
 
 
 def tiny_config(**overrides) -> RunConfig:
@@ -52,15 +51,9 @@ def tiny_config(**overrides) -> RunConfig:
     return RunConfig(**base)
 
 
-def dummy_transition(tag: float, goal=None) -> Transition:
-    return Transition(
-        state=np.array([tag, 0.0]),
-        action=0,
-        reward=tag,
-        next_state=np.array([tag, 1.0]),
-        done=False,
-        goal=goal,
-    )
+def dummy_row(tag: float) -> tuple:
+    """(state, action, reward, next_state, done) tagged by the reward."""
+    return np.array([tag, 0.0]), 0, tag, np.array([tag, 1.0]), False
 
 
 # --- config plumbing ---
@@ -223,7 +216,7 @@ def test_stack_uniform_weights_are_unit() -> None:
     stack = ReplayStack(16, combined=False, per_config=None,
                         rng=np.random.default_rng(0))
     for i in range(6):
-        stack.append(dummy_transition(float(i)))
+        stack.append(*dummy_row(float(i)))
     batch = stack.sample(4)
     assert len(batch.indices) == 4
     assert batch.weights == pytest.approx(np.ones(4))
@@ -233,16 +226,17 @@ def test_stack_combined_forces_latest() -> None:
     stack = ReplayStack(16, combined=True, per_config=None,
                         rng=np.random.default_rng(1))
     for i in range(6):
-        stack.append(dummy_transition(float(i)))
+        stack.append(*dummy_row(float(i)))
         batch = stack.sample(3)
-        assert batch.transitions[0].reward == float(i)
+        assert batch.indices[0] == stack.buffer.newest
+        assert batch.rewards[0] == float(i)
 
 
 def test_stack_prioritized_weights() -> None:
     stack = ReplayStack(16, combined=False, per_config=PerConfig(),
                         rng=np.random.default_rng(2))
     for i in range(8):
-        stack.append(dummy_transition(float(i)))
+        stack.append(*dummy_row(float(i)))
     stack.update_priorities(np.arange(8), np.linspace(0.0, 4.0, 8))
     batch = stack.sample(6)
     assert batch.weights.max() == pytest.approx(1.0)
@@ -254,19 +248,19 @@ def test_stack_combined_prioritized_latest_weight_one() -> None:
     stack = ReplayStack(16, combined=True, per_config=PerConfig(),
                         rng=np.random.default_rng(3))
     for i in range(8):
-        stack.append(dummy_transition(float(i)))
+        stack.append(*dummy_row(float(i)))
     stack.update_priorities(np.arange(8), np.linspace(0.0, 4.0, 8))
-    latest_index, latest = stack.buffer.latest()
     batch = stack.sample(5)
-    assert batch.indices[0] == latest_index
-    assert batch.transitions[0] is latest
+    assert batch.indices[0] == stack.buffer.newest
+    assert batch.rewards[0] == 7.0
+    assert np.array_equal(batch.states[0], [7.0, 0.0])
     assert batch.weights[0] == pytest.approx(1.0)
 
 
 def test_stack_update_priorities_without_per_is_noop() -> None:
     stack = ReplayStack(4, combined=False, per_config=None,
                         rng=np.random.default_rng(4))
-    stack.append(dummy_transition(0.0))
+    stack.append(*dummy_row(0.0))
     stack.update_priorities(np.array([0]), np.array([3.0]))  # must not raise
 
 
@@ -322,17 +316,32 @@ def test_train_early_stops_on_solve(monkeypatch) -> None:
 
 
 def test_train_cer_invariant_every_batch(monkeypatch) -> None:
+    """Slot 0 of every batch is the newest slot and holds the row the
+    harness appended last."""
     cfg = tiny_config(combined=True, episodes=3)
     exp = build_run(cfg)
     seen: list[bool] = []
-    original = exp.stack.sample
+    appended: list[tuple] = []
+    original_append, original_sample = exp.stack.append, exp.stack.sample
+
+    def recording_append(*row):
+        appended.append(row)
+        return original_append(*row)
 
     def recording_sample(batch_size):
-        batch = original(batch_size)
-        _, latest = exp.stack.buffer.latest()
-        seen.append(batch.transitions[0] is latest)
+        batch = original_sample(batch_size)
+        state, action, reward, next_state, done, _ = appended[-1]
+        seen.append(
+            batch.indices[0] == exp.stack.buffer.newest
+            and np.array_equal(batch.states[0], state)
+            and batch.actions[0] == action
+            and batch.rewards[0] == reward
+            and np.array_equal(batch.next_states[0], next_state)
+            and batch.dones[0] == float(done)
+        )
         return batch
 
+    exp.stack.append = recording_append
     exp.stack.sample = recording_sample
     train(exp)
     assert len(seen) > 10
@@ -352,14 +361,15 @@ def test_train_hindsight_doubles_stored_transitions() -> None:
     env_steps = records[-1].steps
     assert len(exp.stack) == 2 * env_steps
     # each episode: originals first, relabeled copies appended after
+    # states carry the goal after the 2 observation components
     first_episode_steps = records[0].steps
-    original = exp.stack.buffer.get(0)
-    relabeled = exp.stack.buffer.get(first_episode_steps)
-    assert original.goal == pytest.approx([0.55])
-    assert np.array_equal(original.state, relabeled.state)
-    assert np.array_equal(original.next_state, relabeled.next_state)
-    final_state = exp.stack.buffer.get(first_episode_steps - 1).next_state
-    assert relabeled.goal == pytest.approx([final_state[0]])
+    rows = exp.stack.buffer.gather([0, first_episode_steps, first_episode_steps - 1])
+    original, relabeled, last = 0, 1, 2
+    assert rows.states[original, 2] == pytest.approx(0.55)
+    assert np.array_equal(rows.states[original, :2], rows.states[relabeled, :2])
+    assert np.array_equal(rows.next_states[original, :2], rows.next_states[relabeled, :2])
+    final_state = rows.next_states[last, :2]
+    assert rows.states[relabeled, 2] == pytest.approx(final_state[0])
 
 
 # --- convergence and output files ---

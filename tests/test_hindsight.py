@@ -13,25 +13,14 @@ from replaykit.hindsight import (
     goal_spec_for,
     mountaincar_goal_reward,
     pendulum_goal_reward,
-    relabel_episode,
     relabeled_transitions,
 )
-from replaykit.replay import Transition
 
 
-def chain(states: list[np.ndarray], rewards=None, done_last=False) -> Episode:
+def chain(states: list[np.ndarray], done_last=False) -> Episode:
     episode = Episode()
     for i in range(len(states) - 1):
-        episode.append(
-            Transition(
-                state=states[i],
-                action=i % 2,
-                reward=0.0 if rewards is None else rewards[i],
-                next_state=states[i + 1],
-                done=done_last and i == len(states) - 2,
-                goal=np.array([0.55]),
-            )
-        )
+        episode.append(states[i], i % 2, states[i + 1], done_last and i == len(states) - 2)
     return episode
 
 
@@ -48,12 +37,13 @@ def test_episode_chaining_enforced() -> None:
     episode = Episode()
     a = np.array([0.0, 0.0])
     b = np.array([1.0, 0.0])
-    episode.append(Transition(a, 0, 0.0, b, False))
+    episode.append(a, 0, b, False)
     with pytest.raises(IntegrityError):
-        episode.append(Transition(a, 0, 0.0, b, False))  # does not chain from b
-    episode.append(Transition(b, 0, 0.0, a, True))
+        episode.append(a, 0, b, False)  # does not chain from b
+    episode.append(b, 0, a, True)
     with pytest.raises(IntegrityError):
-        episode.append(Transition(a, 0, 0.0, b, False))  # past terminal
+        episode.append(a, 0, b, False)  # past terminal
+    assert len(episode) == 2
 
 
 def test_final_state_of_empty_episode() -> None:
@@ -150,16 +140,16 @@ def test_relabel_doubles_and_preserves_originals() -> None:
     states = mountaincar_states(6)
     episode = chain(states)
     spec = goal_spec_for("mountaincar")
-    out = relabel_episode(episode, spec)
-    assert len(out) == 2 * len(episode)
-    # originals pass through untouched, in order
-    for original, got in zip(episode.transitions, out[: len(episode)]):
-        assert got is original
+    out = relabeled_transitions(episode, spec)
+    # one relabeled copy per step: with the originals, twice the length
+    assert all(len(column) == len(episode) == 6 for column in out)
+    # the episode's own steps are untouched, in order
+    assert all(s is t for s, t in zip(episode.states, states))
+    assert all(s is t for s, t in zip(episode.next_states, states[1:]))
     # relabeled copies keep order, actions, and states
-    for original, got in zip(episode.transitions, out[len(episode) :]):
-        assert np.array_equal(got.state, original.state)
-        assert np.array_equal(got.next_state, original.next_state)
-        assert got.action == original.action
+    assert np.array_equal(out.states, np.array(states[:-1]))
+    assert np.array_equal(out.next_states, np.array(states[1:]))
+    assert list(out.actions) == [i % 2 for i in range(6)]
 
 
 def test_relabeled_goal_is_final_achieved_goal() -> None:
@@ -168,27 +158,29 @@ def test_relabeled_goal_is_final_achieved_goal() -> None:
     spec = goal_spec_for("mountaincar")
     relabeled = relabeled_transitions(episode, spec)
     expected_goal = np.array([episode.final_state[0]])
-    for got in relabeled:
-        assert np.array_equal(got.goal, expected_goal)
+    assert relabeled.goals.shape == (len(episode), 1)
+    for goal in relabeled.goals:
+        assert np.array_equal(goal, expected_goal)
 
 
 def test_relabeled_final_transition_succeeds() -> None:
     spec = goal_spec_for("mountaincar")
     for seed in range(5):
         episode = chain(mountaincar_states(7, seed=seed))
-        last = relabeled_transitions(episode, spec)[-1]
-        assert last.done
-        assert last.reward == 0.0
+        relabeled = relabeled_transitions(episode, spec)
+        assert relabeled.dones[-1]
+        assert relabeled.rewards[-1] == 0.0
 
 
 def test_relabeled_rewards_recomputed_per_transition() -> None:
     spec = goal_spec_for("mountaincar")
     episode = chain(mountaincar_states(8, seed=4))
     new_goal = np.array([episode.final_state[0]])
-    for original, got in zip(episode.transitions, relabeled_transitions(episode, spec)):
-        reward, success = spec.goal_reward(original.next_state, original.action, new_goal)
-        assert got.reward == reward
-        assert got.done == success
+    relabeled = relabeled_transitions(episode, spec)
+    for i, (action, next_state) in enumerate(zip(episode.actions, episode.next_states)):
+        reward, success = spec.goal_reward(next_state, action, new_goal)
+        assert relabeled.rewards[i] == reward
+        assert relabeled.dones[i] == success
 
 
 def test_single_transition_episode() -> None:
@@ -196,12 +188,12 @@ def test_single_transition_episode() -> None:
     start = env.reset(np.random.default_rng(5))
     result = env.step(2)
     episode = Episode()
-    episode.append(Transition(start, 2, result.reward, result.next_state, result.done))
-    out = relabel_episode(episode, goal_spec_for("mountaincar"))
-    assert len(out) == 2
-    assert out[1].done
-    assert out[1].reward == 0.0
-    assert np.array_equal(out[1].goal, np.array([result.next_state[0]]))
+    episode.append(start, 2, result.next_state, result.done)
+    out = relabeled_transitions(episode, goal_spec_for("mountaincar"))
+    assert len(out.rewards) == 1
+    assert out.dones[0]
+    assert out.rewards[0] == 0.0
+    assert np.array_equal(out.goals[0], np.array([result.next_state[0]]))
 
 
 def test_pendulum_relabel_success_flags() -> None:
@@ -212,13 +204,11 @@ def test_pendulum_relabel_success_flags() -> None:
     for _ in range(10):
         action = rng.uniform(-2.0, 2.0, size=1)
         result = env.step(action)
-        episode.append(
-            Transition(obs, action, result.reward, result.next_state, result.done)
-        )
+        episode.append(obs, action, result.next_state, result.done)
         obs = result.next_state
     spec = goal_spec_for("pendulum")
     relabeled = relabeled_transitions(episode, spec)
-    assert relabeled[-1].done
+    assert relabeled.dones[-1]
     goal = np.array([math.atan2(episode.final_state[1], episode.final_state[0])])
-    for got in relabeled:
-        assert np.array_equal(got.goal, goal)
+    for got in relabeled.goals:
+        assert np.array_equal(got, goal)

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from replaykit.errors import IntegrityError, NumericalError
+from replaykit.errors import CheckpointError, IntegrityError, NumericalError
 from replaykit.nn import (
     Gradients,
     Mlp,
@@ -360,7 +360,14 @@ def test_checkpoint_round_trip_exact(tmp_path) -> None:
 def test_checkpoint_bad_file(tmp_path) -> None:
     path = tmp_path / "junk.txt"
     path.write_text("not a checkpoint\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(CheckpointError):
         load_checkpoint(path)
     with pytest.raises(OSError):
         load_checkpoint(tmp_path / "missing.txt")
+    # a net section cut off after its layer sizes, and a binary file
+    path.write_text("mlp-checkpoint-v1\nmeta env cartpole\nnet q\nlayers 4 2\n")
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+    path.write_bytes(b"\xff\xfe\x00")
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)

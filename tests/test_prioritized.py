@@ -6,7 +6,7 @@ from scipy import stats
 
 from replaykit.errors import ConfigurationError, NotReadyError, NumericalError
 from replaykit.prioritized import PerConfig, PrioritizedSampler, SumTree
-from replaykit.replay import ReplayBuffer, Transition
+from replaykit.replay import ReplayBuffer
 
 
 def linear_scan_sample(leaves: np.ndarray, u: float) -> int:
@@ -19,15 +19,11 @@ def linear_scan_sample(leaves: np.ndarray, u: float) -> int:
     raise AssertionError(f"u={u} not within total {running}")
 
 
-def make_transition(tag: float) -> Transition:
-    state = np.array([tag])
-    return Transition(state=state, action=0, reward=tag, next_state=state + 1.0, done=False)
-
-
 def filled_buffer(n: int, capacity: int | None = None) -> ReplayBuffer:
     buf = ReplayBuffer(capacity or n)
     for i in range(n):
-        buf.append(make_transition(float(i)))
+        state = np.array([float(i)])
+        buf.append(state, 0, float(i), state + 1.0, False)
     return buf
 
 
@@ -194,8 +190,8 @@ def sampled_frequencies(
     rng = np.random.default_rng(21)
     counts = np.zeros(len(priorities))
     for _ in range(draws // batch_size):
-        for index, _, _ in sampler.sample(buf, batch_size, rng):
-            counts[index] += 1
+        indices, _ = sampler.sample(buf, batch_size, rng)
+        counts += np.bincount(indices, minlength=len(priorities))
     return counts / counts.sum()
 
 
@@ -223,8 +219,8 @@ def test_alpha_zero_is_uniform() -> None:
     rng = np.random.default_rng(22)
     counts = np.zeros(n)
     for _ in range(1_000):
-        for index, _, _ in sampler.sample(buf, 50, rng):
-            counts[index] += 1
+        indices, _ = sampler.sample(buf, 50, rng)
+        counts += np.bincount(indices, minlength=n)
     assert stats.chisquare(counts).pvalue > 0.01
 
 
@@ -236,8 +232,8 @@ def test_weights_in_unit_interval_with_max_one() -> None:
     rng = np.random.default_rng(23)
     sampler.update_priorities(range(32), rng.uniform(0.0, 4.0, size=32))
     for _ in range(20):
-        rows = sampler.sample(buf, 16, rng)
-        weights = np.array([w for _, _, w in rows])
+        indices, weights = sampler.sample(buf, 16, rng)
+        assert len(indices) == len(weights) == 16
         assert np.all(weights > 0.0)
         assert np.all(weights <= 1.0)
         assert weights.max() == pytest.approx(1.0)
@@ -250,8 +246,8 @@ def test_beta_zero_gives_unit_weights() -> None:
         sampler.insert(i)
     rng = np.random.default_rng(24)
     sampler.update_priorities(range(8), rng.uniform(0.0, 4.0, size=8))
-    rows = sampler.sample(buf, 8, rng)
-    assert all(w == pytest.approx(1.0) for _, _, w in rows)
+    _, weights = sampler.sample(buf, 8, rng)
+    assert all(w == pytest.approx(1.0) for w in weights)
 
 
 def test_weight_formula_against_direct_computation() -> None:
@@ -263,12 +259,12 @@ def test_weight_formula_against_direct_computation() -> None:
     deltas = [0.99, 1.99, 2.99, 3.99]  # raws 1, 2, 3, 4
     sampler.update_priorities(range(4), deltas)
     rng = np.random.default_rng(25)
-    rows = sampler.sample(buf, 64, rng)
+    indices, weights = sampler.sample(buf, 64, rng)
     total = 10.0
     n = 4
     raw_weights = {i: (n * ((i + 1.0) / total)) ** -config.beta for i in range(4)}
-    norm = max(raw_weights[i] for i, _, _ in rows)
-    for index, _, weight in rows:
+    norm = max(raw_weights[i] for i in indices)
+    for index, weight in zip(indices, weights):
         assert weight == pytest.approx(raw_weights[index] / norm)
 
 
@@ -280,5 +276,5 @@ def test_stratified_draws_cover_segments() -> None:
     for i in range(8):
         sampler.insert(i)
     rng = np.random.default_rng(26)
-    rows = sampler.sample(buf, 8, rng)
-    assert sorted(index for index, _, _ in rows) == list(range(8))
+    indices, _ = sampler.sample(buf, 8, rng)
+    assert sorted(indices.tolist()) == list(range(8))

@@ -5,37 +5,45 @@ import pytest
 from scipy import stats
 
 from replaykit.errors import ConfigurationError, NotReadyError
-from replaykit.replay import (
-    Batch,
-    ReplayBuffer,
-    Transition,
-    rows_to_batch,
-    sample_combined,
-    sample_uniform,
-)
+from replaykit.replay import ReplayBuffer, sample_combined, sample_uniform
 
 
-def make_transition(tag: float, dim: int = 2, done: bool = False) -> Transition:
+def make_row(tag: float, dim: int = 2, done: bool = False) -> tuple:
+    """(state, action, reward, next_state, done) tagged by the reward."""
     state = np.full(dim, tag)
-    return Transition(state=state, action=0, reward=tag, next_state=state + 1.0, done=done)
+    return state, 0, tag, state + 1.0, done
 
 
 def filled_buffer(n: int, capacity: int | None = None) -> ReplayBuffer:
     buf = ReplayBuffer(capacity or n)
     for i in range(n):
-        buf.append(make_transition(float(i)))
+        buf.append(*make_row(float(i)))
     return buf
 
 
-def test_transition_validates_shapes_and_finiteness() -> None:
+def rewards_at(buf: ReplayBuffer, indices) -> list[float]:
+    return list(buf.gather(indices).rewards)
+
+
+def test_append_validates_shapes_and_finiteness() -> None:
+    bad_rows = [
+        (np.zeros(2), 0, 1.0, np.zeros(3), False),
+        (np.zeros((2, 1)), 0, 1.0, np.zeros((2, 1)), False),
+        (np.array([np.inf, 0.0]), 0, 1.0, np.zeros(2), False),
+        (np.zeros(2), 0, 1.0, np.array([0.0, np.nan]), False),
+        (np.zeros(2), 0, float("nan"), np.zeros(2), False),
+    ]
+    for row in bad_rows:
+        with pytest.raises(ValueError):
+            ReplayBuffer(4).append(*row)
     with pytest.raises(ValueError):
-        Transition(np.zeros(2), 0, 1.0, np.zeros(3), False)
+        ReplayBuffer(4).append(np.zeros(2), 0, 1.0, np.zeros(2), False, goal=np.array([np.nan]))
     with pytest.raises(ValueError):
-        Transition(np.array([np.inf, 0.0]), 0, 1.0, np.zeros(2), False)
+        ReplayBuffer(4).append(np.zeros(2), 0, 1.0, np.zeros(2), False, goal=np.zeros((1, 1)))
+    buf = ReplayBuffer(4)
     with pytest.raises(ValueError):
-        Transition(np.zeros(2), 0, float("nan"), np.zeros(2), False)
-    with pytest.raises(ValueError):
-        Transition(np.zeros(2), 0, 1.0, np.zeros(2), False, goal=np.array([np.nan]))
+        buf.append(np.zeros(2), 0, float("inf"), np.zeros(2), False)
+    assert len(buf) == 0  # a rejected row is not stored
 
 
 def test_capacity_must_be_positive() -> None:
@@ -47,40 +55,84 @@ def test_capacity_must_be_positive() -> None:
 
 def test_append_returns_slots_and_evicts_fifo() -> None:
     buf = ReplayBuffer(3)
-    slots = [buf.append(make_transition(float(i))) for i in range(5)]
+    slots = [buf.append(*make_row(float(i))) for i in range(5)]
     assert slots == [0, 1, 2, 0, 1]
     assert len(buf) == 3
     # slots now hold transitions 3, 4, 2: the two oldest were evicted
-    assert buf.get(0).reward == 3.0
-    assert buf.get(1).reward == 4.0
-    assert buf.get(2).reward == 2.0
+    assert rewards_at(buf, [0, 1, 2]) == [3.0, 4.0, 2.0]
+
+
+def test_gather_rejects_empty_slots() -> None:
+    buf = filled_buffer(2, capacity=4)
+    with pytest.raises(IndexError):
+        buf.gather([2])
+    with pytest.raises(IndexError):
+        buf.gather([-1])
+    with pytest.raises(IndexError):
+        ReplayBuffer(4).gather([])
 
 
 def test_latest_tracks_most_recent_append() -> None:
     buf = ReplayBuffer(2)
     with pytest.raises(NotReadyError):
-        buf.latest()
-    buf.append(make_transition(0.0))
-    buf.append(make_transition(1.0))
-    buf.append(make_transition(2.0))  # wraps to slot 0
-    index, latest = buf.latest()
-    assert index == 0
-    assert latest.reward == 2.0
+        buf.newest
+    buf.append(*make_row(0.0))
+    buf.append(*make_row(1.0))
+    buf.append(*make_row(2.0))  # wraps to slot 0
+    assert buf.newest == 0
+    assert rewards_at(buf, [buf.newest]) == [2.0]
 
 
 def test_state_dim_mismatch_rejected() -> None:
     buf = ReplayBuffer(4)
-    buf.append(make_transition(0.0, dim=2))
+    buf.append(*make_row(0.0, dim=2))
     with pytest.raises(ValueError):
-        buf.append(make_transition(1.0, dim=3))
+        buf.append(*make_row(1.0, dim=3))
+    with pytest.raises(ValueError):
+        buf.append(np.zeros(2), np.zeros(1), 0.0, np.zeros(2), False)  # action shape
 
 
 def test_goal_presence_must_be_consistent() -> None:
     buf = ReplayBuffer(4)
-    buf.append(make_transition(0.0))
-    with_goal = Transition(np.zeros(2), 0, 0.0, np.ones(2), False, goal=np.array([1.0]))
+    buf.append(*make_row(0.0))
     with pytest.raises(ValueError):
-        buf.append(with_goal)
+        buf.append(np.zeros(2), 0, 0.0, np.ones(2), False, goal=np.array([1.0]))
+    goals = ReplayBuffer(4)
+    goals.append(np.zeros(2), 0, 0.0, np.ones(2), False, goal=np.array([1.0]))
+    with pytest.raises(ValueError):
+        goals.append(*make_row(0.0))
+    with pytest.raises(ValueError):
+        goals.append(np.zeros(2), 0, 0.0, np.ones(2), False, goal=np.zeros(2))
+
+
+def test_gather_stacks_and_augments() -> None:
+    rng = np.random.default_rng(1)
+    rows = [
+        (rng.normal(size=3), int(rng.integers(2)), float(rng.normal()),
+         rng.normal(size=3), bool(rng.random() < 0.5))
+        for _ in range(4)
+    ]
+    plain, with_goal = ReplayBuffer(4), ReplayBuffer(4)
+    goal = np.array([0.7])
+    for row in rows:
+        plain.append(*row)
+        with_goal.append(*row, goal=goal)
+    order = np.array([2, 0, 3, 3])
+    batch = plain.gather(order, np.full(4, 0.5))
+    assert len(batch) == 4
+    assert np.array_equal(batch.indices, order)
+    assert np.array_equal(batch.states, np.stack([rows[i][0] for i in order]))
+    assert np.array_equal(batch.actions, [rows[i][1] for i in order])
+    assert np.array_equal(batch.rewards, [rows[i][2] for i in order])
+    assert np.array_equal(batch.next_states, np.stack([rows[i][3] for i in order]))
+    assert np.array_equal(batch.dones, [float(rows[i][4]) for i in order])
+    assert np.all(batch.weights == 0.5)
+    batch = with_goal.gather(order)
+    assert batch.states.shape == (4, 4)
+    assert np.array_equal(batch.states[:, :3], np.stack([rows[i][0] for i in order]))
+    assert np.all(batch.states[:, 3] == 0.7)
+    assert np.all(batch.next_states[:, 3] == 0.7)
+    assert np.all(batch.weights == 1.0)
 
 
 def test_sample_uniform_empty_and_bad_batch() -> None:
@@ -88,22 +140,22 @@ def test_sample_uniform_empty_and_bad_batch() -> None:
     rng = np.random.default_rng(0)
     with pytest.raises(NotReadyError):
         sample_uniform(buf, 1, rng)
-    buf.append(make_transition(0.0))
+    buf.append(*make_row(0.0))
     with pytest.raises(ValueError):
         sample_uniform(buf, 0, rng)
 
 
 def test_sample_uniform_single_element_repeats() -> None:
     buf = filled_buffer(1)
-    rows = sample_uniform(buf, 4, np.random.default_rng(1))
-    assert len(rows) == 4
-    assert all(index == 0 and t.reward == 0.0 for index, t in rows)
+    indices, weights = sample_uniform(buf, 4, np.random.default_rng(1))
+    assert list(indices) == [0, 0, 0, 0]
+    assert list(weights) == [1.0, 1.0, 1.0, 1.0]
 
 
 def test_sample_uniform_only_occupied_slots() -> None:
     buf = filled_buffer(3, capacity=10)
-    rows = sample_uniform(buf, 256, np.random.default_rng(2))
-    assert {index for index, _ in rows} <= {0, 1, 2}
+    indices, _ = sample_uniform(buf, 256, np.random.default_rng(2))
+    assert set(indices.tolist()) <= {0, 1, 2}
 
 
 def test_sample_uniform_frequencies() -> None:
@@ -111,9 +163,8 @@ def test_sample_uniform_frequencies() -> None:
     buf = filled_buffer(n)
     rng = np.random.default_rng(3)
     draws = 200_000
-    counts = np.zeros(n)
-    for index, _ in sample_uniform(buf, draws, rng):
-        counts[index] += 1
+    indices, _ = sample_uniform(buf, draws, rng)
+    counts = np.bincount(indices, minlength=n).astype(np.float64)
     # chi-square goodness of fit against the uniform distribution
     result = stats.chisquare(counts)
     assert result.pvalue > 0.01
@@ -125,21 +176,21 @@ def test_sample_uniform_frequencies() -> None:
 
 def test_sample_uniform_deterministic_for_fixed_seed() -> None:
     buf = filled_buffer(10)
-    a = sample_uniform(buf, 32, np.random.default_rng(7))
-    b = sample_uniform(buf, 32, np.random.default_rng(7))
-    assert [i for i, _ in a] == [i for i, _ in b]
+    a, _ = sample_uniform(buf, 32, np.random.default_rng(7))
+    b, _ = sample_uniform(buf, 32, np.random.default_rng(7))
+    assert np.array_equal(a, b)
 
 
 def test_sample_combined_forces_latest_first() -> None:
     buf = filled_buffer(5)
     rng = np.random.default_rng(4)
     for extra in range(3):
-        buf.append(make_transition(100.0 + extra))
-        rows = sample_combined(buf, 8, sample_uniform, rng)
-        assert len(rows) == 8
-        index, latest = rows[0]
-        assert index == buf.latest()[0]
-        assert latest.reward == 100.0 + extra
+        buf.append(*make_row(100.0 + extra))
+        indices, weights = sample_combined(buf, 8, sample_uniform, rng)
+        assert len(indices) == len(weights) == 8
+        assert indices[0] == buf.newest
+        assert rewards_at(buf, indices[:1]) == [100.0 + extra]
+        assert np.all(weights == 1.0)
 
 
 def test_sample_combined_batch_of_one_is_just_latest() -> None:
@@ -148,21 +199,23 @@ def test_sample_combined_batch_of_one_is_just_latest() -> None:
     def exploding_sampler(*args):
         raise AssertionError("inner sampler must not run for batch_size 1")
 
-    rows = sample_combined(buf, 1, exploding_sampler, np.random.default_rng(0))
-    assert len(rows) == 1
-    assert rows[0][1].reward == 2.0
+    indices, weights = sample_combined(buf, 1, exploding_sampler, np.random.default_rng(0))
+    assert list(indices) == [buf.newest]
+    assert list(weights) == [1.0]
+    assert rewards_at(buf, indices) == [2.0]
 
 
 def test_sample_combined_weighted_inner_gets_weight_one() -> None:
     buf = filled_buffer(4)
 
     def weighted(buffer, batch_size, rng):
-        rows = sample_uniform(buffer, batch_size, rng)
-        return [(i, t, 0.5) for i, t in rows]
+        indices, _ = sample_uniform(buffer, batch_size, rng)
+        return indices, np.full(batch_size, 0.5)
 
-    rows = sample_combined(buf, 5, weighted, np.random.default_rng(5))
-    assert rows[0][2] == 1.0
-    assert all(r[2] == 0.5 for r in rows[1:])
+    indices, weights = sample_combined(buf, 5, weighted, np.random.default_rng(5))
+    assert len(indices) == 5
+    assert weights[0] == 1.0
+    assert np.all(weights[1:] == 0.5)
 
 
 def test_sample_combined_propagates_inner_errors() -> None:
@@ -173,15 +226,3 @@ def test_sample_combined_propagates_inner_errors() -> None:
 
     with pytest.raises(RuntimeError, match="inner failure"):
         sample_combined(buf, 3, broken, np.random.default_rng(0))
-
-
-def test_rows_to_batch_normalizes_weights() -> None:
-    buf = filled_buffer(3)
-    pairs = sample_uniform(buf, 4, np.random.default_rng(6))
-    batch = rows_to_batch(pairs)
-    assert isinstance(batch, Batch)
-    assert len(batch) == 4
-    assert np.all(batch.weights == 1.0)
-    triples = [(i, t, 0.25) for i, t in pairs]
-    batch = rows_to_batch(triples)
-    assert np.all(batch.weights == 0.25)
