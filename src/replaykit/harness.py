@@ -34,6 +34,7 @@ from .agents import (
 )
 from .envs import BoxAction, DiscreteActions, EnvSpec, env_names, env_spec, make_env
 from .errors import CheckpointError, ConfigurationError
+from .files import write_text_atomic
 from .hindsight import (
     Episode,
     GoalSpec,
@@ -524,8 +525,7 @@ def emit_csv(records: list[TrainRecord], path) -> None:
             f"{r.episode},{r.train_reward:.6f},{r.eval_mean:.6f},"
             f"{r.eval_std:.6f},{r.steps},{r.wallclock_ms}"
         )
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n", "ascii")
 
 
 def effective_mapping(cfg: RunConfig) -> dict[str, str]:
@@ -541,9 +541,8 @@ def effective_mapping(cfg: RunConfig) -> dict[str, str]:
 def write_manifest(path, cfg: RunConfig, extra: dict[str, str] | None = None) -> None:
     mapping = dict(effective_mapping(cfg))
     mapping.update(extra or {})
-    with open(path, "w", encoding="utf-8") as fh:
-        for key in sorted(mapping):
-            fh.write(f"{key}={mapping[key]}\n")
+    text = "".join(f"{key}={mapping[key]}\n" for key in sorted(mapping))
+    write_text_atomic(path, text, "utf-8")
 
 
 def _checkpoint_nets(agent) -> dict[str, object]:
@@ -567,7 +566,8 @@ def evaluate_checkpoint(path, episodes: int, seed: int = 0) -> tuple[float, floa
     """Reload a checkpoint and run frozen-policy evaluation episodes.
 
     Raises CheckpointError when the file lacks a known env, agent or
-    the agent's policy network."""
+    the agent's policy network, or when its meta lines contradict each
+    other or do not parse."""
     nets, meta = load_checkpoint(path)
     env_name = meta.get("env")
     agent_kind = meta.get("agent")
@@ -578,10 +578,14 @@ def evaluate_checkpoint(path, episodes: int, seed: int = 0) -> tuple[float, floa
             f"{env_name!r}, agent {agent_kind!r}, networks {sorted(nets)}"
         )
     hindsight = meta.get("hindsight") == "true"
+    try:
+        validate_config(RunConfig(env=env_name, agent=agent_kind, hindsight=hindsight))
+        tolerance = _parse_opt_float(meta.get("goal_tolerance", ""))
+    except ConfigurationError as exc:
+        raise CheckpointError(f"{path}: inconsistent meta lines: {exc}") from None
     goal = None
     if hindsight:
-        tol = meta.get("goal_tolerance") or None
-        gspec = goal_spec_for(env_name, float(tol) if tol else None)
+        gspec = goal_spec_for(env_name, tolerance)
         goal = np.asarray(gspec.native_goal)
         scaler = scaler_for(env_spec(env_name), gspec)
     else:
@@ -595,7 +599,6 @@ def evaluate_checkpoint(path, episodes: int, seed: int = 0) -> tuple[float, floa
 
     else:
         spec = env_spec(env_name)
-        assert isinstance(spec.actions, BoxAction)
 
         def policy(obs):
             action, _ = forward(net, scaler(augment_observation(obs, goal)))
@@ -684,9 +687,10 @@ def sweep(cfg: RunConfig, out_dir) -> list[tuple[str, str, int | None]]:
             rows.append((name, NO_CONVERGENCE, None))
         else:
             rows.append((name, CONVERGED, converged))
-    summary = os.path.join(out_dir, "summary.csv")
-    with open(summary, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("strategy,status,episodes_to_convergence\n")
-        for name, status, episode in rows:
-            fh.write(f"{name},{status},{'' if episode is None else episode}\n")
+    lines = ["strategy,status,episodes_to_convergence"]
+    for name, status, episode in rows:
+        lines.append(f"{name},{status},{'' if episode is None else episode}")
+    write_text_atomic(
+        os.path.join(out_dir, "summary.csv"), "\n".join(lines) + "\n", "ascii"
+    )
     return rows

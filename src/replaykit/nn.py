@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CheckpointError, IntegrityError, NumericalError
+from .files import write_text_atomic
 
 HIDDEN_ACTIVATIONS = ("tanh", "relu")
 OUTPUT_ACTIVATIONS = ("identity", "tanh")
@@ -287,7 +288,8 @@ def _format_floats(a: np.ndarray) -> str:
 
 
 def save_checkpoint(path, nets: dict[str, Mlp], meta: dict[str, str] | None = None) -> None:
-    """Write named networks plus flat string metadata to ``path``."""
+    """Write named networks plus flat string metadata to ``path``,
+    atomically."""
     lines = [_MAGIC]
     for key, value in (meta or {}).items():
         key, value = str(key), str(value)
@@ -307,8 +309,7 @@ def save_checkpoint(path, nets: dict[str, Mlp], meta: dict[str, str] | None = No
             lines.append(f"W{i} " + _format_floats(w))
             lines.append(f"b{i} " + _format_floats(b))
         lines.append("end")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n", "ascii")
 
 
 def load_checkpoint(path) -> tuple[dict[str, Mlp], dict[str, str]]:

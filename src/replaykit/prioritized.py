@@ -36,6 +36,10 @@ class SumTree:
         while padded < leaf_capacity:
             padded *= 2
         self._padded = padded
+        self._depth = padded.bit_length() - 1
+        # Right shifts that take a 1-based heap position to each of its
+        # ancestors, nearest first.
+        self._shifts = np.arange(1, self._depth + 1)
         self._nodes = np.zeros(2 * padded - 1)
 
     @property
@@ -55,6 +59,10 @@ class SumTree:
         self._check_index(index)
         return float(self._nodes[self._padded - 1 + index])
 
+    def leaves(self, indices) -> np.ndarray:
+        """Values of leaves ``indices``, as a new array."""
+        return self._nodes[self._heap_positions(indices)]
+
     def set(self, index: int, value: float) -> None:
         """Set leaf ``index`` to ``value`` and refresh ancestor sums."""
         self._check_index(index)
@@ -70,6 +78,40 @@ class SumTree:
             node = (node - 1) // 2
             self._nodes[node] += change
 
+    def set_many(self, indices, values) -> None:
+        """Apply ``set(i, v)`` for each pair in order, in one pass.
+
+        The whole batch is checked before anything is written, so a bad
+        index or value leaves the tree untouched. The result is bitwise
+        equal to the scalar loop: each write's delta is taken against
+        the leaf's value just before it (an earlier write in the batch
+        for a repeated leaf), and every ancestor receives the deltas in
+        write order, because ``np.add.at`` adds in element order.
+        """
+        positions = self._heap_positions(indices)
+        values = np.asarray(values, dtype=np.float64).ravel()
+        if values.size != positions.size:
+            raise ValueError("indices and values must have equal length")
+        if not np.all(np.isfinite(values)):
+            raise NumericalError("priorities must be finite")
+        if values.size == 0:
+            return
+        if values.min() < 0.0:
+            raise ValueError(f"priorities must be >= 0, got {values.min()}")
+        # Group repeats of a leaf, keeping their write order.
+        order = np.argsort(positions, kind="stable")
+        grouped = positions[order]
+        written = values[order]
+        repeat = grouped[1:] == grouped[:-1]
+        before = self._nodes[grouped]
+        before[1:][repeat] = written[:-1][repeat]
+        deltas = np.empty_like(values)
+        deltas[order] = written - before
+        last = np.append(~repeat, True)
+        self._nodes[grouped[last]] = written[last]
+        ancestors = ((positions + 1)[:, None] >> self._shifts) - 1
+        np.add.at(self._nodes, ancestors.ravel(), np.repeat(deltas, self._depth))
+
     def sample(self, u: float) -> int:
         """Leaf index whose prefix-sum interval contains ``u``.
 
@@ -81,30 +123,26 @@ class SumTree:
             raise NotReadyError("cannot sample from a tree with zero total mass")
         if not 0.0 <= u < total:
             raise ValueError(f"u must lie in [0, {total}), got {u}")
-        node = 0
-        while node < self._padded - 1:
-            left = 2 * node + 1
-            if u < self._nodes[left]:
-                node = left
-            else:
-                u -= self._nodes[left]
-                node = left + 1
-        return node - (self._padded - 1)
+        return int(self.sample_batch(np.array([u]))[0])
 
     def sample_batch(self, us: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`sample` over an array of offsets."""
         total = self.total
         if total <= 0.0:
             raise NotReadyError("cannot sample from a tree with zero total mass")
-        us = np.asarray(us, dtype=np.float64).copy()
-        if us.size and (us.min() < 0.0 or us.max() >= total):
+        us = np.array(us, dtype=np.float64)
+        if us.size and not (us.min() >= 0.0 and us.max() < total):
             raise ValueError("all offsets must lie in [0, total)")
         nodes = np.zeros(us.shape, dtype=np.int64)
-        while nodes.size and nodes[0] < self._padded - 1:
-            left = 2 * nodes + 1
-            go_left = us < self._nodes[left]
-            nodes = np.where(go_left, left, left + 1)
-            us = np.where(go_left, us, us - self._nodes[left])
+        tree = self._nodes
+        for _ in range(self._depth):
+            nodes *= 2
+            nodes += 1
+            left = tree[nodes]
+            right = us >= left
+            # Subtracting left * False = 0.0 leaves us exactly as it was.
+            us -= left * right
+            nodes += right
         return nodes - (self._padded - 1)
 
     def _check_index(self, index: int) -> None:
@@ -112,6 +150,20 @@ class SumTree:
             raise IndexError(
                 f"leaf {index} out of range for capacity {self.leaf_capacity}"
             )
+
+    def _heap_positions(self, indices) -> np.ndarray:
+        """Heap positions of leaves ``indices`` after a range check."""
+        indices = np.asarray(indices).ravel()
+        if indices.size == 0:
+            return indices.astype(np.int64)
+        if indices.dtype.kind not in "iu":
+            raise IndexError(f"leaf indices must be integers, got {indices.dtype}")
+        if indices.min() < 0 or indices.max() >= self.leaf_capacity:
+            raise IndexError(
+                f"leaves {indices.min()}..{indices.max()} out of range for "
+                f"capacity {self.leaf_capacity}"
+            )
+        return indices + (self._padded - 1)
 
 
 @dataclass(frozen=True)
@@ -171,11 +223,14 @@ class PrioritizedSampler:
             raise NumericalError("TD errors must be finite")
         if len(indices) != td_errors.size:
             raise ValueError("indices and td_errors must have equal length")
-        for index, delta in zip(indices, td_errors.ravel()):
-            raw = abs(float(delta)) + self.config.epsilon
-            self.tree.set(int(index), raw ** self.config.alpha)
-            if raw > self._max_raw:
-                self._max_raw = raw
+        raw = np.abs(td_errors.ravel()) + self.config.epsilon
+        if raw.size == 0:
+            return
+        # Python-float pow on purpose: NumPy's array ** rounds differently
+        # from scalar pow on some inputs, which would change results.
+        alpha = self.config.alpha
+        self.tree.set_many(indices, [r ** alpha for r in raw.tolist()])
+        self._max_raw = max(self._max_raw, float(raw.max()))
 
     def sample(
         self, buffer: ReplayBuffer, batch_size: int, rng: np.random.Generator
@@ -200,7 +255,7 @@ class PrioritizedSampler:
         offsets = np.minimum(offsets, np.nextafter(total, 0.0))
         indices = self.tree.sample_batch(offsets)
         n = len(buffer)
-        probs = self.tree._nodes[self.tree._padded - 1 + indices] / total
+        probs = self.tree.leaves(indices) / total
         weights = (n * probs) ** -self.config.beta
         weights /= weights.max()
         return indices, weights

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from replaykit.cli import main
+from replaykit.nn import init_mlp, save_checkpoint
 
 TINY = [
     "--set", "episodes=2",
@@ -184,3 +186,33 @@ def test_eval_checkpoint_without_network_exits_nonzero(tmp_path, capsys) -> None
     code = run_cli(["eval", "--checkpoint", checkpoint])
     assert code == 1
     assert "network" in capsys.readouterr().err
+
+
+def test_eval_checkpoint_agent_env_mismatch_exits_nonzero(tmp_path, capsys) -> None:
+    # A DDPG actor claiming a discrete-action env.
+    checkpoint = tmp_path / "checkpoint.txt"
+    actor = init_mlp([4, 8, 1], np.random.default_rng(0), output_activation="tanh")
+    meta = {"env": "cartpole", "agent": "ddpg", "hindsight": "false"}
+    save_checkpoint(checkpoint, {"actor": actor}, meta)
+    code = run_cli(["eval", "--checkpoint", checkpoint])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "discrete actions" in err
+
+
+def test_eval_checkpoint_bad_goal_tolerance_exits_nonzero(tmp_path, capsys) -> None:
+    checkpoint = tmp_path / "checkpoint.txt"
+    q = init_mlp([3, 8, 3], np.random.default_rng(0))
+    meta = {
+        "env": "mountaincar",
+        "agent": "dqn",
+        "hindsight": "true",
+        "goal_tolerance": "abc",
+    }
+    save_checkpoint(checkpoint, {"q": q}, meta)
+    code = run_cli(["eval", "--checkpoint", checkpoint])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "'abc'" in err

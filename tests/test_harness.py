@@ -412,8 +412,12 @@ def test_emit_csv_empty_records_header_only(tmp_path) -> None:
 
 
 def test_emit_csv_rejects_directory(tmp_path) -> None:
+    target = tmp_path / "run.csv"
+    target.mkdir()
     with pytest.raises(OSError):
-        emit_csv([], tmp_path)
+        emit_csv([], target)
+    assert target.is_dir()
+    assert [p.name for p in tmp_path.iterdir()] == ["run.csv"]
 
 
 def test_write_manifest_sorted(tmp_path) -> None:

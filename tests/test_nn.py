@@ -371,3 +371,16 @@ def test_checkpoint_bad_file(tmp_path) -> None:
     path.write_bytes(b"\xff\xfe\x00")
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
+
+
+def test_checkpoint_failed_write_keeps_earlier_file(tmp_path) -> None:
+    rng = np.random.default_rng(56)
+    nets = {"q": init_mlp([4, 8, 2], rng)}
+    path = tmp_path / "checkpoint.txt"
+    save_checkpoint(path, nets, {"env": "cartpole"})
+    earlier = path.read_bytes()
+    # The non-ASCII value fails to encode after the temp file is opened.
+    with pytest.raises(UnicodeEncodeError):
+        save_checkpoint(path, nets, {"env": "cartpole", "note": "caf\u00e9"})
+    assert path.read_bytes() == earlier
+    assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.txt"]

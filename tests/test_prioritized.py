@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from replaykit.errors import ConfigurationError, NotReadyError, NumericalError
@@ -35,6 +37,7 @@ def test_tree_total_and_update() -> None:
     tree.set(1, 6.0)
     assert tree.total == pytest.approx(14.0)
     assert tree.leaf(1) == pytest.approx(6.0)
+    assert tree.leaves([3, 1, 3]).tolist() == [4.0, 6.0, 4.0]
 
 
 def test_tree_rejects_bad_values_and_indices() -> None:
@@ -47,6 +50,10 @@ def test_tree_rejects_bad_values_and_indices() -> None:
         tree.set(4, 1.0)
     with pytest.raises(IndexError):
         tree.leaf(-1)
+    with pytest.raises(IndexError):
+        tree.leaves([0, -1])
+    with pytest.raises(IndexError):
+        tree.leaves([4])
     with pytest.raises(ConfigurationError):
         SumTree(0)
 
@@ -78,6 +85,8 @@ def test_tree_sample_domain_errors() -> None:
         tree.sample(-0.1)
     with pytest.raises(ValueError):
         tree.sample(2.0)
+    with pytest.raises(ValueError):
+        tree.sample_batch([0.5, float("nan")])
 
 
 def test_tree_matches_linear_scan_oracle() -> None:
@@ -126,6 +135,76 @@ def test_tree_sample_batch_agrees_with_scalar() -> None:
     us = rng.uniform(0.0, tree.total * (1.0 - 1e-12), size=200)
     batch = tree.sample_batch(us)
     assert [tree.sample(float(u)) for u in us] == list(batch)
+
+
+def test_tree_sample_batch_at_exact_prefix_boundaries() -> None:
+    # Integer leaves keep every prefix sum exact, so u == prefix(i) is hit
+    # exactly; zero leaves make some boundaries shared by several leaves.
+    rng = np.random.default_rng(14)
+    for capacity in (1, 2, 3, 5, 8, 13, 33):
+        leaves = rng.integers(0, 4, size=capacity).astype(float)
+        leaves[-1] += 1.0
+        tree = SumTree(capacity)
+        tree.set_many(range(capacity), leaves)
+        prefixes = np.concatenate(([0.0], np.cumsum(leaves)[:-1]))
+        expected = [linear_scan_sample(leaves, float(u)) for u in prefixes]
+        assert tree.sample_batch(prefixes).tolist() == expected
+        assert [tree.sample(float(u)) for u in prefixes] == expected
+
+
+@st.composite
+def tree_writes(draw):
+    """A capacity (not always a power of two) and a few batches of
+    (index, value) writes, with repeated leaves and zero values."""
+    capacity = draw(st.integers(1, 70))
+    write = st.tuples(
+        st.integers(0, capacity - 1),
+        st.one_of(st.just(0.0), st.floats(0.0, 1e3)),
+    )
+    return capacity, draw(st.lists(st.lists(write, max_size=40), max_size=4))
+
+
+def scalar_and_batched(capacity: int, batches) -> tuple[SumTree, SumTree]:
+    scalar, batched = SumTree(capacity), SumTree(capacity)
+    for batch in batches:
+        for index, value in batch:
+            scalar.set(index, value)
+        batched.set_many([i for i, _ in batch], [v for _, v in batch])
+    return scalar, batched
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree_writes())
+@example((5, [[(3, 2.0), (3, 0.0), (1, 1.5), (3, 7.25)], [(3, 1.0), (3, 1.0)]]))
+def test_set_many_bitwise_equals_scalar_sets_in_order(case) -> None:
+    capacity, batches = case
+    scalar, batched = scalar_and_batched(capacity, batches)
+    assert batched.nodes.tobytes() == scalar.nodes.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree_writes(), st.data())
+def test_set_many_rejects_bad_entry_and_writes_nothing(case, data) -> None:
+    capacity, batches = case
+    _, tree = scalar_and_batched(capacity, batches)
+    before = tree.nodes.tobytes()
+    n = data.draw(st.integers(1, 20))
+    indices = data.draw(st.lists(st.integers(0, capacity - 1), min_size=n, max_size=n))
+    values = data.draw(st.lists(st.floats(0.0, 1e3), min_size=n, max_size=n))
+    bad = data.draw(st.integers(0, n - 1))
+    fault = data.draw(st.sampled_from(["index", "negative", "nan"]))
+    if fault == "index":
+        indices[bad] = data.draw(st.sampled_from([-1, capacity]))
+        error = IndexError
+    elif fault == "negative":
+        values[bad] = -data.draw(st.floats(1e-300, 1e3))
+        error = ValueError
+    else:
+        values[bad] = float("nan")
+        error = NumericalError
+    with pytest.raises(error):
+        tree.set_many(indices, values)
+    assert tree.nodes.tobytes() == before
 
 
 def test_per_config_validation() -> None:
