@@ -171,8 +171,8 @@ class DqnAgent:
         # d/dQ(s_i, a_i) of mean_i w_i * delta_i^2
         output_grad = np.zeros_like(q_all)
         output_grad[rows, action_idx] = 2.0 * batch.weights * td_errors / n
-        grads, _ = backward(self.q, cache, output_grad)
-        adam_step(self.q, grads, self.adam)
+        grad, _ = backward(self.q, cache, output_grad, input_grad=False)
+        adam_step(self.q, grad, self.adam)
         self.updates += 1
         if self.updates % self.config.target_update_period == 0:
             hard_copy(self.q_target, self.q)
@@ -310,8 +310,8 @@ class DdpgAgent:
         td_errors = q[:, 0] - targets
         check_divergence(td_errors)
         output_grad = (2.0 * batch.weights * td_errors / n)[:, None]
-        grads, _ = backward(self.critic, cache, output_grad)
-        adam_step(self.critic, grads, self.critic_adam)
+        grad, _ = backward(self.critic, cache, output_grad, input_grad=False)
+        adam_step(self.critic, grad, self.critic_adam)
         return td_errors
 
     def actor_update(self, scaled: np.ndarray) -> None:
@@ -322,10 +322,10 @@ class DdpgAgent:
         q, critic_cache = forward(self.critic, self._critic_input(scaled, actions))
         # Gradient of -mean(Q) w.r.t. the critic's inputs, action slice.
         up = np.full((n, 1), -1.0 / n)
-        _, d_input = backward(self.critic, critic_cache, up)
+        _, d_input = backward(self.critic, critic_cache, up, param_grads=False)
         d_actions = d_input[:, -self.action_dim :]
-        grads, _ = backward(self.actor, actor_cache, d_actions)
-        adam_step(self.actor, grads, self.actor_adam)
+        grad, _ = backward(self.actor, actor_cache, d_actions, input_grad=False)
+        adam_step(self.actor, grad, self.actor_adam)
 
     def sync_targets(self) -> None:
         soft_update(self.actor_target, self.actor, self.config.tau)

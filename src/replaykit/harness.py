@@ -175,6 +175,9 @@ class RunConfig:
             raise ConfigurationError("eval_interval and eval_episodes must be >= 1")
         if self.buffer_capacity is not None and self.buffer_capacity < 1:
             raise ConfigurationError("buffer_capacity must be >= 1 when given")
+        tol = self.goal_tolerance
+        if tol is not None and not (math.isfinite(tol) and tol > 0.0):
+            raise ConfigurationError(f"goal_tolerance must be finite and > 0, got {tol}")
 
     def resolved_buffer_capacity(self) -> int:
         if self.buffer_capacity is not None:
@@ -579,8 +582,12 @@ def evaluate_checkpoint(path, episodes: int, seed: int = 0) -> tuple[float, floa
         )
     hindsight = meta.get("hindsight") == "true"
     try:
-        validate_config(RunConfig(env=env_name, agent=agent_kind, hindsight=hindsight))
         tolerance = _parse_opt_float(meta.get("goal_tolerance", ""))
+        validate_config(
+            RunConfig(
+                env=env_name, agent=agent_kind, hindsight=hindsight, goal_tolerance=tolerance
+            )
+        )
     except ConfigurationError as exc:
         raise CheckpointError(f"{path}: inconsistent meta lines: {exc}") from None
     goal = None

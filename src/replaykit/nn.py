@@ -1,14 +1,19 @@
 """Minimal dense networks with hand-written backprop.
 
-Everything is float64 numpy. ``forward`` returns a cache that
-``backward`` consumes to produce parameter gradients and the gradient
-with respect to the input, which actor-critic updates chain through.
-Parameters carry a version counter so a cache from before an optimizer
-step cannot silently corrupt a backward pass.
+Everything is float64 numpy. A network's parameters live in one flat
+vector, ``params``, and its per-layer weights and biases are views into
+it, so Adam, hard copy and Polyak blending each run as a few whole-vector
+operations. ``forward`` returns a cache that ``backward`` consumes to
+produce the parameter gradient (a flat vector in the same layout) and the
+gradient with respect to the input, which actor-critic updates chain
+through; a caller computes only the one it uses. Parameters carry a
+version counter so a cache from before an optimizer step cannot silently
+corrupt a backward pass.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +28,12 @@ OUTPUT_ACTIVATIONS = ("identity", "tanh")
 @dataclass
 class Mlp:
     """Fully connected network; weights[i] maps layer i to i + 1 with
-    shape (fan_in, fan_out)."""
+    shape (fan_in, fan_out).
+
+    The given weights and biases are validated and copied into the flat
+    vector ``params`` (W0, b0, W1, b1, ... in row-major order); afterwards
+    ``weights`` and ``biases`` are views into it.
+    """
 
     layer_sizes: tuple[int, ...]
     hidden_activation: str
@@ -32,6 +42,31 @@ class Mlp:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     version: int = 0
+    params: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        sizes = self.layer_sizes = tuple(int(n) for n in self.layer_sizes)
+        if len(sizes) < 2 or any(n < 1 for n in sizes):
+            raise ValueError(f"layer_sizes needs >= 2 positive entries, got {sizes}")
+        if self.hidden_activation not in HIDDEN_ACTIVATIONS:
+            raise ValueError(f"hidden_activation must be one of {HIDDEN_ACTIVATIONS}")
+        if self.output_activation not in OUTPUT_ACTIVATIONS:
+            raise ValueError(f"output_activation must be one of {OUTPUT_ACTIVATIONS}")
+        self.output_scale = float(self.output_scale)
+        if not (math.isfinite(self.output_scale) and self.output_scale > 0.0):
+            raise ValueError(f"output_scale must be finite and > 0, got {self.output_scale}")
+        if len(self.weights) != len(sizes) - 1 or len(self.biases) != len(sizes) - 1:
+            raise ValueError(f"layer_sizes {sizes} need {len(sizes) - 1} weights and biases")
+        params = np.empty(sum((a + 1) * b for a, b in zip(sizes[:-1], sizes[1:])))
+        weights, biases = self.split(params)
+        for view, given in zip(weights + biases, list(self.weights) + list(self.biases)):
+            given = np.asarray(given, dtype=np.float64)
+            if given.shape != view.shape:
+                raise ValueError(f"parameter shape {given.shape} != expected {view.shape}")
+            view[...] = given
+        if not np.all(np.isfinite(params)):
+            raise ValueError("network parameters must be finite")
+        self.params, self.weights, self.biases = params, weights, biases
 
     @property
     def input_dim(self) -> int:
@@ -40,6 +75,18 @@ class Mlp:
     @property
     def output_dim(self) -> int:
         return self.layer_sizes[-1]
+
+    def split(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-layer weight and bias views of a vector laid out like
+        ``params``."""
+        weights, biases = [], []
+        start = 0
+        for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
+            end = start + fan_in * fan_out
+            weights.append(flat[start:end].reshape(fan_in, fan_out))
+            biases.append(flat[end : end + fan_out])
+            start = end + fan_out
+        return weights, biases
 
 
 def init_mlp(
@@ -51,36 +98,28 @@ def init_mlp(
     final_layer_scale: float = 1.0,
 ) -> Mlp:
     """Build a network with uniform(-1/sqrt(fan_in), 1/sqrt(fan_in))
-    weights and biases.
+    weights and biases, drawn layer by layer (W0, b0, W1, ...).
 
     ``final_layer_scale`` shrinks the last layer's init, which keeps an
     actor's initial outputs near zero.
     """
-    layer_sizes = tuple(int(n) for n in layer_sizes)
-    if len(layer_sizes) < 2 or any(n < 1 for n in layer_sizes):
-        raise ValueError(f"layer_sizes needs >= 2 positive entries, got {layer_sizes}")
-    if hidden_activation not in HIDDEN_ACTIVATIONS:
-        raise ValueError(f"hidden_activation must be one of {HIDDEN_ACTIVATIONS}")
-    if output_activation not in OUTPUT_ACTIVATIONS:
-        raise ValueError(f"output_activation must be one of {OUTPUT_ACTIVATIONS}")
-    weights = []
-    biases = []
-    n_layers = len(layer_sizes) - 1
-    for i in range(n_layers):
-        fan_in, fan_out = layer_sizes[i], layer_sizes[i + 1]
-        bound = 1.0 / np.sqrt(fan_in)
-        if i == n_layers - 1:
-            bound *= final_layer_scale
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(rng.uniform(-bound, bound, size=fan_out))
-    return Mlp(
-        layer_sizes=layer_sizes,
+    sizes = tuple(int(n) for n in layer_sizes)
+    pairs = list(zip(sizes[:-1], sizes[1:]))
+    net = Mlp(
+        layer_sizes=sizes,
         hidden_activation=hidden_activation,
         output_activation=output_activation,
-        output_scale=float(output_scale),
-        weights=weights,
-        biases=biases,
+        output_scale=output_scale,
+        weights=[np.zeros((fan_in, fan_out)) for fan_in, fan_out in pairs],
+        biases=[np.zeros(fan_out) for _, fan_out in pairs],
     )
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        bound = 1.0 / np.sqrt(w.shape[0])
+        if i == len(pairs) - 1:
+            bound *= final_layer_scale
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+        b[...] = rng.uniform(-bound, bound, size=b.shape)
+    return net
 
 
 def clone_mlp(net: Mlp) -> Mlp:
@@ -89,8 +128,8 @@ def clone_mlp(net: Mlp) -> Mlp:
         hidden_activation=net.hidden_activation,
         output_activation=net.output_activation,
         output_scale=net.output_scale,
-        weights=[w.copy() for w in net.weights],
-        biases=[b.copy() for b in net.biases],
+        weights=net.weights,
+        biases=net.biases,
     )
 
 
@@ -140,18 +179,21 @@ def forward(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     return (a[0] if squeezed else a), cache
 
 
-@dataclass
-class Gradients:
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-
-def backward(net: Mlp, cache: ForwardCache, output_grad: np.ndarray) -> tuple[Gradients, np.ndarray]:
+def backward(
+    net: Mlp,
+    cache: ForwardCache,
+    output_grad: np.ndarray,
+    *,
+    param_grads: bool = True,
+    input_grad: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Backpropagate ``output_grad`` (d loss / d output) through the
     cached forward pass.
 
-    Returns parameter gradients and the loss gradient with respect to
-    the forward input, in the input's original rank.
+    Returns the parameter gradient, a flat vector laid out like
+    ``net.params``, and the loss gradient with respect to the forward
+    input, in the input's original rank. Either is None, and not
+    computed, when its flag is False.
     """
     if cache.version != net.version or cache.layer_sizes != net.layer_sizes:
         raise IntegrityError("forward cache does not match current parameters")
@@ -162,12 +204,14 @@ def backward(net: Mlp, cache: ForwardCache, output_grad: np.ndarray) -> tuple[Gr
         raise ValueError(
             f"output_grad shape {gy.shape} != output shape {cache.outputs.shape}"
         )
-    d_weights: list[np.ndarray] = [None] * len(net.weights)  # type: ignore[list-item]
-    d_biases: list[np.ndarray] = [None] * len(net.biases)  # type: ignore[list-item]
+    grad = d_weights = d_biases = None
+    if param_grads:
+        grad = np.empty_like(net.params)
+        d_weights, d_biases = net.split(grad)
+    last = len(net.weights) - 1
     delta = gy
-    for i in range(len(net.weights) - 1, -1, -1):
-        a_in = cache.inputs[i]
-        if i == len(net.weights) - 1:
+    for i in range(last, -1, -1):
+        if i == last:
             if net.output_activation == "tanh":
                 out = cache.outputs / net.output_scale  # tanh(z)
                 delta = delta * net.output_scale * (1.0 - out**2)
@@ -177,26 +221,33 @@ def backward(net: Mlp, cache: ForwardCache, output_grad: np.ndarray) -> tuple[Gr
                 delta = delta * (1.0 - a_out**2)
             else:
                 delta = delta * (a_out > 0.0)
-        d_weights[i] = a_in.T @ delta
-        d_biases[i] = delta.sum(axis=0)
-        delta = delta @ net.weights[i].T
-    dx = delta[0] if cache.squeezed else delta
-    return Gradients(weights=d_weights, biases=d_biases), dx
+        if param_grads:
+            np.matmul(cache.inputs[i].T, delta, out=d_weights[i])
+            delta.sum(axis=0, out=d_biases[i])
+        if i > 0 or input_grad:
+            delta = delta @ net.weights[i].T
+    if not input_grad:
+        return grad, None
+    return grad, (delta[0] if cache.squeezed else delta)
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators for one network."""
+    """First/second moment accumulators for one network, flat in the
+    network's parameter layout."""
 
     learning_rate: float
+    m: np.ndarray
+    v: np.ndarray
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
     step: int = 0
-    m_weights: list[np.ndarray] = field(default_factory=list)
-    v_weights: list[np.ndarray] = field(default_factory=list)
-    m_biases: list[np.ndarray] = field(default_factory=list)
-    v_biases: list[np.ndarray] = field(default_factory=list)
+    # Two preallocated vectors of the same size for the update's temporaries.
+    work: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.work = (np.empty_like(self.m), np.empty_like(self.m))
 
 
 def adam_init(net: Mlp, learning_rate: float) -> AdamState:
@@ -204,34 +255,42 @@ def adam_init(net: Mlp, learning_rate: float) -> AdamState:
         raise ValueError(f"learning_rate must be > 0, got {learning_rate}")
     return AdamState(
         learning_rate=float(learning_rate),
-        m_weights=[np.zeros_like(w) for w in net.weights],
-        v_weights=[np.zeros_like(w) for w in net.weights],
-        m_biases=[np.zeros_like(b) for b in net.biases],
-        v_biases=[np.zeros_like(b) for b in net.biases],
+        m=np.zeros_like(net.params),
+        v=np.zeros_like(net.params),
     )
 
 
-def adam_step(net: Mlp, grads: Gradients, state: AdamState) -> None:
-    """Apply one Adam update in place and bump the parameter version."""
-    for g in grads.weights + grads.biases:
-        if not np.all(np.isfinite(g)):
-            raise NumericalError("non-finite gradient passed to adam_step")
+def adam_step(net: Mlp, grad: np.ndarray, state: AdamState) -> None:
+    """Apply one Adam update in place and bump the parameter version.
+
+    ``grad`` is a flat gradient laid out like ``net.params``. The update
+    is p -= lr * (m / bias1) / (sqrt(v / bias2) + eps), evaluated in
+    that order over the whole vector.
+    """
+    if grad.shape != net.params.shape:
+        raise ValueError(f"gradient shape {grad.shape} != params shape {net.params.shape}")
+    if not np.all(np.isfinite(grad)):
+        raise NumericalError("non-finite gradient passed to adam_step")
     state.step += 1
     t = state.step
     bias1 = 1.0 - state.beta1**t
     bias2 = 1.0 - state.beta2**t
-    for params, gs, ms, vs in (
-        (net.weights, grads.weights, state.m_weights, state.v_weights),
-        (net.biases, grads.biases, state.m_biases, state.v_biases),
-    ):
-        for p, g, m, v in zip(params, gs, ms, vs):
-            if g.shape != p.shape:
-                raise ValueError(f"gradient shape {g.shape} != param shape {p.shape}")
-            m *= state.beta1
-            m += (1.0 - state.beta1) * g
-            v *= state.beta2
-            v += (1.0 - state.beta2) * np.square(g)
-            p -= state.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + state.epsilon)
+    m, v = state.m, state.v
+    num, den = state.work
+    m *= state.beta1
+    np.multiply(grad, 1.0 - state.beta1, out=num)
+    m += num
+    v *= state.beta2
+    np.square(grad, out=num)
+    num *= 1.0 - state.beta2
+    v += num
+    np.divide(v, bias2, out=den)
+    np.sqrt(den, out=den)
+    den += state.epsilon
+    np.divide(m, bias1, out=num)
+    num *= state.learning_rate
+    num /= den
+    net.params -= num
     net.version += 1
 
 
@@ -248,10 +307,7 @@ def _check_same_architecture(target: Mlp, online: Mlp) -> None:
 def hard_copy(target: Mlp, online: Mlp) -> None:
     """target <- online, deep copy of all parameters."""
     _check_same_architecture(target, online)
-    for t, o in zip(target.weights, online.weights):
-        t[...] = o
-    for t, o in zip(target.biases, online.biases):
-        t[...] = o
+    target.params[...] = online.params
     target.version += 1
 
 
@@ -260,12 +316,8 @@ def soft_update(target: Mlp, online: Mlp, tau: float) -> None:
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must be in [0, 1], got {tau}")
     _check_same_architecture(target, online)
-    for t, o in zip(target.weights, online.weights):
-        t *= 1.0 - tau
-        t += tau * o
-    for t, o in zip(target.biases, online.biases):
-        t *= 1.0 - tau
-        t += tau * o
+    target.params *= 1.0 - tau
+    target.params += tau * online.params
     target.version += 1
 
 
@@ -284,7 +336,7 @@ _MAGIC = "mlp-checkpoint-v1"
 
 
 def _format_floats(a: np.ndarray) -> str:
-    return " ".join(repr(float(v)) for v in a.ravel())
+    return " ".join(map(repr, a.ravel().tolist()))
 
 
 def save_checkpoint(path, nets: dict[str, Mlp], meta: dict[str, str] | None = None) -> None:

@@ -249,14 +249,14 @@ def test_gradient_check_100_networks() -> None:
         x = rng.normal(size=sizes[0])
         out, cache = forward(net, x)
         out_grad = rng.normal(size=out.shape)
-        grads, _ = backward(net, cache, out_grad)
+        flat_grad, _ = backward(net, cache, out_grad)
 
         def objective() -> float:
             value, _ = forward(net, x)
             return float(np.sum(value * out_grad))
 
         for param, grad in zip(
-            net.weights + net.biases, grads.weights + grads.biases
+            net.weights + net.biases, sum(net.split(flat_grad), [])
         ):
             it = np.nditer(param, flags=["multi_index"])
             while not it.finished:

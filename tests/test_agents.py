@@ -311,7 +311,7 @@ def test_ddpg_actor_gradient_matches_finite_differences() -> None:
 
     h = 1e-6
     for p, a in zip(agent.actor.weights + agent.actor.biases,
-                    analytic.weights + analytic.biases):
+                    sum(agent.actor.split(analytic), [])):
         it = np.nditer(p, flags=["multi_index"])
         checked = 0
         while not it.finished and checked < 8:

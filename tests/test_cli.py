@@ -216,3 +216,31 @@ def test_eval_checkpoint_bad_goal_tolerance_exits_nonzero(tmp_path, capsys) -> N
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "'abc'" in err
+
+
+@pytest.mark.parametrize("tolerance", ["-1", "0", "nan", "inf"])
+def test_train_bad_goal_tolerance_exits_2(tmp_path, capsys, tolerance) -> None:
+    out = tmp_path / "run"
+    code = run_cli(["train", "--env", "mountaincar", "--agent", "dqn",
+                    "--hindsight", "--out", out, *TINY,
+                    "--set", f"goal_tolerance={tolerance}"])
+    assert code == 2
+    assert "goal_tolerance" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_checkpoint_negative_goal_tolerance_exits_nonzero(tmp_path, capsys) -> None:
+    checkpoint = tmp_path / "checkpoint.txt"
+    q = init_mlp([3, 8, 3], np.random.default_rng(0))
+    meta = {
+        "env": "mountaincar",
+        "agent": "dqn",
+        "hindsight": "true",
+        "goal_tolerance": "-1",
+    }
+    save_checkpoint(checkpoint, {"q": q}, meta)
+    code = run_cli(["eval", "--checkpoint", checkpoint])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "goal_tolerance" in err

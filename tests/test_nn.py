@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from replaykit.errors import CheckpointError, IntegrityError, NumericalError
 from replaykit.nn import (
-    Gradients,
+    HIDDEN_ACTIVATIONS,
+    OUTPUT_ACTIVATIONS,
     Mlp,
     adam_init,
     adam_step,
@@ -23,31 +26,24 @@ H = 1e-5  # central-difference step
 REL_TOL = 1e-4
 
 
-def numerical_param_gradients(net: Mlp, x: np.ndarray, loss) -> Gradients:
+def numerical_param_gradients(net: Mlp, x: np.ndarray, loss) -> np.ndarray:
     """Central finite differences of loss(forward(net, x)) in every
-    parameter."""
+    parameter, laid out like ``net.params``."""
 
     def loss_value() -> float:
         y, _ = forward(net, x)
         return float(loss(y))
 
-    grads = Gradients(weights=[], biases=[])
-    for params, out in ((net.weights, grads.weights), (net.biases, grads.biases)):
-        for p in params:
-            g = np.zeros_like(p)
-            it = np.nditer(p, flags=["multi_index"])
-            while not it.finished:
-                idx = it.multi_index
-                original = p[idx]
-                p[idx] = original + H
-                plus = loss_value()
-                p[idx] = original - H
-                minus = loss_value()
-                p[idx] = original
-                g[idx] = (plus - minus) / (2.0 * H)
-                it.iternext()
-            out.append(g)
-    return grads
+    grad = np.zeros_like(net.params)
+    for k in range(net.params.size):
+        original = net.params[k]
+        net.params[k] = original + H
+        plus = loss_value()
+        net.params[k] = original - H
+        minus = loss_value()
+        net.params[k] = original
+        grad[k] = (plus - minus) / (2.0 * H)
+    return grad
 
 
 def numerical_input_gradient(net: Mlp, x: np.ndarray, loss) -> np.ndarray:
@@ -142,10 +138,11 @@ def test_backward_linear_input_gradient() -> None:
     x = np.array([1.0, -1.0, 0.5])
     _, cache = forward(net, x)
     gy = np.array([1.0, 1.0])
-    grads, gx = backward(net, cache, gy)
+    grad, gx = backward(net, cache, gy)
+    d_weights, d_biases = net.split(grad)
     assert gx == pytest.approx(w @ gy)
-    assert grads.weights[0] == pytest.approx(np.outer(x, gy))
-    assert grads.biases[0] == pytest.approx(gy)
+    assert d_weights[0] == pytest.approx(np.outer(x, gy))
+    assert d_biases[0] == pytest.approx(gy)
 
 
 def test_gradients_match_finite_differences() -> None:
@@ -161,8 +158,7 @@ def test_gradients_match_finite_differences() -> None:
         y, cache = forward(net, x)
         analytic, gx = backward(net, cache, coeffs)
         numeric = numerical_param_gradients(net, x, loss)
-        for a, n in zip(analytic.weights + analytic.biases,
-                        numeric.weights + numeric.biases):
+        for a, n in zip(sum(net.split(analytic), []), sum(net.split(numeric), [])):
             assert relative_error(a, n) < REL_TOL
         assert relative_error(gx, numerical_input_gradient(net, x, loss)) < REL_TOL
 
@@ -185,8 +181,7 @@ def test_batch_squared_loss_gradient_matches() -> None:
         out, _ = forward(net, flat)
         return float(loss(out))
 
-    for params, analytic_group in ((net.weights, analytic.weights),
-                                   (net.biases, analytic.biases)):
+    for params, analytic_group in zip((net.weights, net.biases), net.split(analytic)):
         for p, a in zip(params, analytic_group):
             it = np.nditer(p, flags=["multi_index"])
             checked = 0
@@ -210,11 +205,7 @@ def test_backward_rejects_stale_cache() -> None:
     x = rng.normal(size=3)
     _, cache = forward(net, x)
     state = adam_init(net, 1e-3)
-    grads = Gradients(
-        weights=[np.ones_like(w) for w in net.weights],
-        biases=[np.ones_like(b) for b in net.biases],
-    )
-    adam_step(net, grads, state)  # bumps the version
+    adam_step(net, np.ones_like(net.params), state)  # bumps the version
     with pytest.raises(IntegrityError):
         backward(net, cache, np.ones(2))
 
@@ -224,10 +215,7 @@ def test_adam_zero_gradient_is_fixed_point() -> None:
     net = init_mlp([3, 4, 2], rng)
     before = [w.copy() for w in net.weights] + [b.copy() for b in net.biases]
     state = adam_init(net, 1e-2)
-    zeros = Gradients(
-        weights=[np.zeros_like(w) for w in net.weights],
-        biases=[np.zeros_like(b) for b in net.biases],
-    )
+    zeros = np.zeros_like(net.params)
     for _ in range(3):
         adam_step(net, zeros, state)
     after = net.weights + net.biases
@@ -241,8 +229,7 @@ def test_adam_first_step_matches_hand_computation() -> None:
     net = Mlp((1, 1), "tanh", "identity", 1.0, [np.array([[0.5]])], [np.array([0.0])])
     state = adam_init(net, 1e-3)
     g = 7.3
-    grads = Gradients(weights=[np.array([[g]])], biases=[np.array([0.0])])
-    adam_step(net, grads, state)
+    adam_step(net, np.array([g, 0.0]), state)  # W0, then b0
     m_hat = g  # m / (1 - beta1)
     v_hat = g * g
     expected = 0.5 - 1e-3 * m_hat / (np.sqrt(v_hat) + state.epsilon)
@@ -253,10 +240,8 @@ def test_adam_rejects_nonfinite_gradients() -> None:
     rng = np.random.default_rng(49)
     net = init_mlp([2, 2], rng)
     state = adam_init(net, 1e-3)
-    bad = Gradients(
-        weights=[np.array([[np.nan, 0.0], [0.0, 0.0]])],
-        biases=[np.zeros(2)],
-    )
+    bad = np.zeros_like(net.params)
+    bad[0] = np.nan  # W0[0, 0]
     with pytest.raises(NumericalError):
         adam_step(net, bad, state)
 
@@ -274,8 +259,8 @@ def test_adam_descends_a_quadratic() -> None:
         loss = float(np.mean(err**2))
         if first_loss is None:
             first_loss = loss
-        grads, _ = backward(net, cache, 2.0 * err / len(xs))
-        adam_step(net, grads, state)
+        grad, _ = backward(net, cache, 2.0 * err / len(xs))
+        adam_step(net, grad, state)
     assert loss < first_loss * 0.01
 
 
@@ -384,3 +369,265 @@ def test_checkpoint_failed_write_keeps_earlier_file(tmp_path) -> None:
         save_checkpoint(path, nets, {"env": "cartpole", "note": "caf\u00e9"})
     assert path.read_bytes() == earlier
     assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.txt"]
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_weights_and_biases_are_views_of_params(tmp_path) -> None:
+    rng = np.random.default_rng(57)
+    built = Mlp((3, 2), "relu", "tanh", 2.0, [np.ones((3, 2))], [np.zeros(2)])
+    initialized = init_mlp([4, 6, 5, 2], rng)
+    save_checkpoint(tmp_path / "ckpt.txt", {"q": initialized})
+    loaded = load_checkpoint(tmp_path / "ckpt.txt")[0]["q"]
+    for net in (built, initialized, clone_mlp(initialized), loaded):
+        sizes = net.layer_sizes
+        assert net.params.shape == (sum((a + 1) * b for a, b in zip(sizes, sizes[1:])),)
+        for view in net.weights + net.biases:
+            assert np.shares_memory(net.params, view)
+    # a clone owns its own vector
+    assert not np.shares_memory(clone_mlp(initialized).params, initialized.params)
+    built.weights[0][2, 1] = -4.0
+    assert built.params[5] == -4.0  # W0 is row-major at the front
+
+
+def test_mlp_rejects_bad_architecture_and_parameters() -> None:
+    w, b = [np.zeros((2, 1))], [np.zeros(1)]
+    for args in (
+        ((2,), "tanh", "identity", 1.0, [], []),
+        ((2, 1), "sigmoid", "identity", 1.0, w, b),
+        ((2, 1), "tanh", "softmax", 1.0, w, b),
+        ((2, 1), "tanh", "tanh", 0.0, w, b),
+        ((2, 1), "tanh", "tanh", float("nan"), w, b),
+        ((2, 1), "tanh", "identity", 1.0, [np.zeros((1, 2))], b),
+        ((2, 1), "tanh", "identity", 1.0, [np.array([[np.inf], [0.0]])], b),
+        ((2, 3, 1), "tanh", "identity", 1.0, w, b),
+    ):
+        with pytest.raises(ValueError):
+            Mlp(*args)
+
+
+def _unknown_activation(text: str) -> str:
+    return text.replace("activation tanh identity 1.0", "activation sigmoid softmax 1.0")
+
+
+def _infinite_weight(text: str) -> str:
+    lines = text.splitlines(keepends=True)
+    row = next(i for i, line in enumerate(lines) if line.startswith("W0 "))
+    values = lines[row].split()
+    lines[row] = " ".join(["W0", "inf", *values[2:]]) + "\n"
+    return "".join(lines)
+
+
+def _net_without_layers(text: str) -> str:
+    return text + "net empty\nlayers 3\nactivation tanh identity 1.0\nend\n"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [_unknown_activation, _infinite_weight, _net_without_layers],
+    ids=["unknown-activation", "inf-weight", "no-layers"],
+)
+def test_checkpoint_rejects_bad_network(tmp_path, edit) -> None:
+    path = tmp_path / "ckpt.txt"
+    save_checkpoint(path, {"q": init_mlp([3, 4, 2], np.random.default_rng(58))})
+    edited = edit(path.read_text())
+    assert edited != path.read_text()
+    path.write_text(edited)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+# Per-array reference updates: the loops the flat-vector updates replaced.
+# The flat versions must agree with them bit for bit.
+
+
+def reference_backward(net: Mlp, cache, output_grad: np.ndarray):
+    """(weight grads, bias grads, input grad) computed layer by layer."""
+    delta = np.asarray(output_grad, dtype=np.float64)
+    if cache.squeezed:
+        delta = delta[None, :]
+    d_weights, d_biases = [None] * len(net.weights), [None] * len(net.biases)
+    for i in range(len(net.weights) - 1, -1, -1):
+        if i == len(net.weights) - 1:
+            if net.output_activation == "tanh":
+                out = cache.outputs / net.output_scale
+                delta = delta * net.output_scale * (1.0 - out**2)
+        else:
+            a_out = cache.inputs[i + 1]
+            if net.hidden_activation == "tanh":
+                delta = delta * (1.0 - a_out**2)
+            else:
+                delta = delta * (a_out > 0.0)
+        d_weights[i] = cache.inputs[i].T @ delta
+        d_biases[i] = delta.sum(axis=0)
+        delta = delta @ net.weights[i].T
+    return d_weights, d_biases, (delta[0] if cache.squeezed else delta)
+
+
+def reference_adam(arrays, grads, ms, vs, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    bias1 = 1.0 - beta1**t
+    bias2 = 1.0 - beta2**t
+    for p, g, m, v in zip(arrays, grads, ms, vs):
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * np.square(g)
+        p -= lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
+
+
+def reference_soft_update(targets, onlines, tau: float) -> None:
+    for t, o in zip(targets, onlines):
+        t *= 1.0 - tau
+        t += tau * o
+
+
+def test_backward_flags_match_per_array_reference() -> None:
+    rng = np.random.default_rng(59)
+    for trial in range(12):
+        net = random_net(rng)
+        x = rng.normal(size=(5, net.input_dim)) if trial % 2 else rng.normal(size=net.input_dim)
+        _, cache = forward(net, x)
+        gy = rng.normal(size=(5, net.output_dim)) if trial % 2 else rng.normal(size=net.output_dim)
+        ref_w, ref_b, ref_dx = reference_backward(net, cache, gy)
+        full_grad, full_dx = backward(net, cache, gy)
+        grad, no_dx = backward(net, cache, gy, input_grad=False)
+        no_grad, dx = backward(net, cache, gy, param_grads=False)
+        assert no_dx is None and no_grad is None
+        for flat in (full_grad, grad):
+            assert flat.shape == net.params.shape
+            d_weights, d_biases = net.split(flat)
+            for got, want in zip(d_weights + d_biases, ref_w + ref_b):
+                assert same_bits(got, want)
+        assert same_bits(full_dx, ref_dx) and same_bits(dx, ref_dx)
+
+
+def test_adam_step_matches_per_array_reference() -> None:
+    rng = np.random.default_rng(60)
+    net = init_mlp([5, 16, 16, 3], rng)
+    state = adam_init(net, 3e-3)
+    arrays = [a.copy() for a in net.weights + net.biases]
+    ms = [np.zeros_like(a) for a in arrays]
+    vs = [np.zeros_like(a) for a in arrays]
+    for t in range(1, 7):
+        # gradients of varied scale, with exact zeros, as training produces
+        grad = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=net.params.shape)
+        grad[rng.random(grad.shape) < 0.2] = 0.0
+        adam_step(net, grad, state)
+        d_weights, d_biases = net.split(grad)
+        reference_adam(arrays, d_weights + d_biases, ms, vs, t, 3e-3)
+        assert state.step == t
+        for got, want in zip(net.weights + net.biases, arrays):
+            assert same_bits(got, want)
+        m_weights, m_biases = net.split(state.m)
+        v_weights, v_biases = net.split(state.v)
+        for got, want in zip(m_weights + m_biases + v_weights + v_biases, ms + vs):
+            assert same_bits(got, want)
+    with pytest.raises(ValueError):
+        adam_step(net, np.zeros(net.params.size + 1), state)
+
+
+def test_soft_update_and_hard_copy_match_per_array_reference() -> None:
+    rng = np.random.default_rng(61)
+    online = init_mlp([4, 8, 8, 2], rng)
+    target = init_mlp([4, 8, 8, 2], rng)
+    arrays = [a.copy() for a in target.weights + target.biases]
+    for tau in (0.005, 0.3, 0.005, 1.0, 0.0, 0.77):
+        online.params += rng.normal(scale=0.1, size=online.params.shape)
+        soft_update(target, online, tau)
+        reference_soft_update(arrays, online.weights + online.biases, tau)
+        for got, want in zip(target.weights + target.biases, arrays):
+            assert same_bits(got, want)
+    version = target.version
+    hard_copy(target, online)
+    assert target.version == version + 1
+    for got, want in zip(target.weights + target.biases, online.weights + online.biases):
+        assert same_bits(got, want) and not np.shares_memory(got, want)
+
+
+# Checkpoint property tests.
+
+_EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1.1e-308, -2.2e-310, 1e308, -1e308]
+_values = st.one_of(
+    st.sampled_from(_EDGE_VALUES),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def networks(draw) -> dict[str, Mlp]:
+    """One to three named networks with random architectures and
+    arbitrary finite parameter values."""
+    names = draw(st.lists(st.sampled_from(["q", "actor", "critic", "x_1"]),
+                          min_size=1, max_size=3, unique=True))
+    nets = {}
+    for name in names:
+        sizes = draw(st.lists(st.integers(1, 5), min_size=2, max_size=4))
+        net = init_mlp(
+            sizes,
+            np.random.default_rng(0),
+            hidden_activation=draw(st.sampled_from(HIDDEN_ACTIVATIONS)),
+            output_activation=draw(st.sampled_from(OUTPUT_ACTIVATIONS)),
+            output_scale=draw(st.floats(min_value=5e-324, max_value=1e308)),
+        )
+        values = draw(st.lists(_values, min_size=net.params.size,
+                               max_size=net.params.size))
+        net.params[...] = values
+        nets[name] = net
+    return nets
+
+
+def assert_same_net(got: Mlp, want: Mlp) -> None:
+    assert got.layer_sizes == want.layer_sizes
+    assert got.hidden_activation == want.hidden_activation
+    assert got.output_activation == want.output_activation
+    assert repr(got.output_scale) == repr(want.output_scale)
+    assert same_bits(got.params, want.params)
+    for view in got.weights + got.biases:
+        assert np.shares_memory(got.params, view)
+
+
+@pytest.fixture(scope="module")
+def checkpoint_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("checkpoints")
+
+
+@settings(max_examples=150, deadline=None)
+@given(networks())
+def test_checkpoint_round_trip_is_bitwise(checkpoint_dir, nets) -> None:
+    path = checkpoint_dir / "round_trip.txt"
+    meta = {"env": "pendulum", "note": "x"}
+    save_checkpoint(path, nets, meta)
+    loaded, got_meta = load_checkpoint(path)
+    assert got_meta == meta
+    assert list(loaded) == list(nets)
+    for name, net in nets.items():
+        assert_same_net(loaded[name], net)
+
+
+@settings(max_examples=200, deadline=None)
+@given(networks(), st.data())
+def test_truncated_checkpoint_raises_or_loads_whole_nets(checkpoint_dir, nets, data) -> None:
+    path = checkpoint_dir / "truncated.txt"
+    save_checkpoint(path, nets, {"env": "pendulum"})
+    text = path.read_bytes()
+    header_end = text.index(b"\nnet ") + 1
+    ends = [i + len(b"\nend") for i in range(len(text)) if text.startswith(b"\nend\n", i)]
+    # Any byte, or one next to a net boundary, where a cut is most telling.
+    near_boundary = [p + d for p in [header_end, *ends] for d in (-1, 0, 1)]
+    cut = data.draw(
+        st.one_of(st.integers(0, len(text)), st.sampled_from(near_boundary)), label="cut"
+    )
+    path.write_bytes(text[:cut])
+    try:
+        loaded, _ = load_checkpoint(path)
+    except CheckpointError:
+        return
+    # Loading succeeds only at a net boundary: before the first net or
+    # right after some net's "end" line (with or without its newline).
+    whole = sum(end <= cut for end in ends)
+    assert cut <= header_end or cut in ends or cut - 1 in ends
+    assert list(loaded) == list(nets)[:whole]
+    for name, net in loaded.items():
+        assert_same_net(net, nets[name])
