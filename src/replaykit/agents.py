@@ -16,8 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .envs import BoxAction, DiscreteActions
 from .errors import ConfigurationError, NumericalError
 from .nn import (
+    Mlp,
     adam_init,
     adam_step,
     backward,
@@ -71,6 +73,46 @@ def scaler_for(env_spec, goal_spec=None) -> ObservationScaler:
         center += list(goal_spec.goal_center)
         halfwidth += list(goal_spec.goal_halfwidth)
     return ObservationScaler(center, halfwidth)
+
+
+def greedy_policy(
+    net: Mlp,
+    scaler: ObservationScaler,
+    goal: np.ndarray | None,
+    actions: DiscreteActions | BoxAction,
+):
+    """Exploration-free policy of a DQN Q-network or a DDPG actor over a
+    stack of observations.
+
+    The returned function maps an (n, obs_dim) array of raw observations
+    to a list of n actions: the goal, if any, is appended to every row,
+    the rows are scaled, and one ``forward`` call on them as an
+    (n, 1, input_dim) stack of rows gives each the bits of a one-row
+    call. A discrete action is the lowest index of the row's largest Q
+    value; a continuous one is the actor's output clipped to the bounds.
+    The network is read at call time, so a policy built once follows
+    training. Raises ConfigurationError when ``net`` does not fit the
+    scaled, goal-augmented observation or the action space.
+    """
+    goal = None if goal is None else np.asarray(goal, dtype=np.float64)
+    discrete = isinstance(actions, DiscreteActions)
+    n_out = actions.n if discrete else actions.dim
+    if net.input_dim != scaler.dim or net.output_dim != n_out:
+        raise ConfigurationError(
+            f"policy network maps {net.input_dim} inputs to {net.output_dim} outputs; "
+            f"the env needs {scaler.dim} inputs and {n_out} outputs"
+        )
+
+    def policy(observations: np.ndarray) -> list:
+        x = np.asarray(observations, dtype=np.float64)
+        if goal is not None:
+            x = np.concatenate([x, np.broadcast_to(goal, (x.shape[0], goal.size))], axis=1)
+        out, _ = forward(net, scaler(x)[:, None, :])
+        if discrete:
+            return np.argmax(out[:, 0], axis=1).tolist()
+        return list(np.clip(out[:, 0], actions.low, actions.high))
+
+    return policy
 
 
 def epsilon_schedule(start: float, end: float, decay_steps: int, step: int) -> float:
@@ -177,9 +219,6 @@ class DqnAgent:
         if self.updates % self.config.target_update_period == 0:
             hard_copy(self.q_target, self.q)
         return td_errors
-
-    def greedy_action(self, obs: np.ndarray) -> int:
-        return int(np.argmax(self.q_values(obs)))
 
 
 @dataclass(frozen=True)

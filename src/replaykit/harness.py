@@ -30,6 +30,7 @@ from .agents import (
     ObservationScaler,
     OUNoise,
     epsilon_schedule,
+    greedy_policy,
     scaler_for,
 )
 from .envs import BoxAction, DiscreteActions, EnvSpec, env_names, env_spec, make_env
@@ -42,7 +43,7 @@ from .hindsight import (
     goal_spec_for,
     relabeled_transitions,
 )
-from .nn import forward, load_checkpoint, save_checkpoint
+from .nn import load_checkpoint, save_checkpoint
 from .prioritized import PerConfig, PrioritizedSampler
 from .replay import Batch, ReplayBuffer, sample_combined, sample_uniform
 
@@ -401,26 +402,35 @@ def build_run(cfg: RunConfig) -> Experiment:
     )
 
 
-def _greedy_policy(exp: Experiment):
-    goal = exp.native_goal
-    agent = exp.agent
-    return lambda obs: agent.greedy_action(augment_observation(obs, goal))
-
-
 def evaluate_policy(env, policy, episodes: int, rng: np.random.Generator) -> tuple[float, float]:
     """Mean and population std of total episode reward under a frozen
-    policy with exploration disabled."""
-    totals = np.empty(episodes)
-    for i in range(episodes):
-        obs = env.reset(rng)
-        total = 0.0
-        while True:
-            result = env.step(policy(obs))
-            total += result.reward
-            obs = result.next_state
-            if result.done or result.truncated:
-                break
-        totals[i] = total
+    policy with exploration disabled.
+
+    Plays ``episodes`` episodes in lockstep, each on a fresh instance of
+    ``env``'s class, reset in episode order from ``rng``. Every round
+    makes one ``policy`` call on the stacked observations of the live
+    episodes, in episode order, and steps each of them with its action,
+    so an episode's rewards add up in step order exactly as when the
+    episodes are played one at a time. Raises ConfigurationError when
+    ``episodes`` is below 1.
+    """
+    if episodes < 1:
+        raise ConfigurationError(f"eval episodes must be >= 1, got {episodes}")
+    envs = [type(env)() for _ in range(episodes)]
+    obs = [e.reset(rng) for e in envs]
+    totals = [0.0] * episodes
+    live = list(range(episodes))
+    while live:
+        actions = policy(np.stack([obs[i] for i in live]))
+        still_live = []
+        for i, action in zip(live, actions):
+            result = envs[i].step(action)
+            totals[i] += result.reward
+            obs[i] = result.next_state
+            if not (result.done or result.truncated):
+                still_live.append(i)
+        live = still_live
+    totals = np.array(totals)
     return float(totals.mean()), float(totals.std())
 
 
@@ -447,7 +457,8 @@ def train(exp: Experiment) -> list[TrainRecord]:
     agent_cfg = cfg.dqn if dqn else cfg.ddpg
     goal = exp.native_goal
     eval_env = make_env(cfg.env)
-    policy = _greedy_policy(exp)
+    net = agent.q if dqn else agent.actor
+    policy = greedy_policy(net, exp.scaler, goal, exp.spec.actions)
     records: list[TrainRecord] = []
     started = time.monotonic()
     env_steps = 0
@@ -569,8 +580,10 @@ def evaluate_checkpoint(path, episodes: int, seed: int = 0) -> tuple[float, floa
     """Reload a checkpoint and run frozen-policy evaluation episodes.
 
     Raises CheckpointError when the file lacks a known env, agent or
-    the agent's policy network, or when its meta lines contradict each
-    other or do not parse."""
+    the agent's policy network, when its meta lines contradict each
+    other or do not parse, or when the policy network's input or output
+    size does not fit the env. Raises ConfigurationError when
+    ``episodes`` is below 1."""
     nets, meta = load_checkpoint(path)
     env_name = meta.get("env")
     agent_kind = meta.get("agent")
@@ -590,30 +603,16 @@ def evaluate_checkpoint(path, episodes: int, seed: int = 0) -> tuple[float, floa
         )
     except ConfigurationError as exc:
         raise CheckpointError(f"{path}: inconsistent meta lines: {exc}") from None
-    goal = None
-    if hindsight:
-        gspec = goal_spec_for(env_name, tolerance)
-        goal = np.asarray(gspec.native_goal)
-        scaler = scaler_for(env_spec(env_name), gspec)
-    else:
-        scaler = scaler_for(env_spec(env_name))
-    net = nets[policy_net]
-    if agent_kind == "dqn":
-
-        def policy(obs):
-            values, _ = forward(net, scaler(augment_observation(obs, goal)))
-            return int(np.argmax(values))
-
-    else:
-        spec = env_spec(env_name)
-
-        def policy(obs):
-            action, _ = forward(net, scaler(augment_observation(obs, goal)))
-            return np.clip(action, spec.actions.low, spec.actions.high)
-
-    return evaluate_policy(
-        make_env(env_name), policy, episodes, np.random.default_rng([seed, _EVAL_TAG])
-    )
+    goal_spec = goal_spec_for(env_name, tolerance) if hindsight else None
+    spec = env_spec(env_name)
+    goal = None if goal_spec is None else np.asarray(goal_spec.native_goal)
+    try:
+        policy = greedy_policy(
+            nets[policy_net], scaler_for(spec, goal_spec), goal, spec.actions
+        )
+    except ConfigurationError as exc:
+        raise CheckpointError(f"{path}: network {policy_net!r} does not fit: {exc}") from None
+    return evaluate_policy(make_env(env_name), policy, episodes, _eval_rng(seed))
 
 
 def run_to_dir(cfg: RunConfig, out_dir) -> dict[str, object]:

@@ -8,7 +8,9 @@ produce the parameter gradient (a flat vector in the same layout) and the
 gradient with respect to the input, which actor-critic updates chain
 through; a caller computes only the one it uses. Parameters carry a
 version counter so a cache from before an optimizer step cannot silently
-corrupt a backward pass.
+corrupt a backward pass. ``forward`` also takes a stack of single rows,
+which evaluates many inputs in one call with the bits of one call per
+row; frozen-policy evaluation uses it.
 """
 
 from __future__ import annotations
@@ -142,22 +144,31 @@ class ForwardCache:
     squeezed: bool
 
 
-def _as_matrix(x: np.ndarray, dim: int, what: str) -> tuple[np.ndarray, bool]:
+def _as_rows(x: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
     x = np.asarray(x, dtype=np.float64)
     squeezed = x.ndim == 1
     if squeezed:
         x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != dim:
-        raise ValueError(f"{what} must have {dim} columns, got shape {x.shape}")
+    if not (x.ndim == 2 or (x.ndim == 3 and x.shape[1] == 1)) or x.shape[-1] != dim:
+        raise ValueError(
+            f"input must be a vector, a (batch, {dim}) matrix or an (n, 1, {dim}) "
+            f"stack of rows, got shape {x.shape}"
+        )
     return x, squeezed
 
 
 def forward(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Evaluate the network on a vector or a (batch, input_dim) matrix.
+    """Evaluate the network on a vector, a (batch, input_dim) matrix or a
+    stack of single rows of shape (n, 1, input_dim).
 
     Returns the output with matching rank plus the cache backward needs.
+    A matrix goes through one matrix-matrix product per layer, whose
+    rounding can differ in the last bits from evaluating its rows one
+    at a time. A stack keeps the vector-matrix product of a single row,
+    so each of its rows gives exactly the bits of ``forward(net, row)``;
+    ``backward`` does not accept its cache.
     """
-    a, squeezed = _as_matrix(x, net.input_dim, "input")
+    a, squeezed = _as_rows(x, net.input_dim)
     inputs = []
     n_layers = len(net.weights)
     for i in range(n_layers):
@@ -197,6 +208,11 @@ def backward(
     """
     if cache.version != net.version or cache.layer_sizes != net.layer_sizes:
         raise IntegrityError("forward cache does not match current parameters")
+    if cache.outputs.ndim == 3:
+        raise ValueError(
+            "backward needs the cache of a vector or matrix forward, not of an "
+            "(n, 1, input_dim) stack of rows"
+        )
     gy = np.asarray(output_grad, dtype=np.float64)
     if cache.squeezed:
         gy = gy[None, :]

@@ -244,3 +244,39 @@ def test_eval_checkpoint_negative_goal_tolerance_exits_nonzero(tmp_path, capsys)
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "goal_tolerance" in err
+
+
+@pytest.mark.parametrize(
+    "env, agent, name, sizes",
+    [
+        ("cartpole", "dqn", "q", [3, 8, 2]),
+        ("cartpole", "dqn", "q", [4, 8, 5]),
+        ("pendulum", "ddpg", "actor", [3, 8, 2]),
+    ],
+    ids=["q-too-few-inputs", "q-too-many-actions", "actor-too-many-outputs"],
+)
+def test_eval_checkpoint_misfit_network_exits_nonzero(tmp_path, capsys, env, agent,
+                                                      name, sizes) -> None:
+    checkpoint = tmp_path / "checkpoint.txt"
+    net = init_mlp(sizes, np.random.default_rng(0))
+    save_checkpoint(checkpoint, {name: net}, {"env": env, "agent": agent,
+                                              "hindsight": "false"})
+    code = run_cli(["eval", "--checkpoint", checkpoint])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "does not fit" in err
+
+
+@pytest.mark.parametrize("episodes", [0, -3])
+def test_eval_fewer_than_one_episode_exits_2(tmp_path, capsys, episodes) -> None:
+    out = tmp_path / "run"
+    assert run_cli(["train", "--env", "cartpole", "--agent", "dqn",
+                    "--out", out, *TINY]) == 0
+    capsys.readouterr()
+    code = run_cli(["eval", "--checkpoint", out / "checkpoint.txt",
+                    "--episodes", episodes])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "episodes must be >= 1" in captured.err

@@ -6,8 +6,15 @@ import os
 import numpy as np
 import pytest
 
-from replaykit.agents import DdpgAgent, DqnAgent, DqnConfig
-from replaykit.envs import env_spec
+from replaykit.agents import (
+    DdpgAgent,
+    DdpgConfig,
+    DqnAgent,
+    DqnConfig,
+    greedy_policy,
+    scaler_for,
+)
+from replaykit.envs import DiscreteActions, env_spec, make_env
 from replaykit.errors import ConfigurationError
 from replaykit.harness import (
     CSV_HEADER,
@@ -24,6 +31,8 @@ from replaykit.harness import (
     config_to_mapping,
     effective_mapping,
     emit_csv,
+    evaluate_checkpoint,
+    evaluate_policy,
     parse_config_file,
     run_to_dir,
     sweep,
@@ -31,6 +40,8 @@ from replaykit.harness import (
     validate_config,
     write_manifest,
 )
+from replaykit.hindsight import augment_observation, goal_spec_for
+from replaykit.nn import Mlp, forward, init_mlp
 from replaykit.prioritized import PerConfig
 
 
@@ -472,3 +483,137 @@ def test_sweep_reports_unsupported_and_statuses(tmp_path) -> None:
     assert summary[1] == "baseline,no-convergence-within-limit,"
     assert summary[4] == "her,unsupported,"
     assert os.path.exists(tmp_path / "sweep" / "baseline" / "run.csv")
+
+
+# --- frozen-policy evaluation ---
+
+
+def one_at_a_time_reference(env_name, net, goal_spec, episodes, rng):
+    """Evaluation played one episode after another on one env, with one
+    one-row forward per step. Returns (mean, std, start states,
+    [(steps, done)])."""
+    spec = env_spec(env_name)
+    scaler = scaler_for(spec, goal_spec)
+    goal = None if goal_spec is None else np.asarray(goal_spec.native_goal)
+    env = make_env(env_name)
+    totals, starts, ends = np.empty(episodes), [], []
+    for i in range(episodes):
+        obs = env.reset(rng)
+        starts.append(obs)
+        total, steps = 0.0, 0
+        while True:
+            out, _ = forward(net, scaler(augment_observation(obs, goal)))
+            if isinstance(spec.actions, DiscreteActions):
+                action = int(np.argmax(out))
+            else:
+                action = np.clip(out, spec.actions.low, spec.actions.high)
+            result = env.step(action)
+            total += result.reward
+            steps += 1
+            obs = result.next_state
+            if result.done or result.truncated:
+                break
+        totals[i] = total
+        ends.append((steps, result.done))
+    return float(totals.mean()), float(totals.std()), np.stack(starts), ends
+
+
+def _cartpole_controller() -> Mlp:
+    # Q(push right) - Q(push left) follows the pole angle and spin with a
+    # little cart drift: some starts balance for 200 steps, others fall.
+    w = np.array([[0.05], [0.1], [1.0], [0.3]])
+    return Mlp((4, 1, 2), "tanh", "identity", 1.0, [w, np.array([[-1.0, 1.0]])],
+               [np.zeros(1), np.zeros(2)])
+
+
+def _mountaincar_controller() -> Mlp:
+    # Throttle along the velocity: pumps energy, reaches the flag at
+    # start-dependent steps.
+    w = np.array([[0.0], [1.0], [0.0]])
+    return Mlp((3, 1, 3), "tanh", "identity", 1.0, [w, np.array([[-1.0, 0.0, 1.0]])],
+               [np.zeros(1), np.zeros(3)])
+
+
+def _pendulum_actor() -> Mlp:
+    return init_mlp((4, 16, 1), np.random.default_rng(3), output_activation="tanh",
+                    output_scale=2.0)
+
+
+@pytest.mark.parametrize(
+    "env_name, make_net, hindsight, episodes, expected_ends",
+    [
+        ("cartpole", _cartpole_controller, False, 12, "done-and-truncated"),
+        ("cartpole", lambda: init_mlp((4, 8, 2), np.random.default_rng(1)), False, 9, "done"),
+        ("mountaincar", _mountaincar_controller, True, 6, "done"),
+        ("pendulum", _pendulum_actor, True, 4, "truncated"),
+    ],
+)
+def test_lockstep_evaluate_policy_equals_one_at_a_time(
+    env_name, make_net, hindsight, episodes, expected_ends
+) -> None:
+    net = make_net()
+    goal_spec = goal_spec_for(env_name) if hindsight else None
+    mean, std, starts, ends = one_at_a_time_reference(
+        env_name, net, goal_spec, episodes, np.random.default_rng(5)
+    )
+    policy = greedy_policy(
+        net,
+        scaler_for(env_spec(env_name), goal_spec),
+        None if goal_spec is None else np.asarray(goal_spec.native_goal),
+        env_spec(env_name).actions,
+    )
+    calls: list[np.ndarray] = []
+
+    def counted(observations):
+        calls.append(observations.copy())
+        return policy(observations)
+
+    got = evaluate_policy(make_env(env_name), counted, episodes, np.random.default_rng(5))
+    assert got == (mean, std)
+    # One call per round, on the episodes still running in that round,
+    # in episode order: the first sees every start state.
+    lengths = [steps for steps, _ in ends]
+    assert [len(c) for c in calls] == [sum(n > r for n in lengths) for r in range(max(lengths))]
+    assert calls[0].tobytes() == starts.tobytes()
+    dones = {done for _, done in ends}
+    assert len(set(lengths)) > 1 or expected_ends == "truncated"
+    assert dones == {
+        "done-and-truncated": {True, False}, "done": {True}, "truncated": {False}
+    }[expected_ends]
+
+
+@pytest.mark.parametrize("episodes", [0, -3])
+def test_evaluate_policy_rejects_fewer_than_one_episode(episodes) -> None:
+    with pytest.raises(ConfigurationError, match="episodes"):
+        evaluate_policy(make_env("cartpole"), lambda obs: [0] * len(obs), episodes,
+                        np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(seed=3, episodes=6, eval_interval=3, eval_episodes=7),
+        dict(
+            env="pendulum",
+            agent="ddpg",
+            hindsight=True,
+            episodes=2,
+            eval_interval=2,
+            eval_episodes=3,
+            ddpg=DdpgConfig(warmup=64, batch_size=16, hidden_sizes=(16,)),
+        ),
+    ],
+    ids=["cartpole-dqn", "pendulum-ddpg-her"],
+)
+def test_evaluate_checkpoint_reproduces_last_in_training_eval(tmp_path, overrides) -> None:
+    """Trajectory-level invariant: re-evaluating a finished run's
+    checkpoint with the run's eval settings gives the last row's eval
+    numbers exactly."""
+    cfg = tiny_config(**overrides)
+    result = run_to_dir(cfg, tmp_path / "run")
+    last = result["records"][-1]
+    assert last.episode == cfg.episodes and last.episode % cfg.eval_interval == 0
+    got = evaluate_checkpoint(result["checkpoint"], cfg.eval_episodes, cfg.seed)
+    assert got == (last.eval_mean, last.eval_std)
+    row = (tmp_path / "run" / "run.csv").read_text().splitlines()[-1].split(",")
+    assert row[2:4] == [f"{got[0]:.6f}", f"{got[1]:.6f}"]

@@ -210,6 +210,21 @@ def test_backward_rejects_stale_cache() -> None:
         backward(net, cache, np.ones(2))
 
 
+def test_backward_rejects_stacked_rows_cache() -> None:
+    rng = np.random.default_rng(48)
+    net = init_mlp([3, 4, 2], rng)
+    _, cache = forward(net, rng.normal(size=(5, 1, 3)))
+    with pytest.raises(ValueError, match="stack of rows"):
+        backward(net, cache, np.ones((5, 1, 2)))
+
+
+@pytest.mark.parametrize("shape", [(5, 2, 3), (5, 1, 4), (2, 5, 1, 3)])
+def test_forward_rejects_other_stacks(shape) -> None:
+    net = init_mlp([3, 4, 2], np.random.default_rng(49))
+    with pytest.raises(ValueError, match="stack of rows"):
+        forward(net, np.zeros(shape))
+
+
 def test_adam_zero_gradient_is_fixed_point() -> None:
     rng = np.random.default_rng(48)
     net = init_mlp([3, 4, 2], rng)
@@ -631,3 +646,28 @@ def test_truncated_checkpoint_raises_or_loads_whole_nets(checkpoint_dir, nets, d
     assert list(loaded) == list(nets)[:whole]
     for name, net in loaded.items():
         assert_same_net(net, nets[name])
+
+
+def one_row_reference(net: Mlp, rows: np.ndarray) -> np.ndarray:
+    """The network's output for each row, one forward call per row."""
+    return np.stack([forward(net, row)[0] for row in rows])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 70), min_size=2, max_size=4),
+    hidden=st.sampled_from(HIDDEN_ACTIVATIONS),
+    output=st.sampled_from(OUTPUT_ACTIVATIONS),
+    n=st.integers(1, 130),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_forward_stacked_rows_equal_one_row_forward(sizes, hidden, output, n, seed) -> None:
+    """An (n, 1, d) stack of rows gives every row the bits of a one-row
+    forward, for any widths (multiples of 8 or not) and batch size."""
+    rng = np.random.default_rng(seed)
+    net = init_mlp(sizes, rng, hidden_activation=hidden, output_activation=output,
+                   output_scale=2.0)
+    rows = rng.normal(scale=3.0, size=(n, sizes[0]))
+    stacked, _ = forward(net, rows[:, None, :])
+    assert stacked.shape == (n, 1, sizes[-1])
+    assert same_bits(stacked[:, 0], one_row_reference(net, rows))
