@@ -4,10 +4,14 @@ Each run covers one (env, agent, strategy) cell of the paper's matrix
 and is small enough to finish in about a second, yet large enough that
 the replay buffer wraps (FIFO eviction) and that learning steps follow
 the warm-up. The sha256 of its ``run.csv`` and ``checkpoint.txt`` is
-committed below. A refactor that does not mean to change the maths
-must leave every hash as it is; a change that alters results on
-purpose regenerates the table (``golden_run(name, out_dir)`` returns
-the new hashes) and says why in CHANGES.md.
+committed below, with the full-precision ``repr`` of a 20-episode
+``evaluate_checkpoint`` of the checkpoint at the run's seed: ``run.csv``
+prints 6 decimals of a 2-episode evaluation, so a last-bit change to
+the evaluation path can leave both hashes as they are. A refactor that
+does not mean to change the maths must leave every entry as it is; a
+change that alters results on purpose regenerates the table
+(``golden_run(name, out_dir)`` returns the new values) and says why in
+CHANGES.md.
 
 The hashes were generated with numpy 2.4.6 linked against OpenBLAS
 (x86-64, Python 3.11). Matrix products round differently under another
@@ -21,27 +25,32 @@ import hashlib
 
 import pytest
 
-from replaykit.harness import config_from_mapping, run_to_dir
+from replaykit.harness import config_from_mapping, evaluate_checkpoint, run_to_dir
 
 CAPACITY = 300
 WARMUP = 64
+EVAL_EPISODES = 20
 
-# name -> (config mapping, sha256 of run.csv, sha256 of checkpoint.txt)
+# name -> (config mapping, sha256 of run.csv, sha256 of checkpoint.txt,
+#          repr of the checkpoint's evaluate_checkpoint mean and std)
 GOLDEN = {
     "cartpole-dqn-baseline": (
         {"env": "cartpole", "agent": "dqn", "episodes": "30"},
         "0782425b4cb30b0aa0fb0a6cdf1af8a309618c7e5a579fe74088dbbab946c314",
         "d3e1ce801ad01b664e4c66b7f30e16c5908e80dd05d20a87633c3a0be156f229",
+        "(10.35, 1.0136567466356645)",
     ),
     "cartpole-dqn-cer": (
         {"env": "cartpole", "agent": "dqn", "episodes": "30", "combined": "true"},
         "671a910bac1d3509990fdac4b046ebf6a73da31733537a9073d8727a5b31f971",
         "e71fa728f90cb978f6116b2ee63dc6f4d9474fa4a5930b160075aef99b75e4ae",
+        "(9.2, 0.7483314773547881)",
     ),
     "cartpole-dqn-per": (
         {"env": "cartpole", "agent": "dqn", "episodes": "30", "prioritized": "true"},
         "ec14b8db442aef87a20cc211c942171bf4714001cc508e7f6d73a69857668506",
         "3402c78e997a045ca8222da59b926e6168ea1920bf0a297f1646c317fa7b0d64",
+        "(15.0, 2.6267851073127395)",
     ),
     "cartpole-dqn-cper": (
         {
@@ -53,6 +62,7 @@ GOLDEN = {
         },
         "622eaf3adfd8b3710b93c7042529824d968e8c14dd71985dc9eede5c0fec2cba",
         "5aadd3c428a0a03d43a687970cbdf0255d37491fa79f2c2e9072b8296ed2575a",
+        "(104.75, 12.193748398257199)",
     ),
     "mountaincar-dqn-chper": (
         {
@@ -65,6 +75,7 @@ GOLDEN = {
         },
         "17fd52ee11e84d87581ea49e6a510dc187287d8ff44c0f8ad1ee97dfa2661338",
         "13e421cc6a6786cba564fef333b85967bbfd38ac258baeb9f24fd098b9295f90",
+        "(-182.9, 13.98177385026664)",
     ),
     "pendulum-ddpg-hper": (
         {
@@ -76,6 +87,7 @@ GOLDEN = {
         },
         "9f72af245b8f759278d7082e44d471e6c18fe86160191caf3dd58cc00a5878e2",
         "0ccc90259627ad2cf216ee47a6c2ef44b922dfb7a7988375eebb42229cc0ec2c",
+        "(-1318.3476426177697, 192.33543224349694)",
     ),
 }
 
@@ -85,9 +97,10 @@ def _sha256(path) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def golden_run(name: str, out_dir) -> tuple[int, str, str]:
+def golden_run(name: str, out_dir) -> tuple[int, str, str, str]:
     """Train the named golden run into ``out_dir``; returns its env
-    step count and the sha256 of run.csv and checkpoint.txt."""
+    step count, the sha256 of run.csv and checkpoint.txt, and the repr
+    of the checkpoint's EVAL_EPISODES-episode evaluation."""
     settings = GOLDEN[name][0]
     mapping = {
         **settings,
@@ -99,15 +112,17 @@ def golden_run(name: str, out_dir) -> tuple[int, str, str]:
     }
     result = run_to_dir(config_from_mapping(mapping), out_dir)
     steps = result["records"][-1].steps
-    return steps, _sha256(result["csv"]), _sha256(result["checkpoint"])
+    evaluation = evaluate_checkpoint(result["checkpoint"], EVAL_EPISODES, int(mapping["seed"]))
+    return steps, _sha256(result["csv"]), _sha256(result["checkpoint"]), repr(evaluation)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_run_hashes(name, tmp_path) -> None:
-    settings, csv_hash, checkpoint_hash = GOLDEN[name]
-    steps, got_csv, got_checkpoint = golden_run(name, tmp_path)
+    settings, csv_hash, checkpoint_hash, eval_repr = GOLDEN[name]
+    steps, got_csv, got_checkpoint, got_eval = golden_run(name, tmp_path)
     stored = steps * (2 if settings.get("hindsight") == "true" else 1)
     assert stored > CAPACITY, f"{name}: buffer never wrapped ({stored} rows)"
     assert steps > WARMUP, f"{name}: no learning step after warm-up"
     assert got_csv == csv_hash, f"{name}: run.csv changed"
     assert got_checkpoint == checkpoint_hash, f"{name}: checkpoint.txt changed"
+    assert got_eval == eval_repr, f"{name}: checkpoint evaluation changed"
