@@ -2,7 +2,7 @@
 environments, and an experiment harness."""
 
 from .agents import DdpgAgent, DdpgConfig, DqnAgent, DqnConfig, OUNoise
-from .envs import env_names, env_spec, extract_achieved_goal, make_env
+from .envs import env_names, env_spec, make_env
 from .errors import (
     CheckpointError,
     ConfigurationError,
@@ -10,7 +10,6 @@ from .errors import (
     NotReadyError,
     NumericalError,
     ReplayKitError,
-    UnsupportedGoalError,
 )
 from .harness import (
     Experiment,
@@ -24,7 +23,7 @@ from .harness import (
     sweep,
     train,
 )
-from .hindsight import Episode, GoalSpec, goal_spec_for, relabeled_transitions
+from .hindsight import Episode, relabeled_transitions
 from .prioritized import PerConfig, PrioritizedSampler, SumTree
 from .replay import Batch, ReplayBuffer, sample_combined, sample_uniform
 
@@ -40,7 +39,6 @@ __all__ = [
     "DqnConfig",
     "Episode",
     "Experiment",
-    "GoalSpec",
     "IntegrityError",
     "NotReadyError",
     "NumericalError",
@@ -53,14 +51,11 @@ __all__ = [
     "RunConfig",
     "SumTree",
     "TrainRecord",
-    "UnsupportedGoalError",
     "build_run",
     "check_convergence",
     "emit_csv",
     "env_names",
     "env_spec",
-    "extract_achieved_goal",
-    "goal_spec_for",
     "make_env",
     "relabeled_transitions",
     "run_to_dir",

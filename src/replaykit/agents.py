@@ -64,14 +64,12 @@ class ObservationScaler:
         return (np.asarray(obs, dtype=np.float64) - self.center) / self.halfwidth
 
 
-def scaler_for(env_spec, goal_spec=None) -> ObservationScaler:
-    """Scaler over the observation, extended across the appended goal
-    components when a goal spec is given."""
-    center = list(env_spec.obs_center)
-    halfwidth = list(env_spec.obs_halfwidth)
-    if goal_spec is not None:
-        center += list(goal_spec.goal_center)
-        halfwidth += list(goal_spec.goal_halfwidth)
+def scaler_for(env_spec, with_goal: bool = False) -> ObservationScaler:
+    """Scaler over the observation, extended across the env's goal
+    components when ``with_goal`` says they are appended."""
+    center, halfwidth = env_spec.obs_center, env_spec.obs_halfwidth
+    if with_goal:
+        center, halfwidth = center + env_spec.goal_center, halfwidth + env_spec.goal_halfwidth
     return ObservationScaler(center, halfwidth)
 
 

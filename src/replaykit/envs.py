@@ -5,6 +5,16 @@ function. All randomness flows through the generator handed to
 ``reset``, so a (seed, action sequence) pair fully determines a
 trajectory. ``done`` means task termination; hitting the step limit
 sets ``truncated`` instead, and both can be true on the same step.
+
+MountainCar and Pendulum are goal envs, after GoalEnv's
+``compute_reward`` (Plappert et al., arXiv:1802.09464): each class
+holds every goal fact of its task, namely the goal space on its
+``EnvSpec`` and, as static methods, ``achieved_goal(state)``,
+``native_goal(tolerance)`` and ``goal_reward(state, action,
+next_state, goal, tolerance) -> (reward, success)``. Under the native
+goal ``goal_reward`` gives the env's own step rewards, so rows that
+hindsight relabels and the rows the env produced follow one reward
+function.
 """
 
 from __future__ import annotations
@@ -14,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedGoalError
+from .errors import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -36,6 +46,14 @@ class EnvSpec:
 
     ``solve_reward`` is the 100-episode evaluation mean at which the
     task counts as solved, or None when the task has no such threshold.
+
+    A goal env has ``goal_dim`` goal components, appended to the
+    observation under hindsight and scaled by ``goal_center`` /
+    ``goal_halfwidth``, and ``goal_tolerance``, the default success
+    tolerance. ``success_ends_episode`` says whether the task
+    terminates on success, so a relabeled step is terminal exactly when
+    it succeeds and this holds. ``goal_dim`` is 0 when the env has no
+    goal space.
     """
 
     name: str
@@ -45,6 +63,14 @@ class EnvSpec:
     solve_reward: float | None
     obs_center: tuple[float, ...]
     obs_halfwidth: tuple[float, ...]
+    goal_center: tuple[float, ...] = ()
+    goal_halfwidth: tuple[float, ...] = ()
+    goal_tolerance: float | None = None
+    success_ends_episode: bool = False
+
+    @property
+    def goal_dim(self) -> int:
+        return len(self.goal_center)
 
 
 @dataclass(frozen=True)
@@ -69,7 +95,32 @@ def _check_discrete(action, n: int) -> int:
     return action
 
 
-class CartPole:
+class Env:
+    """A stateful stepper over the pure ``dynamics`` of its class, which
+    also sets ``spec`` and draws the start state in ``start_state``."""
+
+    spec: EnvSpec
+
+    def __init__(self) -> None:
+        self._state: np.ndarray | None = None
+        self._elapsed = 0
+
+    def reset(self, rng: np.random.Generator) -> np.ndarray:
+        self._state = self.start_state(rng)
+        self._elapsed = 0
+        return self._state.copy()
+
+    def step(self, action) -> StepResult:
+        if self._state is None:
+            raise RuntimeError("step before reset")
+        next_state, reward, done = self.dynamics(self._state, action)
+        self._state = next_state
+        self._elapsed += 1
+        truncated = self._elapsed >= self.spec.max_episode_steps
+        return StepResult(next_state.copy(), reward, done, truncated)
+
+
+class CartPole(Env):
     """Pole balancing on a cart; push left or right each step.
 
     Euler integration at dt = 0.02 s. Reward is +1 every step; the
@@ -98,14 +149,9 @@ class CartPole:
         obs_halfwidth=(2.4, 3.0, 12.0 * math.pi / 180.0, 3.0),
     )
 
-    def __init__(self) -> None:
-        self._state: np.ndarray | None = None
-        self._elapsed = 0
-
-    def reset(self, rng: np.random.Generator) -> np.ndarray:
-        self._state = rng.uniform(-0.05, 0.05, size=4)
-        self._elapsed = 0
-        return self._state.copy()
+    @staticmethod
+    def start_state(rng: np.random.Generator) -> np.ndarray:
+        return rng.uniform(-0.05, 0.05, size=4)
 
     @staticmethod
     def dynamics(state: np.ndarray, action: int) -> tuple[np.ndarray, float, bool]:
@@ -131,21 +177,16 @@ class CartPole:
         done = bool(abs(x) > CartPole.X_LIMIT or abs(theta) > CartPole.THETA_LIMIT)
         return next_state, 1.0, done
 
-    def step(self, action) -> StepResult:
-        if self._state is None:
-            raise RuntimeError("step before reset")
-        next_state, reward, done = self.dynamics(self._state, action)
-        self._state = next_state
-        self._elapsed += 1
-        truncated = self._elapsed >= self.spec.max_episode_steps
-        return StepResult(next_state.copy(), reward, done, truncated)
 
-
-class MountainCar:
+class MountainCar(Env):
     """Underpowered car in a valley; throttle left, coast, or right.
 
     Reward is -1 per step until the car reaches position >= 0.5, where
     the episode terminates with reward 0. Truncates at 200 steps.
+
+    The goal is a position, scored on the state a step arrives at:
+    success means the arrival position lies within the tolerance of the
+    goal, with reward 0, else -1.
     """
 
     FORCE = 0.001
@@ -163,16 +204,15 @@ class MountainCar:
         solve_reward=-110.0,
         obs_center=(-0.3, 0.0),
         obs_halfwidth=(0.9, 0.07),
+        goal_center=(-0.3,),
+        goal_halfwidth=(0.9,),
+        goal_tolerance=0.05,
+        success_ends_episode=True,
     )
 
-    def __init__(self) -> None:
-        self._state: np.ndarray | None = None
-        self._elapsed = 0
-
-    def reset(self, rng: np.random.Generator) -> np.ndarray:
-        self._state = np.array([rng.uniform(-0.6, -0.4), 0.0])
-        self._elapsed = 0
-        return self._state.copy()
+    @staticmethod
+    def start_state(rng: np.random.Generator) -> np.ndarray:
+        return np.array([rng.uniform(-0.6, -0.4), 0.0])
 
     @staticmethod
     def dynamics(state: np.ndarray, action: int) -> tuple[np.ndarray, float, bool]:
@@ -190,14 +230,34 @@ class MountainCar:
         reward = 0.0 if done else -1.0
         return np.array([position, velocity]), reward, done
 
-    def step(self, action) -> StepResult:
-        if self._state is None:
-            raise RuntimeError("step before reset")
-        next_state, reward, done = self.dynamics(self._state, action)
-        self._state = next_state
-        self._elapsed += 1
-        truncated = self._elapsed >= self.spec.max_episode_steps
-        return StepResult(next_state.copy(), reward, done, truncated)
+    @staticmethod
+    def achieved_goal(state: np.ndarray) -> np.ndarray:
+        return np.array([float(state[0])])
+
+    @staticmethod
+    def native_goal(tolerance: float) -> np.ndarray:
+        """The goal whose success band is the flag's success set.
+
+        The task succeeds on [GOAL_POSITION, MAX_POSITION]. A band of
+        ``tolerance`` centered one tolerance past the flag starts at the
+        flag and, positions being capped at the wall, covers that set
+        exactly once it reaches the wall, i.e. for tolerances of at
+        least 0.05. A smaller band would score flag positions past it
+        as failures, so it raises ConfigurationError.
+        """
+        center = MountainCar.GOAL_POSITION + tolerance
+        if not abs(MountainCar.MAX_POSITION - center) <= tolerance:
+            raise ConfigurationError(
+                f"goal_tolerance {tolerance!r} is below mountaincar's floor of "
+                f"0.05: the native goal must score every position in "
+                f"[{MountainCar.GOAL_POSITION}, {MountainCar.MAX_POSITION}] a success"
+            )
+        return np.array([center])
+
+    @staticmethod
+    def goal_reward(state, action, next_state, goal, tolerance) -> tuple[float, bool]:
+        success = abs(float(next_state[0]) - float(goal[0])) <= tolerance
+        return (0.0 if success else -1.0), success
 
 
 def wrap_angle(theta: float) -> float:
@@ -208,14 +268,19 @@ def wrap_angle(theta: float) -> float:
     return wrapped - math.pi
 
 
-class Pendulum:
+class Pendulum(Env):
     """Torque-controlled pendulum swing-up with the angle observed as
     (cos, sin) so the state space has no seam at +-pi.
 
-    Reward is -(theta^2 + 0.1 * theta_dt^2 + 0.001 * action^2) with
+    Reward is -(theta^2 + 0.1 * theta_dt^2 + 0.001 * torque^2) with
     theta wrapped into (-pi, pi] and measured from upright; the cost is
     charged on the state the torque is applied in. Episodes never
     terminate and truncate at 200 steps.
+
+    The goal is an angle, and ``goal_reward`` is that cost with theta
+    measured from the goal instead of upright, so the native goal is 0.
+    Success means the angle error is within the tolerance; it is
+    charged on the same state as the cost.
     """
 
     GRAVITY = 10.0
@@ -224,6 +289,7 @@ class Pendulum:
     DT = 0.05
     MAX_TORQUE = 2.0
     MAX_SPEED = 8.0
+    NATIVE_GOAL = (0.0,)  # upright
 
     spec = EnvSpec(
         name="pendulum",
@@ -233,30 +299,20 @@ class Pendulum:
         solve_reward=None,
         obs_center=(0.0, 0.0, 0.0),
         obs_halfwidth=(1.0, 1.0, 8.0),
+        goal_center=(0.0,),
+        goal_halfwidth=(math.pi,),
+        goal_tolerance=0.1,
     )
-
-    def __init__(self) -> None:
-        self._state: np.ndarray | None = None
-        self._elapsed = 0
 
     @staticmethod
     def observation(theta: float, theta_dot: float) -> np.ndarray:
         return np.array([math.cos(theta), math.sin(theta), theta_dot])
 
-    def reset(self, rng: np.random.Generator) -> np.ndarray:
+    @staticmethod
+    def start_state(rng: np.random.Generator) -> np.ndarray:
         theta = rng.uniform(-math.pi, math.pi)
         theta_dot = rng.uniform(-1.0, 1.0)
-        self._state = self.observation(theta, theta_dot)
-        self._elapsed = 0
-        return self._state.copy()
-
-    @staticmethod
-    def reward(state: np.ndarray, action: float) -> float:
-        theta = math.atan2(state[1], state[0])
-        theta_dot = state[2]
-        return -(
-            wrap_angle(theta) ** 2 + 0.1 * theta_dot**2 + 0.001 * float(action) ** 2
-        )
+        return Pendulum.observation(theta, theta_dot)
 
     @staticmethod
     def dynamics(state: np.ndarray, action) -> tuple[np.ndarray, float, bool]:
@@ -268,7 +324,6 @@ class Pendulum:
         torque = min(max(float(action[0]), -Pendulum.MAX_TORQUE), Pendulum.MAX_TORQUE)
         theta = math.atan2(state[1], state[0])
         theta_dot = state[2]
-        reward = Pendulum.reward(state, torque)
         g, m, length, dt = (
             Pendulum.GRAVITY,
             Pendulum.MASS,
@@ -281,58 +336,50 @@ class Pendulum:
         theta_dot = theta_dot + theta_acc * dt
         theta_dot = min(max(theta_dot, -Pendulum.MAX_SPEED), Pendulum.MAX_SPEED)
         theta = theta + theta_dot * dt
-        return Pendulum.observation(theta, theta_dot), reward, False
+        next_state = Pendulum.observation(theta, theta_dot)
+        reward, _ = Pendulum.goal_reward(
+            state, action, next_state, Pendulum.NATIVE_GOAL, Pendulum.spec.goal_tolerance
+        )
+        return next_state, reward, False
 
-    def step(self, action) -> StepResult:
-        if self._state is None:
-            raise RuntimeError("step before reset")
-        next_state, reward, done = self.dynamics(self._state, action)
-        self._state = next_state
-        self._elapsed += 1
-        truncated = self._elapsed >= self.spec.max_episode_steps
-        return StepResult(next_state.copy(), reward, done, truncated)
+    @staticmethod
+    def achieved_goal(state: np.ndarray) -> np.ndarray:
+        return np.array([math.atan2(float(state[1]), float(state[0]))])
+
+    @staticmethod
+    def native_goal(tolerance: float) -> np.ndarray:
+        return np.array(Pendulum.NATIVE_GOAL)
+
+    @staticmethod
+    def goal_reward(state, action, next_state, goal, tolerance) -> tuple[float, bool]:
+        theta = math.atan2(state[1], state[0])
+        delta = wrap_angle(theta - float(goal[0]))
+        torque = min(max(float(action[0]), -Pendulum.MAX_TORQUE), Pendulum.MAX_TORQUE)
+        reward = -(delta**2 + 0.1 * state[2] ** 2 + 0.001 * torque**2)
+        return reward, abs(delta) <= tolerance
 
 
-_REGISTRY = {
-    "cartpole": CartPole,
-    "mountaincar": MountainCar,
-    "pendulum": Pendulum,
-}
+_REGISTRY = {cls.spec.name: cls for cls in (CartPole, MountainCar, Pendulum)}
 
 
 def env_names() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def make_env(name: str):
-    """Instantiate an environment by name."""
+def env_class(name: str) -> type[Env]:
+    """The environment class registered under ``name``."""
     try:
-        return _REGISTRY[name]()
+        return _REGISTRY[name]
     except KeyError:
         raise ValueError(
             f"unknown environment {name!r}; choose from {env_names()}"
         ) from None
+
+
+def make_env(name: str) -> Env:
+    """Instantiate an environment by name."""
+    return env_class(name)()
 
 
 def env_spec(name: str) -> EnvSpec:
-    try:
-        return _REGISTRY[name].spec
-    except KeyError:
-        raise ValueError(
-            f"unknown environment {name!r}; choose from {env_names()}"
-        ) from None
-
-
-def extract_achieved_goal(name: str, state: np.ndarray) -> np.ndarray:
-    """Project a state onto the environment's goal space.
-
-    MountainCar exposes the car's position, Pendulum the wrapped angle.
-    CartPole defines no goal space.
-    """
-    if name == "mountaincar":
-        return np.array([float(state[0])])
-    if name == "pendulum":
-        return np.array([math.atan2(float(state[1]), float(state[0]))])
-    if name == "cartpole":
-        raise UnsupportedGoalError("cartpole does not define a goal space")
-    raise ValueError(f"unknown environment {name!r}; choose from {env_names()}")
+    return env_class(name).spec

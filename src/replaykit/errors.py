@@ -29,10 +29,6 @@ class IntegrityError(ReplayKitError, RuntimeError):
     pass with a cache from stale parameters."""
 
 
-class UnsupportedGoalError(ReplayKitError, ValueError):
-    """The environment does not define a goal space."""
-
-
 class CheckpointError(ReplayKitError, ValueError):
     """A checkpoint file is malformed or truncated, or lacks what the
     caller needs from it."""

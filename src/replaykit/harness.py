@@ -33,16 +33,10 @@ from .agents import (
     greedy_policy,
     scaler_for,
 )
-from .envs import BoxAction, DiscreteActions, EnvSpec, env_names, env_spec, make_env
+from .envs import BoxAction, DiscreteActions, EnvSpec, env_class, env_names, make_env
 from .errors import CheckpointError, ConfigurationError
 from .files import write_text_atomic
-from .hindsight import (
-    Episode,
-    GoalSpec,
-    augment_observation,
-    goal_spec_for,
-    relabeled_transitions,
-)
+from .hindsight import Episode, augment_observation, relabeled_transitions
 from .nn import load_checkpoint, save_checkpoint
 from .prioritized import PerConfig, PrioritizedSampler
 from .replay import Batch, ReplayBuffer, sample_combined, sample_uniform
@@ -52,6 +46,11 @@ CSV_HEADER = "episode,train_reward,eval_mean,eval_std,steps,wallclock_ms"
 # Stream indices for seed splitting.
 _STREAMS = ("env", "init", "explore", "sample")
 _EVAL_TAG = 0x45564131  # distinct entropy word for evaluation rngs
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0 or seed >= 2**64:
+        raise ConfigurationError(f"seed must fit in u64, got {seed}")
 
 
 def _parse_bool(raw: str) -> bool:
@@ -168,8 +167,7 @@ class RunConfig:
     per: PerConfig = field(default_factory=PerConfig)
 
     def __post_init__(self) -> None:
-        if self.seed < 0 or self.seed >= 2**64:
-            raise ConfigurationError(f"seed must fit in u64, got {self.seed}")
+        _check_seed(self.seed)
         if self.episodes < 0:
             raise ConfigurationError(f"episodes must be >= 0, got {self.episodes}")
         if self.eval_interval < 1 or self.eval_episodes < 1:
@@ -184,6 +182,11 @@ class RunConfig:
         if self.buffer_capacity is not None:
             return self.buffer_capacity
         return 100_000 if self.agent == "ddpg" else 50_000
+
+    def resolved_goal_tolerance(self) -> float | None:
+        if self.goal_tolerance is not None:
+            return float(self.goal_tolerance)
+        return env_class(self.env).spec.goal_tolerance
 
     def strategy_name(self) -> str:
         parts = []
@@ -319,26 +322,24 @@ class Experiment:
     spec: EnvSpec
     agent: object
     stack: ReplayStack
-    goal_spec: GoalSpec | None
+    # Both None unless the run relabels goals.
+    goal_tolerance: float | None
+    native_goal: np.ndarray | None
     scaler: ObservationScaler
     env_rng: np.random.Generator
     explore_rng: np.random.Generator
     noise: OUNoise | None
 
-    @property
-    def native_goal(self) -> np.ndarray | None:
-        if self.goal_spec is None:
-            return None
-        return np.asarray(self.goal_spec.native_goal)
-
 
 def validate_config(cfg: RunConfig) -> None:
     """Reject impossible (env, agent, strategy) combinations with the
-    conflicting pair named."""
+    conflicting pair named, and a goal tolerance the env's native goal
+    cannot honor."""
     try:
-        spec = env_spec(cfg.env)
+        env = env_class(cfg.env)
     except ValueError as exc:
         raise ConfigurationError(str(exc)) from None
+    spec = env.spec
     if cfg.agent not in ("dqn", "ddpg"):
         raise ConfigurationError(f"unknown agent {cfg.agent!r}; choose dqn or ddpg")
     if isinstance(spec.actions, BoxAction) and cfg.agent == "dqn":
@@ -349,21 +350,24 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigurationError(
             f"agent 'ddpg' cannot drive env '{cfg.env}': discrete actions"
         )
-    if cfg.hindsight and cfg.env == "cartpole":
+    if cfg.hindsight and spec.goal_dim == 0:
         raise ConfigurationError(
-            "strategy 'hindsight' is unsupported on env 'cartpole': no goal space"
+            f"strategy 'hindsight' is unsupported on env '{cfg.env}': no goal space"
         )
+    if spec.goal_dim > 0:
+        env.native_goal(cfg.resolved_goal_tolerance())
 
 
 def build_run(cfg: RunConfig) -> Experiment:
     """Construct environment, agent, and replay stack from a config."""
     validate_config(cfg)
-    spec = env_spec(cfg.env)
-    goal_spec = goal_spec_for(cfg.env, cfg.goal_tolerance) if cfg.hindsight else None
-    scaler = scaler_for(spec, goal_spec)
+    env = make_env(cfg.env)
+    spec = env.spec
+    tolerance = cfg.resolved_goal_tolerance() if cfg.hindsight else None
+    scaler = scaler_for(spec, cfg.hindsight)
     streams = np.random.SeedSequence(cfg.seed).spawn(len(_STREAMS))
     rngs = {name: np.random.default_rng(ss) for name, ss in zip(_STREAMS, streams)}
-    obs_dim = spec.obs_dim + (goal_spec.goal_dim if goal_spec else 0)
+    obs_dim = scaler.dim
     if cfg.agent == "dqn":
         assert isinstance(spec.actions, DiscreteActions)
         agent: object = DqnAgent(obs_dim, spec.actions.n, cfg.dqn, scaler, rngs["init"])
@@ -390,11 +394,12 @@ def build_run(cfg: RunConfig) -> Experiment:
     )
     return Experiment(
         config=cfg,
-        env=make_env(cfg.env),
+        env=env,
         spec=spec,
         agent=agent,
         stack=stack,
-        goal_spec=goal_spec,
+        goal_tolerance=tolerance,
+        native_goal=None if tolerance is None else env.native_goal(tolerance),
         scaler=scaler,
         env_rng=rngs["env"],
         explore_rng=rngs["explore"],
@@ -456,7 +461,6 @@ def train(exp: Experiment) -> list[TrainRecord]:
     dqn = isinstance(agent, DqnAgent)
     agent_cfg = cfg.dqn if dqn else cfg.ddpg
     goal = exp.native_goal
-    eval_env = make_env(cfg.env)
     net = agent.q if dqn else agent.actor
     policy = greedy_policy(net, exp.scaler, goal, exp.spec.actions)
     records: list[TrainRecord] = []
@@ -467,7 +471,7 @@ def train(exp: Experiment) -> list[TrainRecord]:
         obs = exp.env.reset(exp.env_rng)
         if exp.noise is not None:
             exp.noise.reset()
-        episode_log = Episode() if exp.goal_spec is not None else None
+        episode_log = Episode() if cfg.hindsight else None
         episode_reward = 0.0
         while True:
             observation = augment_observation(obs, goal)
@@ -497,12 +501,13 @@ def train(exp: Experiment) -> list[TrainRecord]:
             if result.done or result.truncated:
                 break
         if episode_log is not None and len(episode_log) > 0:
-            for row in zip(*relabeled_transitions(episode_log, exp.goal_spec)):
+            relabeled = relabeled_transitions(episode_log, type(exp.env), exp.goal_tolerance)
+            for row in zip(*relabeled):
                 exp.stack.append(*row)
         fresh_eval = episode % cfg.eval_interval == 0
         if fresh_eval:
             eval_mean, eval_std = evaluate_policy(
-                eval_env, policy, cfg.eval_episodes, _eval_rng(cfg.seed)
+                exp.env, policy, cfg.eval_episodes, _eval_rng(cfg.seed)
             )
         wallclock = int((time.monotonic() - started) * 1000) if cfg.timing else 0
         records.append(
@@ -547,8 +552,7 @@ def effective_mapping(cfg: RunConfig) -> dict[str, str]:
     mapping = config_to_mapping(cfg)
     mapping["buffer_capacity"] = str(cfg.resolved_buffer_capacity())
     if cfg.hindsight:
-        tol = goal_spec_for(cfg.env, cfg.goal_tolerance).tolerance
-        mapping["goal_tolerance"] = repr(tol)
+        mapping["goal_tolerance"] = repr(cfg.resolved_goal_tolerance())
     return mapping
 
 
@@ -571,7 +575,7 @@ def save_run_checkpoint(path, exp: Experiment) -> None:
         "env": cfg.env,
         "agent": cfg.agent,
         "hindsight": "true" if cfg.hindsight else "false",
-        "goal_tolerance": repr(exp.goal_spec.tolerance) if exp.goal_spec else "",
+        "goal_tolerance": "" if exp.goal_tolerance is None else repr(exp.goal_tolerance),
     }
     save_checkpoint(path, _checkpoint_nets(exp.agent), meta)
 
@@ -583,7 +587,8 @@ def evaluate_checkpoint(path, episodes: int, seed: int = 0) -> tuple[float, floa
     the agent's policy network, when its meta lines contradict each
     other or do not parse, or when the policy network's input or output
     size does not fit the env. Raises ConfigurationError when
-    ``episodes`` is below 1."""
+    ``episodes`` is below 1 or ``seed`` does not fit in u64."""
+    _check_seed(seed)
     nets, meta = load_checkpoint(path)
     env_name = meta.get("env")
     agent_kind = meta.get("agent")
@@ -596,23 +601,21 @@ def evaluate_checkpoint(path, episodes: int, seed: int = 0) -> tuple[float, floa
     hindsight = meta.get("hindsight") == "true"
     try:
         tolerance = _parse_opt_float(meta.get("goal_tolerance", ""))
-        validate_config(
-            RunConfig(
-                env=env_name, agent=agent_kind, hindsight=hindsight, goal_tolerance=tolerance
-            )
+        cfg = RunConfig(
+            env=env_name, agent=agent_kind, hindsight=hindsight, goal_tolerance=tolerance
         )
+        validate_config(cfg)
     except ConfigurationError as exc:
         raise CheckpointError(f"{path}: inconsistent meta lines: {exc}") from None
-    goal_spec = goal_spec_for(env_name, tolerance) if hindsight else None
-    spec = env_spec(env_name)
-    goal = None if goal_spec is None else np.asarray(goal_spec.native_goal)
+    env = env_class(env_name)
+    goal = env.native_goal(cfg.resolved_goal_tolerance()) if hindsight else None
     try:
         policy = greedy_policy(
-            nets[policy_net], scaler_for(spec, goal_spec), goal, spec.actions
+            nets[policy_net], scaler_for(env.spec, hindsight), goal, env.spec.actions
         )
     except ConfigurationError as exc:
         raise CheckpointError(f"{path}: network {policy_net!r} does not fit: {exc}") from None
-    return evaluate_policy(make_env(env_name), policy, episodes, _eval_rng(seed))
+    return evaluate_policy(env(), policy, episodes, _eval_rng(seed))
 
 
 def run_to_dir(cfg: RunConfig, out_dir) -> dict[str, object]:

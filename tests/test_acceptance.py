@@ -29,13 +29,7 @@ from replaykit.harness import (
     run_to_dir,
     train,
 )
-from replaykit.hindsight import (
-    Episode,
-    goal_spec_for,
-    mountaincar_goal_reward,
-    pendulum_goal_reward,
-    relabeled_transitions,
-)
+from replaykit.hindsight import Episode, relabeled_transitions
 from replaykit.nn import backward, forward, init_mlp, soft_update
 from replaykit.prioritized import PerConfig, PrioritizedSampler, SumTree
 from replaykit.replay import ReplayBuffer
@@ -341,7 +335,7 @@ def test_her_accounting_and_native_restriction() -> None:
     with the sparse goal reward, a training run stores exactly twice
     its steps, and the goal reward at the native goal reproduces native
     step rewards exactly."""
-    spec = goal_spec_for("mountaincar")
+    tolerance = MountainCar.spec.goal_tolerance
     env = make_env("mountaincar")
     rng = np.random.default_rng(3)
     accounting_ok = True
@@ -357,7 +351,7 @@ def test_her_accounting_and_native_restriction() -> None:
             obs = result.next_state
             if result.done or result.truncated:
                 break
-        relabeled = relabeled_transitions(episode, spec)
+        relabeled = relabeled_transitions(episode, MountainCar, tolerance)
         accounting_ok &= all(len(column) == len(episode) for column in relabeled)
         accounting_ok &= len(episode) == len(steps) and all(
             s is step[0] and a == step[1] and n is step[2]
@@ -386,8 +380,8 @@ def test_her_accounting_and_native_restriction() -> None:
         )
         action = int(sample_rng.integers(3))
         next_state, native_reward, native_done = MountainCar.dynamics(state, action)
-        reward, success = mountaincar_goal_reward(
-            next_state, action, np.asarray(spec.native_goal), spec.tolerance
+        reward, success = MountainCar.goal_reward(
+            state, action, next_state, MountainCar.native_goal(tolerance), tolerance
         )
         if reward != native_reward or success != native_done:
             native_ok = False
@@ -404,8 +398,8 @@ def test_pendulum_reward_and_ou_noise() -> None:
     """The pendulum goal reward at the native goal must equal the env
     step reward exactly on 1e4 random tuples, and OU noise must hold
     its predicted stationary spread to 10% over 1e6 steps."""
-    spec = goal_spec_for("pendulum")
-    goal = np.asarray(spec.native_goal)
+    tolerance = Pendulum.spec.goal_tolerance
+    goal = Pendulum.native_goal(tolerance)
     rng = np.random.default_rng(5)
     reward_ok = True
     for _ in range(10_000):
@@ -413,8 +407,8 @@ def test_pendulum_reward_and_ou_noise() -> None:
         theta_dot = rng.uniform(-8.0, 8.0)
         action = rng.uniform(-2.0, 2.0)
         state = Pendulum.observation(theta, theta_dot)
-        _, native_reward, _ = Pendulum.dynamics(state, [action])
-        reward, _ = pendulum_goal_reward(state, action, goal, spec.tolerance)
+        next_state, native_reward, _ = Pendulum.dynamics(state, [action])
+        reward, _ = Pendulum.goal_reward(state, [action], next_state, goal, tolerance)
         if reward != native_reward:
             reward_ok = False
             break

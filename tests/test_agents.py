@@ -19,7 +19,6 @@ from replaykit.agents import (
 )
 from replaykit.envs import env_spec
 from replaykit.errors import ConfigurationError, NumericalError
-from replaykit.hindsight import goal_spec_for
 from replaykit.nn import Mlp, forward
 from replaykit.replay import Batch, ReplayBuffer
 
@@ -86,7 +85,7 @@ def test_observation_scaler() -> None:
 def test_scaler_for_env_and_goal() -> None:
     scaler = scaler_for(env_spec("mountaincar"))
     assert scaler.dim == 2
-    scaler = scaler_for(env_spec("mountaincar"), goal_spec_for("mountaincar"))
+    scaler = scaler_for(env_spec("mountaincar"), with_goal=True)
     assert scaler.dim == 3
     scaled = scaler(np.array([-0.3, 0.0, 0.6]))
     assert scaled[0] == pytest.approx(0.0)

@@ -280,3 +280,43 @@ def test_eval_fewer_than_one_episode_exits_2(tmp_path, capsys, episodes) -> None
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "episodes must be >= 1" in captured.err
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_eval_seed_outside_u64_exits_2(tmp_path, capsys, seed) -> None:
+    out = tmp_path / "run"
+    assert run_cli(["train", "--env", "cartpole", "--agent", "dqn",
+                    "--out", out, *TINY]) == 0
+    capsys.readouterr()
+    code = run_cli(["eval", "--checkpoint", out / "checkpoint.txt", "--seed", seed])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"seed must fit in u64, got {seed}" in captured.err
+
+
+def test_train_mountaincar_goal_tolerance_below_floor_exits_2(tmp_path, capsys) -> None:
+    out = tmp_path / "run"
+    code = run_cli(["train", "--env", "mountaincar", "--agent", "dqn",
+                    "--hindsight", "--out", out, *TINY,
+                    "--set", "goal_tolerance=0.01"])
+    assert code == 2
+    assert "goal_tolerance 0.01 is below mountaincar's floor" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_checkpoint_goal_tolerance_below_floor_exits_1(tmp_path, capsys) -> None:
+    checkpoint = tmp_path / "checkpoint.txt"
+    q = init_mlp([3, 8, 3], np.random.default_rng(0))
+    meta = {
+        "env": "mountaincar",
+        "agent": "dqn",
+        "hindsight": "true",
+        "goal_tolerance": "0.01",
+    }
+    save_checkpoint(checkpoint, {"q": q}, meta)
+    code = run_cli(["eval", "--checkpoint", checkpoint])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "goal_tolerance 0.01 is below mountaincar's floor" in err

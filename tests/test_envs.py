@@ -11,13 +11,13 @@ from replaykit.envs import (
     DiscreteActions,
     MountainCar,
     Pendulum,
+    env_class,
     env_names,
     env_spec,
-    extract_achieved_goal,
     make_env,
     wrap_angle,
 )
-from replaykit.errors import UnsupportedGoalError
+from replaykit.errors import ConfigurationError
 
 
 def rollout(env, actions, rng_seed=0):
@@ -182,16 +182,28 @@ def test_mountaincar_full_throttle_escapes() -> None:
     assert reward == 0.0
 
 
+def pendulum_native_reward(state, torque: float) -> float:
+    """Pendulum's step reward: its goal reward under the native goal."""
+    tolerance = Pendulum.spec.goal_tolerance
+    reward, _ = Pendulum.goal_reward(
+        state, [torque], None, Pendulum.native_goal(tolerance), tolerance
+    )
+    return reward
+
+
 def test_pendulum_reward_formula_examples() -> None:
     # upright at rest with zero torque costs nothing
-    assert Pendulum.reward(Pendulum.observation(0.0, 0.0), 0.0) == 0.0
+    assert pendulum_native_reward(Pendulum.observation(0.0, 0.0), 0.0) == 0.0
     # hanging straight down costs pi^2
-    assert Pendulum.reward(Pendulum.observation(math.pi, 0.0), 0.0) == pytest.approx(
+    assert pendulum_native_reward(Pendulum.observation(math.pi, 0.0), 0.0) == pytest.approx(
         -math.pi**2
     )
-    assert Pendulum.reward(Pendulum.observation(1.0, 1.0), 1.0) == pytest.approx(
+    assert pendulum_native_reward(Pendulum.observation(1.0, 1.0), 1.0) == pytest.approx(
         -(1.0 + 0.1 + 0.001)
     )
+    # the step reward is charged on the state the torque is applied in
+    state = Pendulum.observation(1.0, 1.0)
+    assert Pendulum.dynamics(state, np.array([1.0]))[1] == pendulum_native_reward(state, 1.0)
 
 
 def test_pendulum_never_done_truncates_at_200() -> None:
@@ -242,15 +254,33 @@ def test_wrap_angle() -> None:
 
 
 def test_extract_achieved_goal() -> None:
-    assert extract_achieved_goal("mountaincar", np.array([0.37, 0.01])) == pytest.approx(
-        [0.37]
-    )
+    assert MountainCar.achieved_goal(np.array([0.37, 0.01])) == pytest.approx([0.37])
     obs = Pendulum.observation(1.2, 3.0)
-    assert extract_achieved_goal("pendulum", obs) == pytest.approx([1.2])
-    with pytest.raises(UnsupportedGoalError):
-        extract_achieved_goal("cartpole", np.zeros(4))
+    assert Pendulum.achieved_goal(obs) == pytest.approx([1.2])
+    assert CartPole.spec.goal_dim == 0
+    assert not hasattr(CartPole, "achieved_goal")
     with pytest.raises(ValueError):
-        extract_achieved_goal("acrobot", np.zeros(4))
+        env_class("acrobot")
+
+
+@pytest.mark.parametrize("tolerance", [0.05, 0.07, 0.3, 5.0])
+def test_mountaincar_native_goal_covers_success_set(tolerance) -> None:
+    goal = MountainCar.native_goal(tolerance)
+    for position in (0.5 + 1e-12, 0.55, 0.6):
+        assert MountainCar.goal_reward(None, 1, np.array([position, 0.0]), goal, tolerance) == (
+            0.0,
+            True,
+        )
+    assert MountainCar.goal_reward(None, 1, np.array([0.4999, 0.0]), goal, tolerance)[1] is False
+
+
+@pytest.mark.parametrize("tolerance", [0.01, 0.049])
+def test_mountaincar_native_goal_rejects_tolerance_below_floor(tolerance) -> None:
+    # A band [0.5, 0.5 + 2 * tolerance] misses flag positions up to the
+    # wall at 0.6: at 0.01, position 0.55 is a native success (reward 0)
+    # but would score -1.
+    with pytest.raises(ConfigurationError, match="goal_tolerance"):
+        MountainCar.native_goal(tolerance)
 
 
 def test_step_before_reset_raises() -> None:

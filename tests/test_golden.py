@@ -85,9 +85,9 @@ GOLDEN = {
             "hindsight": "true",
             "prioritized": "true",
         },
-        "9f72af245b8f759278d7082e44d471e6c18fe86160191caf3dd58cc00a5878e2",
-        "0ccc90259627ad2cf216ee47a6c2ef44b922dfb7a7988375eebb42229cc0ec2c",
-        "(-1318.3476426177697, 192.33543224349694)",
+        "a93b07114c54fd491e24a3d9460d0783735e399ee493ce922d276c5a01a979e8",
+        "6ee8ff3113cac9e63f19fced26ffececa42e4ed401f86b377aee4745befb99b5",
+        "(-1494.274458877986, 116.57563776327201)",
     ),
 }
 

@@ -14,7 +14,7 @@ from replaykit.agents import (
     greedy_policy,
     scaler_for,
 )
-from replaykit.envs import DiscreteActions, env_spec, make_env
+from replaykit.envs import DiscreteActions, Pendulum, env_class, env_spec, make_env
 from replaykit.errors import ConfigurationError
 from replaykit.harness import (
     CSV_HEADER,
@@ -40,7 +40,7 @@ from replaykit.harness import (
     validate_config,
     write_manifest,
 )
-from replaykit.hindsight import augment_observation, goal_spec_for
+from replaykit.hindsight import augment_observation
 from replaykit.nn import Mlp, forward, init_mlp
 from replaykit.prioritized import PerConfig
 
@@ -165,6 +165,26 @@ def test_parse_config_file(tmp_path) -> None:
         parse_config_file(bad)
 
 
+def test_resolved_goal_tolerance() -> None:
+    assert RunConfig(env="mountaincar").resolved_goal_tolerance() == 0.05
+    assert RunConfig(env="pendulum", agent="ddpg").resolved_goal_tolerance() == 0.1
+    assert RunConfig(env="pendulum", goal_tolerance=0.3).resolved_goal_tolerance() == 0.3
+    assert RunConfig(env="cartpole").resolved_goal_tolerance() is None
+
+
+def test_validate_config_rejects_mountaincar_tolerance_below_floor(tmp_path) -> None:
+    for hindsight in (True, False):
+        cfg = RunConfig(env="mountaincar", hindsight=hindsight, goal_tolerance=0.01)
+        with pytest.raises(ConfigurationError, match="goal_tolerance 0.01 .*0.05"):
+            validate_config(cfg)
+    # so a sweep fails as a whole instead of listing HER runs as unsupported
+    with pytest.raises(ConfigurationError, match="goal_tolerance"):
+        sweep(tiny_config(env="mountaincar", goal_tolerance=0.01), tmp_path / "sweep")
+    assert not (tmp_path / "sweep").exists()
+    validate_config(RunConfig(env="mountaincar", hindsight=True, goal_tolerance=0.05))
+    validate_config(RunConfig(env="pendulum", agent="ddpg", hindsight=True, goal_tolerance=0.01))
+
+
 def test_effective_mapping_resolves_auto_fields() -> None:
     mapping = effective_mapping(RunConfig(env="mountaincar", hindsight=True))
     assert mapping["buffer_capacity"] == "50000"
@@ -198,7 +218,8 @@ def test_build_run_dqn() -> None:
     exp = build_run(tiny_config())
     assert isinstance(exp.agent, DqnAgent)
     assert exp.noise is None
-    assert exp.goal_spec is None
+    assert exp.goal_tolerance is None
+    assert exp.native_goal is None
     assert exp.stack.buffer.capacity == 256
     assert exp.agent.q.input_dim == 4
 
@@ -208,7 +229,7 @@ def test_build_run_ddpg_with_goal() -> None:
     exp = build_run(cfg)
     assert isinstance(exp.agent, DdpgAgent)
     assert exp.noise is not None
-    assert exp.goal_spec is not None
+    assert exp.goal_tolerance == 0.1
     # pendulum obs (3) + goal (1)
     assert exp.agent.actor.input_dim == 4
     assert exp.native_goal == pytest.approx([0.0])
@@ -383,6 +404,29 @@ def test_train_hindsight_doubles_stored_transitions() -> None:
     assert rows.states[relabeled, 2] == pytest.approx(final_state[0])
 
 
+def test_train_pendulum_hindsight_stores_no_terminal_rows() -> None:
+    cfg = tiny_config(
+        env="pendulum",
+        agent="ddpg",
+        hindsight=True,
+        episodes=1,
+        buffer_capacity=400,
+        ddpg=DdpgConfig(warmup=10_000),  # no updates, storage only
+    )
+    exp = build_run(cfg)
+    train(exp)
+    rows = exp.stack.buffer.gather(np.arange(len(exp.stack)))
+    assert len(rows.dones) == 400
+    assert not rows.dones.any()
+    # relabeled rows: the achieved goal, rewards scored on the state left
+    goal = rows.states[200, 3]
+    assert np.all(rows.states[200:, 3] == goal)
+    for i in range(200, 400):
+        state, action = rows.states[i, :3], rows.actions[i]
+        expected, _ = Pendulum.goal_reward(state, action, None, [goal], exp.goal_tolerance)
+        assert rows.rewards[i] == expected
+
+
 # --- convergence and output files ---
 
 
@@ -488,13 +532,13 @@ def test_sweep_reports_unsupported_and_statuses(tmp_path) -> None:
 # --- frozen-policy evaluation ---
 
 
-def one_at_a_time_reference(env_name, net, goal_spec, episodes, rng):
+def one_at_a_time_reference(env_name, net, hindsight, episodes, rng):
     """Evaluation played one episode after another on one env, with one
     one-row forward per step. Returns (mean, std, start states,
     [(steps, done)])."""
     spec = env_spec(env_name)
-    scaler = scaler_for(spec, goal_spec)
-    goal = None if goal_spec is None else np.asarray(goal_spec.native_goal)
+    scaler = scaler_for(spec, hindsight)
+    goal = env_class(env_name).native_goal(spec.goal_tolerance) if hindsight else None
     env = make_env(env_name)
     totals, starts, ends = np.empty(episodes), [], []
     for i in range(episodes):
@@ -552,15 +596,15 @@ def test_lockstep_evaluate_policy_equals_one_at_a_time(
     env_name, make_net, hindsight, episodes, expected_ends
 ) -> None:
     net = make_net()
-    goal_spec = goal_spec_for(env_name) if hindsight else None
     mean, std, starts, ends = one_at_a_time_reference(
-        env_name, net, goal_spec, episodes, np.random.default_rng(5)
+        env_name, net, hindsight, episodes, np.random.default_rng(5)
     )
+    spec = env_spec(env_name)
     policy = greedy_policy(
         net,
-        scaler_for(env_spec(env_name), goal_spec),
-        None if goal_spec is None else np.asarray(goal_spec.native_goal),
-        env_spec(env_name).actions,
+        scaler_for(spec, hindsight),
+        env_class(env_name).native_goal(spec.goal_tolerance) if hindsight else None,
+        spec.actions,
     )
     calls: list[np.ndarray] = []
 

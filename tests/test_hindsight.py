@@ -5,16 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from replaykit.envs import MountainCar, Pendulum, make_env
-from replaykit.errors import IntegrityError, UnsupportedGoalError
-from replaykit.hindsight import (
-    Episode,
-    augment_observation,
-    goal_spec_for,
-    mountaincar_goal_reward,
-    pendulum_goal_reward,
-    relabeled_transitions,
-)
+from replaykit.envs import MountainCar, Pendulum, env_class, make_env, wrap_angle
+from replaykit.errors import IntegrityError
+from replaykit.hindsight import Episode, augment_observation, relabeled_transitions
+
+MC_TOL = MountainCar.spec.goal_tolerance
+PENDULUM_TOL = Pendulum.spec.goal_tolerance
 
 
 def chain(states: list[np.ndarray], done_last=False) -> Episode:
@@ -50,21 +46,26 @@ def test_final_state_of_empty_episode() -> None:
     with pytest.raises(IntegrityError):
         Episode().final_state
     with pytest.raises(IntegrityError):
-        relabeled_transitions(Episode(), goal_spec_for("mountaincar"))
+        relabeled_transitions(Episode(), MountainCar, MC_TOL)
 
 
 def test_goal_spec_lookup() -> None:
-    mc = goal_spec_for("mountaincar")
-    assert mc.goal_dim == 1
-    assert mc.tolerance == 0.05
-    assert mc.native_goal == (0.55,)
-    pend = goal_spec_for("pendulum", tolerance=0.2)
-    assert pend.tolerance == 0.2
-    assert pend.native_goal == (0.0,)
-    with pytest.raises(UnsupportedGoalError):
-        goal_spec_for("cartpole")
+    mc = env_class("mountaincar")
+    assert mc is MountainCar
+    assert mc.spec.goal_dim == 1
+    assert mc.spec.goal_tolerance == 0.05
+    assert (mc.spec.goal_center, mc.spec.goal_halfwidth) == ((-0.3,), (0.9,))
+    assert mc.spec.success_ends_episode
+    assert mc.native_goal(0.05).tolist() == [0.55]
+    pend = env_class("pendulum")
+    assert pend.spec.goal_dim == 1
+    assert pend.spec.goal_tolerance == 0.1
+    assert (pend.spec.goal_center, pend.spec.goal_halfwidth) == ((0.0,), (math.pi,))
+    assert not pend.spec.success_ends_episode
+    assert pend.native_goal(0.2).tolist() == [0.0]
+    assert env_class("cartpole").spec.goal_dim == 0
     with pytest.raises(ValueError):
-        goal_spec_for("acrobot")
+        env_class("acrobot")
 
 
 def test_augment_observation() -> None:
@@ -74,17 +75,31 @@ def test_augment_observation() -> None:
     assert augment_observation(state, np.empty(0)) == pytest.approx([1.0, 2.0])
 
 
+def mountaincar_goal_reward(next_state, goal):
+    # MountainCar scores the state a step arrives at; the state it
+    # leaves (far from every goal here) must not matter.
+    return MountainCar.goal_reward(np.array([-1.2, 0.0]), 0, next_state, goal, MC_TOL)
+
+
 def test_mountaincar_goal_reward_examples() -> None:
     goal = np.array([0.5])
-    reward, success = mountaincar_goal_reward(np.array([0.5, 0.0]), 0, goal)
+    reward, success = mountaincar_goal_reward(np.array([0.5, 0.0]), goal)
     assert (reward, success) == (0.0, True)
-    reward, success = mountaincar_goal_reward(np.array([-0.4, 0.0]), 0, goal)
+    reward, success = mountaincar_goal_reward(np.array([-0.4, 0.0]), goal)
     assert (reward, success) == (-1.0, False)
-    reward, success = mountaincar_goal_reward(np.array([0.48, 0.0]), 0, goal)
+    reward, success = mountaincar_goal_reward(np.array([0.48, 0.0]), goal)
     assert (reward, success) == (0.0, True)
     # just outside the band
-    reward, success = mountaincar_goal_reward(np.array([0.44, 0.0]), 0, goal)
+    reward, success = mountaincar_goal_reward(np.array([0.44, 0.0]), goal)
     assert (reward, success) == (-1.0, False)
+
+
+def pendulum_goal_reward(state, action, goal):
+    # Pendulum scores the state a step leaves; the state it arrives at
+    # (upright at rest here) must not matter.
+    return Pendulum.goal_reward(
+        state, [action], Pendulum.observation(0.0, 0.0), goal, PENDULUM_TOL
+    )
 
 
 def test_pendulum_goal_reward_examples() -> None:
@@ -106,9 +121,8 @@ def test_pendulum_goal_reward_examples() -> None:
 def test_mountaincar_native_goal_reproduces_native_rewards() -> None:
     """goal_reward at the native goal equals the environment's own
     reward on random states, exactly."""
-    spec = goal_spec_for("mountaincar")
     rng = np.random.default_rng(31)
-    native_goal = np.asarray(spec.native_goal)
+    native_goal = MountainCar.native_goal(MC_TOL)
     for _ in range(10_000):
         state = np.array(
             [
@@ -118,29 +132,27 @@ def test_mountaincar_native_goal_reproduces_native_rewards() -> None:
         )
         native_done = state[0] >= MountainCar.GOAL_POSITION
         native_reward = 0.0 if native_done else -1.0
-        reward, success = spec.goal_reward(state, 0, native_goal)
+        reward, success = mountaincar_goal_reward(state, native_goal)
         assert reward == native_reward
         assert success == native_done
 
 
 def test_pendulum_native_goal_reproduces_native_rewards() -> None:
-    spec = goal_spec_for("pendulum")
     rng = np.random.default_rng(32)
-    native_goal = np.asarray(spec.native_goal)
+    native_goal = Pendulum.native_goal(PENDULUM_TOL)
     for _ in range(10_000):
         theta = rng.uniform(-2.0 * math.pi, 2.0 * math.pi)
         theta_dot = rng.uniform(-8.0, 8.0)
         action = rng.uniform(-2.0, 2.0)
         state = Pendulum.observation(theta, theta_dot)
-        reward, _ = spec.goal_reward(state, action, native_goal)
-        assert reward == Pendulum.reward(state, action)
+        reward, _ = pendulum_goal_reward(state, action, native_goal)
+        assert reward == Pendulum.dynamics(state, [action])[1]
 
 
 def test_relabel_doubles_and_preserves_originals() -> None:
     states = mountaincar_states(6)
     episode = chain(states)
-    spec = goal_spec_for("mountaincar")
-    out = relabeled_transitions(episode, spec)
+    out = relabeled_transitions(episode, MountainCar, MC_TOL)
     # one relabeled copy per step: with the originals, twice the length
     assert all(len(column) == len(episode) == 6 for column in out)
     # the episode's own steps are untouched, in order
@@ -155,8 +167,7 @@ def test_relabel_doubles_and_preserves_originals() -> None:
 def test_relabeled_goal_is_final_achieved_goal() -> None:
     states = mountaincar_states(5, seed=3)
     episode = chain(states)
-    spec = goal_spec_for("mountaincar")
-    relabeled = relabeled_transitions(episode, spec)
+    relabeled = relabeled_transitions(episode, MountainCar, MC_TOL)
     expected_goal = np.array([episode.final_state[0]])
     assert relabeled.goals.shape == (len(episode), 1)
     for goal in relabeled.goals:
@@ -164,21 +175,19 @@ def test_relabeled_goal_is_final_achieved_goal() -> None:
 
 
 def test_relabeled_final_transition_succeeds() -> None:
-    spec = goal_spec_for("mountaincar")
     for seed in range(5):
         episode = chain(mountaincar_states(7, seed=seed))
-        relabeled = relabeled_transitions(episode, spec)
+        relabeled = relabeled_transitions(episode, MountainCar, MC_TOL)
         assert relabeled.dones[-1]
         assert relabeled.rewards[-1] == 0.0
 
 
 def test_relabeled_rewards_recomputed_per_transition() -> None:
-    spec = goal_spec_for("mountaincar")
     episode = chain(mountaincar_states(8, seed=4))
     new_goal = np.array([episode.final_state[0]])
-    relabeled = relabeled_transitions(episode, spec)
+    relabeled = relabeled_transitions(episode, MountainCar, MC_TOL)
     for i, (action, next_state) in enumerate(zip(episode.actions, episode.next_states)):
-        reward, success = spec.goal_reward(next_state, action, new_goal)
+        reward, success = mountaincar_goal_reward(next_state, new_goal)
         assert relabeled.rewards[i] == reward
         assert relabeled.dones[i] == success
 
@@ -189,7 +198,7 @@ def test_single_transition_episode() -> None:
     result = env.step(2)
     episode = Episode()
     episode.append(start, 2, result.next_state, result.done)
-    out = relabeled_transitions(episode, goal_spec_for("mountaincar"))
+    out = relabeled_transitions(episode, MountainCar, MC_TOL)
     assert len(out.rewards) == 1
     assert out.dones[0]
     assert out.rewards[0] == 0.0
@@ -206,9 +215,100 @@ def test_pendulum_relabel_success_flags() -> None:
         result = env.step(action)
         episode.append(obs, action, result.next_state, result.done)
         obs = result.next_state
-    spec = goal_spec_for("pendulum")
-    relabeled = relabeled_transitions(episode, spec)
-    assert relabeled.dones[-1]
+    # Pendulum's task never ends, so no relabeled step is terminal, even
+    # where it succeeds: with a tolerance of 2 pi every step does.
+    for tolerance in (PENDULUM_TOL, 2.0 * math.pi):
+        relabeled = relabeled_transitions(episode, Pendulum, tolerance)
+        assert not relabeled.dones.any()
     goal = np.array([math.atan2(episode.final_state[1], episode.final_state[0])])
     for got in relabeled.goals:
         assert np.array_equal(got, goal)
+
+
+# --- trajectory-level invariant: the native goal reproduces the env ---
+
+
+def reference_step_reward(env, state, action, next_state) -> float:
+    """Each env's native step reward, written out here independently of
+    the env classes: MountainCar pays 0 on reaching the flag and -1
+    otherwise; Pendulum charges its cost on the state the (clipped)
+    torque is applied in."""
+    if env is MountainCar:
+        return 0.0 if next_state[0] >= 0.5 else -1.0
+    torque = min(max(float(np.asarray(action).reshape(-1)[0]), -2.0), 2.0)
+    theta = math.atan2(state[1], state[0])
+    theta_dot = state[2]
+    return -(wrap_angle(theta) ** 2 + 0.1 * theta_dot**2 + 0.001 * float(torque) ** 2)
+
+
+def test_pendulum_native_step_rewards_match_reference_formula() -> None:
+    rng = np.random.default_rng(40)
+    got, want = [], []
+    for _ in range(10_000):
+        state = Pendulum.observation(
+            rng.uniform(-2.0 * math.pi, 2.0 * math.pi), rng.uniform(-8.0, 8.0)
+        )
+        action = rng.uniform(-3.0, 3.0, size=1)  # beyond the bounds too: clipped
+        next_state, reward, _ = Pendulum.dynamics(state, action)
+        got.append(reward)
+        want.append(reference_step_reward(Pendulum, state, action, next_state))
+    # upright at rest with zero torque: the cost is -0.0, sign bit included
+    got.append(Pendulum.dynamics(Pendulum.observation(0.0, 0.0), [0.0])[1])
+    want.append(-0.0)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def random_policy(env, rng):
+    if env is MountainCar:
+        return lambda obs: int(rng.integers(3))
+    return lambda obs: rng.uniform(-3.0, 3.0, size=1)
+
+
+def pumping_policy(env, rng):
+    # Throttle along the velocity, with some random steps: reaches the
+    # flag within the step limit from every start used below.
+    return lambda obs: int(rng.integers(3)) if rng.random() < 0.2 else (2 if obs[1] >= 0 else 0)
+
+
+def play(env, policy, rng):
+    """One real episode: its log, and the rewards and dones the env gave."""
+    instance = env()
+    obs = instance.reset(rng)
+    episode, rewards, dones = Episode(), [], []
+    while True:
+        action = policy(obs)
+        result = instance.step(action)
+        episode.append(obs, action, result.next_state, result.done)
+        rewards.append(result.reward)
+        dones.append(result.done)
+        obs = result.next_state
+        if result.done or result.truncated:
+            return episode, np.array(rewards, dtype=np.float64), dones
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize(
+    "env, make_policy",
+    [(MountainCar, random_policy), (MountainCar, pumping_policy), (Pendulum, random_policy)],
+    ids=["mountaincar-random", "mountaincar-to-flag", "pendulum-random"],
+)
+def test_native_goal_relabel_reproduces_episode(env, make_policy, seed) -> None:
+    """Relabeling a real episode with the native goal instead of the
+    achieved one gives back the env's own rewards and done flags, bit for
+    bit, and those rewards are each env's native reward."""
+    rng = np.random.default_rng(100 + seed)
+    episode, rewards, dones = play(env, make_policy(env, rng), rng)
+    if make_policy is pumping_policy:
+        assert dones[-1], "the episode never reached the flag"
+    tolerance = env.spec.goal_tolerance
+    relabeled = relabeled_transitions(
+        episode, env, tolerance, goal=env.native_goal(tolerance)
+    )
+    assert relabeled.rewards.tobytes() == rewards.tobytes()
+    assert relabeled.dones.tolist() == dones
+    assert relabeled.goals.tolist() == [env.native_goal(tolerance).tolist()] * len(episode)
+    reference = [
+        reference_step_reward(env, *step)
+        for step in zip(episode.states, episode.actions, episode.next_states)
+    ]
+    assert np.array(reference).tobytes() == rewards.tobytes()
