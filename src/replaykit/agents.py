@@ -61,7 +61,9 @@ class ObservationScaler:
         return self.center.shape[0]
 
     def __call__(self, obs: np.ndarray) -> np.ndarray:
-        return (np.asarray(obs, dtype=np.float64) - self.center) / self.halfwidth
+        scaled = np.subtract(obs, self.center, dtype=np.float64)
+        scaled /= self.halfwidth
+        return scaled
 
 
 def scaler_for(env_spec, with_goal: bool = False) -> ObservationScaler:
@@ -125,6 +127,15 @@ def epsilon_schedule(start: float, end: float, decay_steps: int, step: int) -> f
     return start + (end - start) * fraction
 
 
+def _squared_loss_grad(weights: np.ndarray, td_errors: np.ndarray) -> np.ndarray:
+    """2 * w_i * delta_i / n, the gradient of mean_i w_i * delta_i^2 in
+    delta_i, multiplied and divided in that order."""
+    grad = 2.0 * weights
+    grad *= td_errors
+    grad /= td_errors.shape[0]
+    return grad
+
+
 @dataclass(frozen=True)
 class DqnConfig:
     gamma: float = 0.99
@@ -180,6 +191,10 @@ class DqnAgent:
         self.q_target = clone_mlp(self.q)
         self.adam = adam_init(self.q, config.learning_rate)
         self.updates = 0
+        # Reused by update for batches of one size: row numbers and the
+        # loss gradient at the Q-network's output.
+        self._rows = np.arange(0)
+        self._output_grad = np.zeros((0, n_actions))
 
     def q_values(self, obs: np.ndarray) -> np.ndarray:
         values, _ = forward(self.q, self.scaler(obs))
@@ -204,13 +219,16 @@ class DqnAgent:
         n = len(batch)
         targets = self.td_targets(batch.rewards, batch.next_states, batch.dones)
         q_all, cache = forward(self.q, self.scaler(batch.states))
-        rows = np.arange(n)
+        if self._rows.size != n:
+            self._rows = np.arange(n)
+            self._output_grad = np.zeros_like(q_all)
+        rows, output_grad = self._rows, self._output_grad
         action_idx = batch.actions.astype(int)
         td_errors = q_all[rows, action_idx] - targets
         check_divergence(td_errors)
         # d/dQ(s_i, a_i) of mean_i w_i * delta_i^2
-        output_grad = np.zeros_like(q_all)
-        output_grad[rows, action_idx] = 2.0 * batch.weights * td_errors / n
+        output_grad.fill(0.0)
+        output_grad[rows, action_idx] = _squared_loss_grad(batch.weights, td_errors)
         grad, _ = backward(self.q, cache, output_grad, input_grad=False)
         adam_step(self.q, grad, self.adam)
         self.updates += 1
@@ -319,6 +337,10 @@ class DdpgAgent:
         self.critic_target = clone_mlp(self.critic)
         self.actor_adam = adam_init(self.actor, config.actor_lr)
         self.critic_adam = adam_init(self.critic, config.critic_lr)
+        # Reused by updates for batches of one size: the critic's input
+        # rows and the gradient of -mean(Q) at the critic's output.
+        self._critic_in = np.zeros((0, critic_sizes[0]))
+        self._mean_q_grad = np.zeros((0, 1))
 
     def greedy_action(self, obs: np.ndarray) -> np.ndarray:
         action, _ = forward(self.actor, self.scaler(obs))
@@ -332,13 +354,18 @@ class DdpgAgent:
         return np.clip(action, self.action_low, self.action_high)
 
     def _critic_input(self, scaled_states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        actions = actions.reshape(scaled_states.shape[0], self.action_dim)
-        return np.concatenate([scaled_states, actions], axis=1)
+        """Scaled states with actions appended, written into a buffer
+        that the next call overwrites."""
+        n, obs_dim = scaled_states.shape
+        if self._critic_in.shape[0] != n:
+            self._critic_in = np.empty((n, obs_dim + self.action_dim))
+        self._critic_in[:, :obs_dim] = scaled_states
+        self._critic_in[:, obs_dim:] = actions.reshape(n, self.action_dim)
+        return self._critic_in
 
     def critic_update(self, batch: Batch, scaled_states: np.ndarray) -> np.ndarray:
         """Weighted TD regression on the critic; returns TD errors.
         ``scaled_states`` is ``self.scaler(batch.states)``."""
-        n = len(batch)
         scaled_next = self.scaler(batch.next_states)
         next_actions, _ = forward(self.actor_target, scaled_next)
         next_q, _ = forward(self.critic_target, self._critic_input(scaled_next, next_actions))
@@ -346,7 +373,7 @@ class DdpgAgent:
         q, cache = forward(self.critic, self._critic_input(scaled_states, batch.actions))
         td_errors = q[:, 0] - targets
         check_divergence(td_errors)
-        output_grad = (2.0 * batch.weights * td_errors / n)[:, None]
+        output_grad = _squared_loss_grad(batch.weights, td_errors)[:, None]
         grad, _ = backward(self.critic, cache, output_grad, input_grad=False)
         adam_step(self.critic, grad, self.critic_adam)
         return td_errors
@@ -358,8 +385,9 @@ class DdpgAgent:
         actions, actor_cache = forward(self.actor, scaled)
         q, critic_cache = forward(self.critic, self._critic_input(scaled, actions))
         # Gradient of -mean(Q) w.r.t. the critic's inputs, action slice.
-        up = np.full((n, 1), -1.0 / n)
-        _, d_input = backward(self.critic, critic_cache, up, param_grads=False)
+        if self._mean_q_grad.shape[0] != n:
+            self._mean_q_grad = np.full((n, 1), -1.0 / n)
+        _, d_input = backward(self.critic, critic_cache, self._mean_q_grad, param_grads=False)
         d_actions = d_input[:, -self.action_dim :]
         grad, _ = backward(self.actor, actor_cache, d_actions, input_grad=False)
         adam_step(self.actor, grad, self.actor_adam)

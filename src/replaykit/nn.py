@@ -6,11 +6,26 @@ it, so Adam, hard copy and Polyak blending each run as a few whole-vector
 operations. ``forward`` returns a cache that ``backward`` consumes to
 produce the parameter gradient (a flat vector in the same layout) and the
 gradient with respect to the input, which actor-critic updates chain
-through; a caller computes only the one it uses. Parameters carry a
-version counter so a cache from before an optimizer step cannot silently
-corrupt a backward pass. ``forward`` also takes a stack of single rows,
-which evaluates many inputs in one call with the bits of one call per
-row; frozen-policy evaluation uses it.
+through; a caller computes only the one it uses. ``forward`` also takes a
+stack of single rows, which evaluates many inputs in one call with the
+bits of one call per row; frozen-policy evaluation uses it.
+
+The learner step allocates almost nothing: each network keeps a private
+workspace per row count of matrix (or vector) inputs, built on first use,
+holding the hidden activations, the backward deltas and the flat
+parameter gradient. Lifetimes follow from that:
+
+* ``forward`` outputs and ``backward`` input gradients are always fresh
+  arrays that the caller may keep;
+* a cache is valid until the next ``forward`` through the same network
+  with the same row count, or until the parameters change (each update
+  bumps a version counter); ``backward`` raises IntegrityError on a
+  cache that is no longer valid rather than read overwritten buffers;
+* the parameter gradient ``backward`` returns is valid until the next
+  ``backward`` through the same network with the same row count.
+
+Stacks of rows use no workspace. Copying a network (``clone_mlp`` or
+``copy.deepcopy``) never shares its workspaces.
 """
 
 from __future__ import annotations
@@ -45,6 +60,11 @@ class Mlp:
     biases: list[np.ndarray]
     version: int = 0
     params: np.ndarray = field(init=False, repr=False, compare=False)
+    # Workspace per row count, and the scratch vector of soft_update.
+    _workspaces: dict[int, Workspace] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
+    _blend: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         sizes = self.layer_sizes = tuple(int(n) for n in self.layer_sizes)
@@ -89,6 +109,41 @@ class Mlp:
             biases.append(flat[end : end + fan_out])
             start = end + fan_out
         return weights, biases
+
+    def workspace(self, rows: int) -> Workspace:
+        """This network's workspace for ``rows``-row inputs, built on
+        first use."""
+        ws = self._workspaces.get(rows)
+        if ws is None:
+            ws = self._workspaces[rows] = Workspace(self, rows)
+        return ws
+
+    def __deepcopy__(self, memo) -> Mlp:
+        # The generated copy would turn weights and biases into arrays of
+        # their own, no longer views of params, and share no workspace.
+        twin = memo[id(self)] = clone_mlp(self)
+        twin.version = self.version
+        return twin
+
+
+class Workspace:
+    """One network's buffers for inputs of one row count.
+
+    ``hidden[i]`` holds layer i's activation, ``delta[i]`` and
+    ``temp[i]`` the loss gradient at layer i's output and its activation
+    derivative, and ``grad`` the flat parameter gradient with per-layer
+    views ``grad_weights`` and ``grad_biases``. ``generation`` counts
+    the forwards that wrote into it.
+    """
+
+    def __init__(self, net: Mlp, rows: int) -> None:
+        sizes = net.layer_sizes
+        self.generation = 0
+        self.hidden = [np.empty((rows, n)) for n in sizes[1:-1]]
+        self.delta = [np.empty((rows, n)) for n in sizes[1:]]
+        self.temp = [np.empty((rows, n)) for n in sizes[1:]]
+        self.grad = np.empty_like(net.params)
+        self.grad_weights, self.grad_biases = net.split(self.grad)
 
 
 def init_mlp(
@@ -142,6 +197,8 @@ class ForwardCache:
     version: int
     layer_sizes: tuple[int, ...]
     squeezed: bool
+    workspace: Workspace | None  # None for a stack of rows
+    generation: int  # the workspace's generation this forward wrote
 
 
 def _as_rows(x: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
@@ -161,24 +218,38 @@ def forward(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     """Evaluate the network on a vector, a (batch, input_dim) matrix or a
     stack of single rows of shape (n, 1, input_dim).
 
-    Returns the output with matching rank plus the cache backward needs.
-    A matrix goes through one matrix-matrix product per layer, whose
-    rounding can differ in the last bits from evaluating its rows one
-    at a time. A stack keeps the vector-matrix product of a single row,
-    so each of its rows gives exactly the bits of ``forward(net, row)``;
-    ``backward`` does not accept its cache.
+    Returns a fresh output with matching rank plus the cache backward
+    needs. A matrix goes through one matrix-matrix product per layer,
+    whose rounding can differ in the last bits from evaluating its rows
+    one at a time. A stack keeps the vector-matrix product of a single
+    row, so each of its rows gives exactly the bits of
+    ``forward(net, row)``; ``backward`` does not accept its cache.
+
+    A vector or matrix forward writes its hidden activations into the
+    network's workspace for its row count, which invalidates every
+    earlier cache of that workspace, even when this forward raises.
     """
     a, squeezed = _as_rows(x, net.input_dim)
+    ws = None
+    if a.ndim == 2:
+        ws = net.workspace(a.shape[0])
+        ws.generation += 1
+    last = len(net.weights) - 1
     inputs = []
-    n_layers = len(net.weights)
-    for i in range(n_layers):
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         inputs.append(a)
-        z = a @ net.weights[i] + net.biases[i]
-        if i < n_layers - 1:
-            a = np.tanh(z) if net.hidden_activation == "tanh" else np.maximum(z, 0.0)
-        else:
-            a = net.output_scale * np.tanh(z) if net.output_activation == "tanh" else z
-    if not np.all(np.isfinite(a)):
+        z = np.matmul(a, w, out=ws.hidden[i] if ws is not None and i < last else None)
+        z += b
+        if i < last:
+            if net.hidden_activation == "tanh":
+                np.tanh(z, out=z)
+            else:
+                np.maximum(z, 0.0, out=z)
+        elif net.output_activation == "tanh":
+            np.tanh(z, out=z)
+            z *= net.output_scale
+        a = z
+    if not np.isfinite(a).all():
         raise NumericalError("network produced a non-finite output")
     cache = ForwardCache(
         inputs=inputs,
@@ -186,6 +257,8 @@ def forward(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
         version=net.version,
         layer_sizes=net.layer_sizes,
         squeezed=squeezed,
+        workspace=ws,
+        generation=0 if ws is None else ws.generation,
     )
     return (a[0] if squeezed else a), cache
 
@@ -204,15 +277,23 @@ def backward(
     Returns the parameter gradient, a flat vector laid out like
     ``net.params``, and the loss gradient with respect to the forward
     input, in the input's original rank. Either is None, and not
-    computed, when its flag is False.
+    computed, when its flag is False. The input gradient is a fresh
+    array. The parameter gradient is the workspace's: it stays valid
+    until the next ``backward`` through this network with the same row
+    count, so copy it to keep it longer. Raises IntegrityError when the
+    parameters changed, or a later forward reused the workspace, since
+    ``cache`` was made.
     """
     if cache.version != net.version or cache.layer_sizes != net.layer_sizes:
         raise IntegrityError("forward cache does not match current parameters")
-    if cache.outputs.ndim == 3:
+    ws = cache.workspace
+    if ws is None:
         raise ValueError(
             "backward needs the cache of a vector or matrix forward, not of an "
             "(n, 1, input_dim) stack of rows"
         )
+    if cache.generation != ws.generation:
+        raise IntegrityError("forward cache was overwritten by a later forward")
     gy = np.asarray(output_grad, dtype=np.float64)
     if cache.squeezed:
         gy = gy[None, :]
@@ -220,28 +301,35 @@ def backward(
         raise ValueError(
             f"output_grad shape {gy.shape} != output shape {cache.outputs.shape}"
         )
-    grad = d_weights = d_biases = None
-    if param_grads:
-        grad = np.empty_like(net.params)
-        d_weights, d_biases = net.split(grad)
     last = len(net.weights) - 1
     delta = gy
     for i in range(last, -1, -1):
+        temp = ws.temp[i]
         if i == last:
             if net.output_activation == "tanh":
-                out = cache.outputs / net.output_scale  # tanh(z)
-                delta = delta * net.output_scale * (1.0 - out**2)
+                # delta * scale * (1 - tanh(z)**2), tanh(z) = outputs / scale
+                np.divide(cache.outputs, net.output_scale, out=temp)
+                np.square(temp, out=temp)
+                np.subtract(1.0, temp, out=temp)
+                delta = np.multiply(delta, net.output_scale, out=ws.delta[i])
+                delta *= temp
         else:
+            # delta is ws.delta[i] here, written by the layer above.
             a_out = cache.inputs[i + 1]
             if net.hidden_activation == "tanh":
-                delta = delta * (1.0 - a_out**2)
+                np.square(a_out, out=temp)
+                np.subtract(1.0, temp, out=temp)
             else:
-                delta = delta * (a_out > 0.0)
+                np.greater(a_out, 0.0, out=temp)
+            delta *= temp
         if param_grads:
-            np.matmul(cache.inputs[i].T, delta, out=d_weights[i])
-            delta.sum(axis=0, out=d_biases[i])
-        if i > 0 or input_grad:
-            delta = delta @ net.weights[i].T
+            np.matmul(cache.inputs[i].T, delta, out=ws.grad_weights[i])
+            delta.sum(axis=0, out=ws.grad_biases[i])
+        if i > 0:
+            delta = np.matmul(delta, net.weights[i].T, out=ws.delta[i - 1])
+        elif input_grad:
+            delta = delta @ net.weights[0].T
+    grad = ws.grad if param_grads else None
     if not input_grad:
         return grad, None
     return grad, (delta[0] if cache.squeezed else delta)
@@ -285,7 +373,7 @@ def adam_step(net: Mlp, grad: np.ndarray, state: AdamState) -> None:
     """
     if grad.shape != net.params.shape:
         raise ValueError(f"gradient shape {grad.shape} != params shape {net.params.shape}")
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         raise NumericalError("non-finite gradient passed to adam_step")
     state.step += 1
     t = state.step
@@ -328,12 +416,15 @@ def hard_copy(target: Mlp, online: Mlp) -> None:
 
 
 def soft_update(target: Mlp, online: Mlp, tau: float) -> None:
-    """Polyak blend target <- tau * online + (1 - tau) * target."""
+    """Polyak blend target <- tau * online + (1 - tau) * target, with
+    ``tau * online`` formed in the target's scratch vector."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must be in [0, 1], got {tau}")
     _check_same_architecture(target, online)
+    if target._blend is None:
+        target._blend = np.empty_like(target.params)
     target.params *= 1.0 - tau
-    target.params += tau * online.params
+    target.params += np.multiply(online.params, tau, out=target._blend)
     target.version += 1
 
 

@@ -179,7 +179,8 @@ def sample_combined(
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if len(buffer) == 0:
         raise NotReadyError("cannot sample from an empty buffer")
-    indices, weights = np.empty(0, dtype=np.int64), np.empty(0)
+    indices, weights = np.empty(batch_size, dtype=np.int64), np.empty(batch_size)
+    indices[0], weights[0] = buffer.newest, 1.0
     if batch_size > 1:
-        indices, weights = inner_sampler(buffer, batch_size - 1, rng)
-    return np.append(buffer.newest, indices), np.append(1.0, weights)
+        indices[1:], weights[1:] = inner_sampler(buffer, batch_size - 1, rng)
+    return indices, weights

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,9 +16,10 @@ from replaykit.agents import (
     ObservationScaler,
     OUNoise,
     epsilon_schedule,
+    greedy_policy,
     scaler_for,
 )
-from replaykit.envs import env_spec
+from replaykit.envs import DiscreteActions, env_spec
 from replaykit.errors import ConfigurationError, NumericalError
 from replaykit.nn import Mlp, forward
 from replaykit.replay import Batch, ReplayBuffer
@@ -390,3 +392,57 @@ def test_agent_config_validation() -> None:
         DdpgConfig(tau=0.0)
     with pytest.raises(ConfigurationError):
         DdpgConfig(ou_theta=0.0)
+
+
+def overflow_outputs(net: Mlp) -> None:
+    """Make every output of a tanh-hidden, identity-output network
+    overflow to inf: saturated hidden units weighed by 1e308."""
+    net.params[...] = 0.0
+    for b in net.biases[:-1]:
+        b[...] = 1.0
+    net.weights[-1][...] = 1e308
+
+
+def test_non_finite_network_output_raises_on_every_path() -> None:
+    # Only the online networks overflow, so each error comes from the
+    # output check of forward, not from the targets or the TD errors.
+    dqn = make_dqn()
+    overflow_outputs(dqn.q)
+    ddpg = make_ddpg()
+    overflow_outputs(ddpg.critic)
+    policy = greedy_policy(dqn.q, dqn.scaler, None, DiscreteActions(2))
+    calls = [
+        lambda: dqn.act(np.zeros(3), 0.0, np.random.default_rng(0)),
+        lambda: policy(np.zeros((4, 3))),
+        lambda: dqn.update(make_batch(random_rows(8))),
+        lambda: ddpg.update(make_batch(random_rows(8, discrete=False))),
+    ]
+    for call in calls:
+        with pytest.raises(NumericalError, match="non-finite output"), np.errstate(over="ignore"):
+            call()
+
+
+def traced_peak_bytes(update, batch: Batch) -> int:
+    """Peak traced memory over 10 updates after 3 warm-up ones."""
+    for _ in range(3):
+        update(batch)
+    tracemalloc.start()
+    try:
+        for _ in range(10):
+            update(batch)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_learner_updates_allocate_less_than_their_parameters() -> None:
+    # CartPole DQN (4-64-64-2, batch 32) and Pendulum DDPG (3-64-64-1
+    # actor, 4-64-64-1 critic, batch 64): a steady-state update reuses
+    # its networks' workspaces, so its temporaries stay well below one
+    # copy of the parameters.
+    dqn = make_dqn(obs_dim=4)
+    dqn_peak = traced_peak_bytes(dqn.update, make_batch(random_rows(32, obs_dim=4)))
+    assert dqn_peak < dqn.q.params.nbytes
+    ddpg = make_ddpg()
+    ddpg_peak = traced_peak_bytes(ddpg.update, make_batch(random_rows(64, discrete=False)))
+    assert ddpg_peak < ddpg.actor.params.nbytes + ddpg.critic.params.nbytes

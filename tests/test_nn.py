@@ -218,6 +218,68 @@ def test_backward_rejects_stacked_rows_cache() -> None:
         backward(net, cache, np.ones((5, 1, 2)))
 
 
+def test_backward_rejects_cache_overwritten_by_later_forward() -> None:
+    rng = np.random.default_rng(62)
+    net = init_mlp([3, 5, 4, 2], rng)
+    gy = rng.normal(size=(6, 2))
+    _, first = forward(net, rng.normal(size=(6, 3)))
+    x = rng.normal(size=(6, 3))
+    _, second = forward(net, x)  # same row count: reuses the workspace
+    with pytest.raises(IntegrityError, match="later forward"):
+        backward(net, first, gy)
+    # Another row count has a workspace of its own and leaves it valid.
+    _, other = forward(net, rng.normal(size=(4, 3)))
+    _, vector = forward(net, rng.normal(size=3))
+    grad, dx = backward(net, second, gy)
+    fresh_grad, fresh_dx = backward(net, forward(net, x)[1], gy)
+    assert same_bits(grad, fresh_grad) and same_bits(dx, fresh_dx)
+    backward(net, other, np.ones((4, 2)))
+    backward(net, vector, np.ones(2))
+
+
+def test_forward_that_raises_still_invalidates_older_caches() -> None:
+    # Weights of 1e200: outputs of 12 * 1e200 * x, which overflow once
+    # x is near 1 but not while the hidden layer is written.
+    net = Mlp((3, 4, 2), "relu", "identity", 1.0,
+              [np.full((3, 4), 1e200), np.full((4, 2), 1e200)], [np.zeros(4), np.zeros(2)])
+    _, cache = forward(net, np.full((5, 3), 1e-200))
+    with pytest.raises(NumericalError), np.errstate(over="ignore"):
+        forward(net, np.ones((5, 3)))
+    with pytest.raises(IntegrityError):
+        backward(net, cache, np.ones((5, 2)))
+
+
+def test_outputs_and_input_gradients_are_fresh() -> None:
+    rng = np.random.default_rng(64)
+    net = init_mlp([3, 6, 2], rng, output_activation="tanh")
+    for x in (rng.normal(size=(5, 3)), rng.normal(size=3)):
+        y1, c1 = forward(net, x)
+        _, dx1 = backward(net, c1, np.ones_like(y1))
+        y2, c2 = forward(net, x)
+        _, dx2 = backward(net, c2, np.ones_like(y2))
+        assert same_bits(y1, y2) and same_bits(dx1, dx2)
+        assert not np.shares_memory(y1, y2)
+        assert not np.shares_memory(dx1, dx2)
+
+
+def overflowing(net: Mlp) -> Mlp:
+    """Set ``net``'s parameters so that every output overflows to inf:
+    each tanh hidden unit saturates at tanh(1) and the identity output
+    layer weighs all of them by 1e308."""
+    net.params[...] = 0.0
+    for b in net.biases[:-1]:
+        b[...] = 1.0
+    net.weights[-1][...] = 1e308
+    return net
+
+
+def test_non_finite_output_raises_on_matrix_and_vector_forward() -> None:
+    net = overflowing(init_mlp([3, 8, 8, 2], np.random.default_rng(65)))
+    for x in (np.zeros((4, 3)), np.zeros(3), np.zeros((4, 1, 3))):
+        with pytest.raises(NumericalError, match="non-finite output"), np.errstate(over="ignore"):
+            forward(net, x)
+
+
 @pytest.mark.parametrize("shape", [(5, 2, 3), (5, 1, 4), (2, 5, 1, 3)])
 def test_forward_rejects_other_stacks(shape) -> None:
     net = init_mlp([3, 4, 2], np.random.default_rng(49))
@@ -506,15 +568,22 @@ def test_backward_flags_match_per_array_reference() -> None:
         _, cache = forward(net, x)
         gy = rng.normal(size=(5, net.output_dim)) if trial % 2 else rng.normal(size=net.output_dim)
         ref_w, ref_b, ref_dx = reference_backward(net, cache, gy)
-        full_grad, full_dx = backward(net, cache, gy)
-        grad, no_dx = backward(net, cache, gy, input_grad=False)
-        no_grad, dx = backward(net, cache, gy, param_grads=False)
-        assert no_dx is None and no_grad is None
-        for flat in (full_grad, grad):
+
+        def assert_matches_reference(flat) -> None:
             assert flat.shape == net.params.shape
             d_weights, d_biases = net.split(flat)
             for got, want in zip(d_weights + d_biases, ref_w + ref_b):
                 assert same_bits(got, want)
+
+        # The parameter gradient lives in the workspace until the next
+        # backward, so each one is checked before the next call.
+        full_grad, full_dx = backward(net, cache, gy)
+        assert_matches_reference(full_grad)
+        full_grad[...] = np.nan  # the next call must rewrite every entry
+        grad, no_dx = backward(net, cache, gy, input_grad=False)
+        assert_matches_reference(grad)
+        no_grad, dx = backward(net, cache, gy, param_grads=False)
+        assert no_dx is None and no_grad is None
         assert same_bits(full_dx, ref_dx) and same_bits(dx, ref_dx)
 
 
