@@ -38,8 +38,8 @@ DIVERGENCE_LIMIT = 1e6
 def check_divergence(td_errors: np.ndarray) -> None:
     """Raise NumericalError when any TD error is non-finite or beyond
     :data:`DIVERGENCE_LIMIT` in magnitude."""
-    worst = float(np.max(np.abs(td_errors)))
-    if not np.isfinite(worst) or worst > DIVERGENCE_LIMIT:
+    worst = float(np.abs(td_errors).max())
+    if not math.isfinite(worst) or worst > DIVERGENCE_LIMIT:
         raise NumericalError(f"TD error magnitude {worst:.3g} exceeds divergence limit")
 
 
