@@ -404,14 +404,17 @@ def overflow_outputs(net: Mlp) -> None:
 
 
 def test_non_finite_network_output_raises_on_every_path() -> None:
-    # Only the online networks overflow, so each error comes from the
-    # output check of forward, not from the targets or the TD errors.
+    # A matrix forward, a vector forward (act), a stack of rows (the
+    # eval policy) and both updates. Only the online networks overflow,
+    # so each error comes from the output check of forward, not from
+    # the targets or the TD errors.
     dqn = make_dqn()
     overflow_outputs(dqn.q)
     ddpg = make_ddpg()
     overflow_outputs(ddpg.critic)
     policy = greedy_policy(dqn.q, dqn.scaler, None, DiscreteActions(2))
     calls = [
+        lambda: forward(dqn.q, np.zeros((4, 3))),
         lambda: dqn.act(np.zeros(3), 0.0, np.random.default_rng(0)),
         lambda: policy(np.zeros((4, 3))),
         lambda: dqn.update(make_batch(random_rows(8))),
