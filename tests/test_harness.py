@@ -485,6 +485,115 @@ def test_write_manifest_sorted(tmp_path) -> None:
     assert "zzz=1" in lines
 
 
+_DEFAULT_HYPERPARAMETER_LINES = {
+    "ddpg": (
+        "ddpg_actor_lr=0.0001\n"
+        "ddpg_batch_size=64\n"
+        "ddpg_critic_lr=0.001\n"
+        "ddpg_gamma=0.99\n"
+        "ddpg_hidden_sizes=64,64\n"
+        "ddpg_ou_mu=0.0\n"
+        "ddpg_ou_sigma=0.2\n"
+        "ddpg_ou_theta=0.15\n"
+        "ddpg_tau=0.005\n"
+        "ddpg_warmup=1000\n"
+    ),
+    "dqn": (
+        "dqn_batch_size=32\n"
+        "dqn_epsilon_decay_steps=10000\n"
+        "dqn_epsilon_end=0.05\n"
+        "dqn_epsilon_start=1.0\n"
+        "dqn_gamma=0.99\n"
+        "dqn_hidden_sizes=64,64\n"
+        "dqn_learning_rate=0.001\n"
+        "dqn_target_update_period=500\n"
+        "dqn_warmup=1000\n"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "cfg, expected",
+    [
+        (
+            RunConfig(),
+            "agent=dqn\n"
+            "buffer_capacity=50000\n"
+            "combined=false\n"
+            "converged_at=\n"
+            + _DEFAULT_HYPERPARAMETER_LINES["ddpg"]
+            + _DEFAULT_HYPERPARAMETER_LINES["dqn"]
+            + "env=cartpole\n"
+            "episodes=500\n"
+            "eval_episodes=100\n"
+            "eval_interval=50\n"
+            "goal_tolerance=\n"
+            "hindsight=false\n"
+            "per_alpha=0.6\n"
+            "per_beta=0.4\n"
+            "per_epsilon=0.01\n"
+            "per_max_priority=1.0\n"
+            "prioritized=false\n"
+            "seed=0\n"
+            "timing=false\n",
+        ),
+        (
+            RunConfig(
+                env="pendulum",
+                agent="ddpg",
+                hindsight=True,
+                prioritized=True,
+                seed=11,
+                episodes=40,
+                buffer_capacity=2048,
+                ddpg=DdpgConfig(
+                    tau=0.01, actor_lr=1e-5, ou_sigma=0.3, hidden_sizes=(32, 16)
+                ),
+                per=PerConfig(alpha=0.7, max_priority=2.5),
+            ),
+            "agent=ddpg\n"
+            "buffer_capacity=2048\n"
+            "combined=false\n"
+            "converged_at=\n"
+            "ddpg_actor_lr=1e-05\n"
+            "ddpg_batch_size=64\n"
+            "ddpg_critic_lr=0.001\n"
+            "ddpg_gamma=0.99\n"
+            "ddpg_hidden_sizes=32,16\n"
+            "ddpg_ou_mu=0.0\n"
+            "ddpg_ou_sigma=0.3\n"
+            "ddpg_ou_theta=0.15\n"
+            "ddpg_tau=0.01\n"
+            "ddpg_warmup=1000\n"
+            + _DEFAULT_HYPERPARAMETER_LINES["dqn"]
+            + "env=pendulum\n"
+            "episodes=40\n"
+            "eval_episodes=100\n"
+            "eval_interval=50\n"
+            "goal_tolerance=0.1\n"
+            "hindsight=true\n"
+            "per_alpha=0.7\n"
+            "per_beta=0.4\n"
+            "per_epsilon=0.01\n"
+            "per_max_priority=2.5\n"
+            "prioritized=true\n"
+            "seed=11\n"
+            "timing=false\n",
+        ),
+    ],
+    ids=["dqn-defaults", "ddpg-hindsight-prioritized-overrides"],
+)
+def test_write_manifest_bytes_are_pinned(tmp_path, cfg, expected) -> None:
+    # The same extras run_to_dir writes; the wall-clock line varies by
+    # run and is left out of the comparison.
+    path = tmp_path / "manifest.txt"
+    write_manifest(path, cfg, extra={"converged_at": "", "total_wallclock_ms": "17"})
+    lines = path.read_bytes().decode("utf-8").splitlines(keepends=True)
+    assert "total_wallclock_ms=17\n" in lines
+    kept = "".join(line for line in lines if not line.startswith("total_wallclock_ms="))
+    assert kept == expected
+
+
 def test_run_to_dir_writes_artifacts(tmp_path) -> None:
     out = tmp_path / "run0"
     result = run_to_dir(tiny_config(episodes=2), out)
