@@ -2,6 +2,7 @@
 environments, and an experiment harness."""
 
 from .agents import DdpgAgent, DdpgConfig, DqnAgent, DqnConfig, OUNoise
+from .config import RunConfig
 from .envs import env_names, env_spec, make_env
 from .errors import (
     CheckpointError,
@@ -14,7 +15,6 @@ from .errors import (
 from .harness import (
     Experiment,
     ReplayStack,
-    RunConfig,
     TrainRecord,
     build_run,
     check_convergence,

@@ -136,6 +136,16 @@ def _squared_loss_grad(weights: np.ndarray, td_errors: np.ndarray) -> np.ndarray
     return grad
 
 
+def _check_learning_rate(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ConfigurationError(f"{name} must be finite and > 0, got {value}")
+
+
+def _check_hidden_sizes(sizes: tuple[int, ...]) -> None:
+    if any(size < 1 for size in sizes):
+        raise ConfigurationError(f"hidden_sizes must all be >= 1, got {sizes}")
+
+
 @dataclass(frozen=True)
 class DqnConfig:
     gamma: float = 0.99
@@ -156,10 +166,14 @@ class DqnConfig:
                 "need 0 <= epsilon_end <= epsilon_start <= 1, got "
                 f"{self.epsilon_end}, {self.epsilon_start}"
             )
+        if self.epsilon_decay_steps < 1:
+            raise ConfigurationError("epsilon_decay_steps must be >= 1")
         if self.target_update_period < 1:
             raise ConfigurationError("target_update_period must be >= 1")
         if self.batch_size < 1 or self.warmup < 1:
             raise ConfigurationError("batch_size and warmup must be >= 1")
+        _check_learning_rate("learning_rate", self.learning_rate)
+        _check_hidden_sizes(self.hidden_sizes)
 
 
 class DqnAgent:
@@ -257,8 +271,14 @@ class DdpgConfig:
             raise ConfigurationError(f"tau must be in (0, 1], got {self.tau}")
         if self.batch_size < 1 or self.warmup < 1:
             raise ConfigurationError("batch_size and warmup must be >= 1")
-        if self.ou_theta <= 0.0 or self.ou_sigma < 0.0:
-            raise ConfigurationError("need ou_theta > 0 and ou_sigma >= 0")
+        ou = (self.ou_theta, self.ou_sigma, self.ou_mu)
+        if not (all(map(math.isfinite, ou)) and self.ou_theta > 0.0 and self.ou_sigma >= 0.0):
+            raise ConfigurationError(
+                f"need finite ou_theta > 0, ou_sigma >= 0 and ou_mu; got {ou}"
+            )
+        _check_learning_rate("actor_lr", self.actor_lr)
+        _check_learning_rate("critic_lr", self.critic_lr)
+        _check_hidden_sizes(self.hidden_sizes)
 
 
 class OUNoise:

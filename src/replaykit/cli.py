@@ -11,18 +11,10 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .config import RunConfig, config_from_mapping, parse_config_file, validate_config
 from .envs import env_names
 from .errors import ConfigurationError, ReplayKitError
-from .harness import (
-    RunConfig,
-    check_convergence,
-    config_from_mapping,
-    evaluate_checkpoint,
-    parse_config_file,
-    run_to_dir,
-    sweep,
-    validate_config,
-)
+from .harness import evaluate_checkpoint, run_to_dir, sweep
 
 
 def _add_run_arguments(parser: argparse.ArgumentParser) -> None:

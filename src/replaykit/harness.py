@@ -18,20 +18,27 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .agents import (
     DdpgAgent,
-    DdpgConfig,
     DqnAgent,
-    DqnConfig,
     ObservationScaler,
     OUNoise,
     epsilon_schedule,
     greedy_policy,
     scaler_for,
+)
+from .config import (
+    RunConfig,
+    check_seed,
+    config_from_mapping,
+    config_to_mapping,
+    effective_mapping,
+    parse_config_file,  # noqa: F401  (re-exported: callers import it from here)
+    validate_config,
 )
 from .envs import BoxAction, DiscreteActions, EnvSpec, env_class, env_names, make_env
 from .errors import CheckpointError, ConfigurationError
@@ -46,220 +53,6 @@ CSV_HEADER = "episode,train_reward,eval_mean,eval_std,steps,wallclock_ms"
 # Stream indices for seed splitting.
 _STREAMS = ("env", "init", "explore", "sample")
 _EVAL_TAG = 0x45564131  # distinct entropy word for evaluation rngs
-
-
-def _check_seed(seed: int) -> None:
-    if seed < 0 or seed >= 2**64:
-        raise ConfigurationError(f"seed must fit in u64, got {seed}")
-
-
-def _parse_bool(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise ConfigurationError(f"expected a boolean, got {raw!r}")
-
-
-def _parse_int(raw: str) -> int:
-    try:
-        return int(raw.strip())
-    except ValueError:
-        raise ConfigurationError(f"expected an integer, got {raw!r}") from None
-
-
-def _parse_float(raw: str) -> float:
-    try:
-        return float(raw.strip())
-    except ValueError:
-        raise ConfigurationError(f"expected a number, got {raw!r}") from None
-
-
-def _parse_opt_int(raw: str) -> int | None:
-    stripped = raw.strip().lower()
-    return None if stripped in ("", "none", "auto") else _parse_int(raw)
-
-
-def _parse_opt_float(raw: str) -> float | None:
-    stripped = raw.strip().lower()
-    return None if stripped in ("", "none", "auto") else _parse_float(raw)
-
-
-def _parse_sizes(raw: str) -> tuple[int, ...]:
-    parts = [p for p in raw.replace(",", " ").split() if p]
-    if not parts:
-        raise ConfigurationError(f"expected layer sizes, got {raw!r}")
-    return tuple(_parse_int(p) for p in parts)
-
-
-_TOP_KEYS = {
-    "env": str,
-    "agent": str,
-    "combined": _parse_bool,
-    "prioritized": _parse_bool,
-    "hindsight": _parse_bool,
-    "seed": _parse_int,
-    "episodes": _parse_int,
-    "eval_interval": _parse_int,
-    "eval_episodes": _parse_int,
-    "buffer_capacity": _parse_opt_int,
-    "goal_tolerance": _parse_opt_float,
-    "timing": _parse_bool,
-}
-
-_DQN_KEYS = {
-    "gamma": _parse_float,
-    "epsilon_start": _parse_float,
-    "epsilon_end": _parse_float,
-    "epsilon_decay_steps": _parse_int,
-    "target_update_period": _parse_int,
-    "batch_size": _parse_int,
-    "learning_rate": _parse_float,
-    "warmup": _parse_int,
-    "hidden_sizes": _parse_sizes,
-}
-
-_DDPG_KEYS = {
-    "gamma": _parse_float,
-    "tau": _parse_float,
-    "actor_lr": _parse_float,
-    "critic_lr": _parse_float,
-    "batch_size": _parse_int,
-    "warmup": _parse_int,
-    "ou_theta": _parse_float,
-    "ou_sigma": _parse_float,
-    "ou_mu": _parse_float,
-    "hidden_sizes": _parse_sizes,
-}
-
-_PER_KEYS = {
-    "alpha": _parse_float,
-    "beta": _parse_float,
-    "epsilon": _parse_float,
-    "max_priority": _parse_float,
-}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything that defines a run, flat-file serializable.
-
-    ``buffer_capacity`` and ``goal_tolerance`` default to None meaning
-    "resolve from the agent/environment defaults" (50k transitions for
-    DQN, 100k for DDPG; the environment's goal tolerance).
-    """
-
-    env: str = "cartpole"
-    agent: str = "dqn"
-    combined: bool = False
-    prioritized: bool = False
-    hindsight: bool = False
-    seed: int = 0
-    episodes: int = 500
-    eval_interval: int = 50
-    eval_episodes: int = 100
-    buffer_capacity: int | None = None
-    goal_tolerance: float | None = None
-    timing: bool = False
-    dqn: DqnConfig = field(default_factory=DqnConfig)
-    ddpg: DdpgConfig = field(default_factory=DdpgConfig)
-    per: PerConfig = field(default_factory=PerConfig)
-
-    def __post_init__(self) -> None:
-        _check_seed(self.seed)
-        if self.episodes < 0:
-            raise ConfigurationError(f"episodes must be >= 0, got {self.episodes}")
-        if self.eval_interval < 1 or self.eval_episodes < 1:
-            raise ConfigurationError("eval_interval and eval_episodes must be >= 1")
-        if self.buffer_capacity is not None and self.buffer_capacity < 1:
-            raise ConfigurationError("buffer_capacity must be >= 1 when given")
-        tol = self.goal_tolerance
-        if tol is not None and not (math.isfinite(tol) and tol > 0.0):
-            raise ConfigurationError(f"goal_tolerance must be finite and > 0, got {tol}")
-
-    def resolved_buffer_capacity(self) -> int:
-        if self.buffer_capacity is not None:
-            return self.buffer_capacity
-        return 100_000 if self.agent == "ddpg" else 50_000
-
-    def resolved_goal_tolerance(self) -> float | None:
-        if self.goal_tolerance is not None:
-            return float(self.goal_tolerance)
-        return env_class(self.env).spec.goal_tolerance
-
-    def strategy_name(self) -> str:
-        parts = []
-        if self.combined:
-            parts.append("c")
-        if self.hindsight:
-            parts.append("h")
-        if self.prioritized:
-            parts.append("p")
-        return "".join(parts) + "er" if parts else "baseline"
-
-
-def config_from_mapping(mapping: dict[str, str], base: RunConfig | None = None) -> RunConfig:
-    """Build a RunConfig from flat key=value strings, starting from
-    ``base`` (or defaults). Nested hyperparameters use the prefixes
-    dqn_, ddpg_, and per_."""
-    cfg = base or RunConfig()
-    top: dict[str, object] = {}
-    nested: dict[str, dict[str, object]] = {"dqn": {}, "ddpg": {}, "per": {}}
-    tables = {"dqn": _DQN_KEYS, "ddpg": _DDPG_KEYS, "per": _PER_KEYS}
-    for key, raw in mapping.items():
-        if key in _TOP_KEYS:
-            top[key] = _TOP_KEYS[key](raw)
-            continue
-        prefix, _, rest = key.partition("_")
-        if prefix in tables and rest in tables[prefix]:
-            nested[prefix][rest] = tables[prefix][rest](raw)
-            continue
-        raise ConfigurationError(f"unknown config key {key!r}")
-    for name, overrides in nested.items():
-        if overrides:
-            top[name] = replace(getattr(cfg, name), **overrides)
-    return replace(cfg, **top)
-
-
-def config_to_mapping(cfg: RunConfig) -> dict[str, str]:
-    """Flatten a RunConfig to strings; inverse of config_from_mapping."""
-
-    def render(value) -> str:
-        if value is None:
-            return ""
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        if isinstance(value, tuple):
-            return ",".join(str(v) for v in value)
-        if isinstance(value, float):
-            return repr(value)
-        return str(value)
-
-    out: dict[str, str] = {}
-    for key in _TOP_KEYS:
-        out[key] = render(getattr(cfg, key))
-    for prefix, sub in (("dqn", cfg.dqn), ("ddpg", cfg.ddpg), ("per", cfg.per)):
-        for f in fields(sub):
-            out[f"{prefix}_{f.name}"] = render(getattr(sub, f.name))
-    return out
-
-
-def parse_config_file(path) -> dict[str, str]:
-    """Read flat key=value lines; blank lines and # comments ignored."""
-    mapping: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ConfigurationError(
-                    f"{path}:{lineno}: expected key=value, got {stripped!r}"
-                )
-            key, _, value = stripped.partition("=")
-            mapping[key.strip()] = value.strip()
-    return mapping
 
 
 class ReplayStack:
@@ -329,33 +122,6 @@ class Experiment:
     env_rng: np.random.Generator
     explore_rng: np.random.Generator
     noise: OUNoise | None
-
-
-def validate_config(cfg: RunConfig) -> None:
-    """Reject impossible (env, agent, strategy) combinations with the
-    conflicting pair named, and a goal tolerance the env's native goal
-    cannot honor."""
-    try:
-        env = env_class(cfg.env)
-    except ValueError as exc:
-        raise ConfigurationError(str(exc)) from None
-    spec = env.spec
-    if cfg.agent not in ("dqn", "ddpg"):
-        raise ConfigurationError(f"unknown agent {cfg.agent!r}; choose dqn or ddpg")
-    if isinstance(spec.actions, BoxAction) and cfg.agent == "dqn":
-        raise ConfigurationError(
-            f"agent 'dqn' cannot drive env '{cfg.env}': continuous actions"
-        )
-    if isinstance(spec.actions, DiscreteActions) and cfg.agent == "ddpg":
-        raise ConfigurationError(
-            f"agent 'ddpg' cannot drive env '{cfg.env}': discrete actions"
-        )
-    if cfg.hindsight and spec.goal_dim == 0:
-        raise ConfigurationError(
-            f"strategy 'hindsight' is unsupported on env '{cfg.env}': no goal space"
-        )
-    if spec.goal_dim > 0:
-        env.native_goal(cfg.resolved_goal_tolerance())
 
 
 def build_run(cfg: RunConfig) -> Experiment:
@@ -515,24 +281,20 @@ def train(exp: Experiment) -> list[TrainRecord]:
                 episode, float(episode_reward), eval_mean, eval_std, env_steps, wallclock
             )
         )
-        if (
-            fresh_eval
-            and exp.spec.solve_reward is not None
-            and eval_mean >= exp.spec.solve_reward
-        ):
+        if fresh_eval and _solved(exp.spec, eval_mean):
             break
     return records
+
+
+def _solved(spec: EnvSpec, eval_mean: float) -> bool:
+    # NaN (no evaluation yet) compares False.
+    return spec.solve_reward is not None and eval_mean >= spec.solve_reward
 
 
 def check_convergence(records: list[TrainRecord], spec: EnvSpec) -> int | None:
     """Episode of the first evaluation meeting the solve threshold, or
     None when the task has no threshold or no evaluation met it."""
-    if spec.solve_reward is None:
-        return None
-    for record in records:
-        if not math.isnan(record.eval_mean) and record.eval_mean >= spec.solve_reward:
-            return record.episode
-    return None
+    return next((r.episode for r in records if _solved(spec, r.eval_mean)), None)
 
 
 def emit_csv(records: list[TrainRecord], path) -> None:
@@ -545,15 +307,6 @@ def emit_csv(records: list[TrainRecord], path) -> None:
             f"{r.eval_std:.6f},{r.steps},{r.wallclock_ms}"
         )
     write_text_atomic(path, "\n".join(lines) + "\n", "ascii")
-
-
-def effective_mapping(cfg: RunConfig) -> dict[str, str]:
-    """Config mapping with auto fields resolved to their final values."""
-    mapping = config_to_mapping(cfg)
-    mapping["buffer_capacity"] = str(cfg.resolved_buffer_capacity())
-    if cfg.hindsight:
-        mapping["goal_tolerance"] = repr(cfg.resolved_goal_tolerance())
-    return mapping
 
 
 def write_manifest(path, cfg: RunConfig, extra: dict[str, str] | None = None) -> None:
@@ -569,14 +322,15 @@ def _checkpoint_nets(agent) -> dict[str, object]:
     return {"actor": agent.actor, "critic": agent.critic}
 
 
+# Config keys a checkpoint carries as meta lines, enough to rebuild its
+# greedy policy.
+_META_KEYS = ("env", "agent", "hindsight", "goal_tolerance")
+
+
 def save_run_checkpoint(path, exp: Experiment) -> None:
-    cfg = exp.config
-    meta = {
-        "env": cfg.env,
-        "agent": cfg.agent,
-        "hindsight": "true" if cfg.hindsight else "false",
-        "goal_tolerance": "" if exp.goal_tolerance is None else repr(exp.goal_tolerance),
-    }
+    # goal_tolerance is the one in force: resolved under hindsight, else empty.
+    mapping = config_to_mapping(replace(exp.config, goal_tolerance=exp.goal_tolerance))
+    meta = {key: mapping[key] for key in _META_KEYS}
     save_checkpoint(path, _checkpoint_nets(exp.agent), meta)
 
 
@@ -588,7 +342,7 @@ def evaluate_checkpoint(path, episodes: int, seed: int = 0) -> tuple[float, floa
     other or do not parse, or when the policy network's input or output
     size does not fit the env. Raises ConfigurationError when
     ``episodes`` is below 1 or ``seed`` does not fit in u64."""
-    _check_seed(seed)
+    check_seed(seed)
     nets, meta = load_checkpoint(path)
     env_name = meta.get("env")
     agent_kind = meta.get("agent")
@@ -598,20 +352,16 @@ def evaluate_checkpoint(path, episodes: int, seed: int = 0) -> tuple[float, floa
             f"{path}: needs a known env, agent and policy network; has env "
             f"{env_name!r}, agent {agent_kind!r}, networks {sorted(nets)}"
         )
-    hindsight = meta.get("hindsight") == "true"
     try:
-        tolerance = _parse_opt_float(meta.get("goal_tolerance", ""))
-        cfg = RunConfig(
-            env=env_name, agent=agent_kind, hindsight=hindsight, goal_tolerance=tolerance
-        )
+        cfg = config_from_mapping({key: meta[key] for key in _META_KEYS if key in meta})
         validate_config(cfg)
     except ConfigurationError as exc:
-        raise CheckpointError(f"{path}: inconsistent meta lines: {exc}") from None
+        raise CheckpointError(f"{path}: bad meta lines: {exc}") from None
     env = env_class(env_name)
-    goal = env.native_goal(cfg.resolved_goal_tolerance()) if hindsight else None
+    goal = env.native_goal(cfg.resolved_goal_tolerance()) if cfg.hindsight else None
     try:
         policy = greedy_policy(
-            nets[policy_net], scaler_for(env.spec, hindsight), goal, env.spec.actions
+            nets[policy_net], scaler_for(env.spec, cfg.hindsight), goal, env.spec.actions
         )
     except ConfigurationError as exc:
         raise CheckpointError(f"{path}: network {policy_net!r} does not fit: {exc}") from None

@@ -9,6 +9,7 @@ weight in every batch is exactly 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,12 +188,10 @@ class PerConfig:
             raise ConfigurationError(f"alpha must be in [0, 1], got {self.alpha}")
         if not 0.0 <= self.beta <= 1.0:
             raise ConfigurationError(f"beta must be in [0, 1], got {self.beta}")
-        if not self.epsilon > 0.0:
-            raise ConfigurationError(f"epsilon must be > 0, got {self.epsilon}")
-        if not self.max_priority > 0.0:
-            raise ConfigurationError(
-                f"max_priority must be > 0, got {self.max_priority}"
-            )
+        for name in ("epsilon", "max_priority"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigurationError(f"{name} must be finite and > 0, got {value}")
 
 
 class PrioritizedSampler:

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from replaykit.cli import main
+from replaykit.errors import CheckpointError
+from replaykit.harness import evaluate_checkpoint
 from replaykit.nn import init_mlp, save_checkpoint
 
 TINY = [
@@ -218,6 +220,21 @@ def test_eval_checkpoint_bad_goal_tolerance_exits_nonzero(tmp_path, capsys) -> N
     assert "'abc'" in err
 
 
+def test_eval_checkpoint_unparsable_hindsight_exits_1(tmp_path, capsys) -> None:
+    # Meta lines parse as config keys, so "maybe" is an error, not false.
+    checkpoint = tmp_path / "checkpoint.txt"
+    q = init_mlp([3, 8, 3], np.random.default_rng(0))
+    save_checkpoint(checkpoint, {"q": q}, {"env": "mountaincar", "agent": "dqn",
+                                           "hindsight": "maybe"})
+    with pytest.raises(CheckpointError, match="expected a boolean, got 'maybe'"):
+        evaluate_checkpoint(checkpoint, episodes=1)
+    code = run_cli(["eval", "--checkpoint", checkpoint])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "'maybe'" in err
+
+
 @pytest.mark.parametrize("tolerance", ["-1", "0", "nan", "inf"])
 def test_train_bad_goal_tolerance_exits_2(tmp_path, capsys, tolerance) -> None:
     out = tmp_path / "run"
@@ -226,6 +243,38 @@ def test_train_bad_goal_tolerance_exits_2(tmp_path, capsys, tolerance) -> None:
                     "--set", f"goal_tolerance={tolerance}"])
     assert code == 2
     assert "goal_tolerance" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "env, agent, setting",
+    [
+        ("cartpole", "dqn", "dqn_learning_rate=-1"),
+        ("cartpole", "dqn", "dqn_learning_rate=nan"),
+        ("pendulum", "ddpg", "ddpg_actor_lr=-1"),
+        ("pendulum", "ddpg", "ddpg_actor_lr=nan"),
+        ("pendulum", "ddpg", "ddpg_critic_lr=-1"),
+        ("pendulum", "ddpg", "ddpg_critic_lr=nan"),
+        ("cartpole", "dqn", "dqn_hidden_sizes=0"),
+        ("cartpole", "dqn", "dqn_hidden_sizes=-3"),
+        ("pendulum", "ddpg", "ddpg_hidden_sizes=8,0"),
+        ("pendulum", "ddpg", "ddpg_ou_mu=nan"),
+        ("pendulum", "ddpg", "ddpg_ou_sigma=inf"),
+        ("pendulum", "ddpg", "ddpg_ou_theta=inf"),
+        ("cartpole", "dqn", "per_max_priority=inf"),
+        ("cartpole", "dqn", "per_epsilon=inf"),
+        ("cartpole", "dqn", "dqn_epsilon_decay_steps=0"),
+    ],
+)
+def test_train_bad_hyperparameter_exits_2(tmp_path, capsys, env, agent, setting) -> None:
+    out = tmp_path / "run"
+    code = run_cli(["train", "--env", env, "--agent", agent, "--prioritized",
+                    "--out", out, *TINY, "--set", setting])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert setting.partition("_")[2].partition("=")[0] in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 
