@@ -196,7 +196,11 @@ def config_from_mapping(mapping: dict[str, str], base: RunConfig | None = None) 
         if key not in _KEYS:
             raise ConfigurationError(f"unknown config key {key!r}")
         group, name, (parse, _) = _KEYS[key]
-        (top if group is None else nested.setdefault(group, {}))[name] = parse(raw)
+        try:
+            value = parse(raw)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{key}: {exc}") from None
+        (top if group is None else nested.setdefault(group, {}))[name] = value
     for group, overrides in nested.items():
         top[group] = replace(getattr(cfg, group), **overrides)
     return replace(cfg, **top)

@@ -108,6 +108,23 @@ def test_malformed_set_exits_2(tmp_path, capsys) -> None:
     assert "KEY=VALUE" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("dqn_batch_size=many", "dqn_batch_size: expected an integer, got 'many'"),
+        ("combined=maybe", "combined: expected a boolean, got 'maybe'"),
+        ("per_alpha=high", "per_alpha: expected a number, got 'high'"),
+    ],
+)
+def test_unparsable_value_names_its_key_and_exits_2(tmp_path, capsys, setting, message) -> None:
+    code = run_cli(["train", "--env", "cartpole", "--agent", "dqn",
+                    "--out", tmp_path / "x", "--set", setting])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.strip() == f"configuration error: {message}"
+    assert not (tmp_path / "x").exists()
+
+
 def test_unknown_env_rejected_by_argparse(tmp_path, capsys) -> None:
     with pytest.raises(SystemExit) as excinfo:
         run_cli(["train", "--env", "gridworld", "--agent", "dqn",

@@ -12,6 +12,7 @@ from replaykit import config
 from replaykit.agents import DdpgConfig, DqnConfig
 from replaykit.config import RunConfig, config_from_mapping, config_to_mapping
 from replaykit.envs import env_names
+from replaykit.errors import ConfigurationError
 from replaykit.prioritized import PerConfig
 
 unit = st.floats(0.0, 1.0)
@@ -110,3 +111,20 @@ def test_annotation_without_codec_fails_when_the_table_is_built() -> None:
     with pytest.raises(TypeError, match="'scale': no codec for annotation 'complex'"):
         config._key_table(TopBad)
     assert config._key_table(RunConfig) == config._KEYS
+
+
+@pytest.mark.parametrize(
+    "key, raw, reason",
+    [
+        ("dqn_batch_size", "many", "expected an integer, got 'many'"),
+        ("seed", "1.5", "expected an integer, got '1.5'"),
+        ("hindsight", "maybe", "expected a boolean, got 'maybe'"),
+        ("per_beta", "", "expected a number, got ''"),
+        ("ddpg_hidden_sizes", "8,x", "expected an integer, got 'x'"),
+        ("buffer_capacity", "lots", "expected an integer, got 'lots'"),
+    ],
+)
+def test_parse_error_is_prefixed_with_its_key(key, raw, reason) -> None:
+    with pytest.raises(ConfigurationError) as excinfo:
+        config_from_mapping({"episodes": "3", key: raw})
+    assert str(excinfo.value) == f"{key}: {reason}"
