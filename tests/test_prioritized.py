@@ -152,6 +152,58 @@ def test_tree_sample_batch_at_exact_prefix_boundaries() -> None:
         assert [tree.sample(float(u)) for u in prefixes] == expected
 
 
+def boundary_leaves(capacity: int, rng: np.random.Generator) -> np.ndarray:
+    """Integer leaves, about a third of them zero; from capacity 129 on,
+    the first and the last 64-leaf block are all zero too."""
+    leaves = rng.integers(0, 4, size=capacity).astype(float)
+    leaves[rng.random(capacity) < 0.3] = 0.0
+    if capacity > 128:
+        leaves[:64] = 0.0
+        leaves[64 * ((capacity - 1) // 64):] = 0.0
+    if leaves.sum() == 0.0:
+        leaves[capacity // 2] = 1.0
+    return leaves
+
+
+@pytest.mark.parametrize("start", [1, 101, 201])
+def test_tree_matches_oracle_across_block_boundaries(start) -> None:
+    # Integer leaves keep every prefix sum exact, so offsets land exactly
+    # on leaf and block boundaries (every 64th prefix), next to them,
+    # inside runs of zero leaves and just below the total.
+    rng = np.random.default_rng(15 + start)
+    capacities = list(range(start, start + 100)) + ([1000] if start == 201 else [])
+    for capacity in capacities:
+        leaves = boundary_leaves(capacity, rng)
+        tree = SumTree(capacity)
+        # Stale integer values first, so every final value is an overwrite.
+        tree.set_many(range(capacity), rng.integers(0, 9, size=capacity).astype(float))
+        if capacity % 2:
+            tree.set_many(range(capacity), leaves)
+        else:
+            for i, value in enumerate(leaves):
+                tree.set(i, float(value))
+        total = float(leaves.sum())
+        assert tree.total == total
+        prefixes = np.concatenate(([0.0], np.cumsum(leaves)[:-1]))
+        chosen = np.unique(np.concatenate((
+            np.arange(0, capacity, 64),
+            np.arange(63, capacity, 64),
+            np.arange(65, capacity, 64),
+            rng.integers(0, capacity, size=12),
+        )))
+        us = np.concatenate((
+            prefixes[chosen],
+            prefixes[chosen] + 0.5,
+            np.nextafter(prefixes[chosen], np.inf),
+            [np.nextafter(total, 0.0)],
+        ))
+        us = us[us < total]
+        drawn = tree.sample_batch(us)
+        assert drawn.tolist() == [linear_scan_sample(leaves, float(u)) for u in us]
+        assert np.all(leaves[drawn] > 0.0)
+        assert tree.sample(float(us[-1])) == drawn[-1]
+
+
 @st.composite
 def tree_writes(draw):
     """A capacity (not always a power of two) and a few batches of
