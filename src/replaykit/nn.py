@@ -367,9 +367,12 @@ def adam_init(net: Mlp, learning_rate: float) -> AdamState:
 def adam_step(net: Mlp, grad: np.ndarray, state: AdamState) -> None:
     """Apply one Adam update in place and bump the parameter version.
 
-    ``grad`` is a flat gradient laid out like ``net.params``. The update
-    is p -= lr * (m / bias1) / (sqrt(v / bias2) + eps), evaluated in
-    that order over the whole vector.
+    ``grad`` is a flat gradient laid out like ``net.params``. The bias
+    corrections are folded into the step size and epsilon (Kingma & Ba,
+    end of section 2): p -= lr_t * m / (sqrt(v) + eps_t) with
+    lr_t = lr * sqrt(1 - beta2^t) / (1 - beta1^t) and
+    eps_t = eps * sqrt(1 - beta2^t), which is the textbook update up to
+    rounding, evaluated in that order over the whole vector.
     """
     if grad.shape != net.params.shape:
         raise ValueError(f"gradient shape {grad.shape} != params shape {net.params.shape}")
@@ -377,8 +380,8 @@ def adam_step(net: Mlp, grad: np.ndarray, state: AdamState) -> None:
         raise NumericalError("non-finite gradient passed to adam_step")
     state.step += 1
     t = state.step
-    bias1 = 1.0 - state.beta1**t
-    bias2 = 1.0 - state.beta2**t
+    root2 = math.sqrt(1.0 - state.beta2**t)
+    lr_t = state.learning_rate * root2 / (1.0 - state.beta1**t)
     m, v = state.m, state.v
     num, den = state.work
     m *= state.beta1
@@ -388,11 +391,9 @@ def adam_step(net: Mlp, grad: np.ndarray, state: AdamState) -> None:
     np.square(grad, out=num)
     num *= 1.0 - state.beta2
     v += num
-    np.divide(v, bias2, out=den)
-    np.sqrt(den, out=den)
-    den += state.epsilon
-    np.divide(m, bias1, out=num)
-    num *= state.learning_rate
+    np.sqrt(v, out=den)
+    den += state.epsilon * root2
+    np.multiply(m, lr_t, out=num)
     num /= den
     net.params -= num
     net.version += 1

@@ -1,10 +1,10 @@
 """Proportional prioritized sampling over buffer slots.
 
-A flat-array sum tree keeps per-slot priorities already raised to the
-alpha exponent, so sampling is an O(log n) prefix-sum descent and the
-probability of slot i is leaf(i) / total. Importance weights correct
-the induced bias and are normalized by the batch maximum so the largest
-weight in every batch is exactly 1.
+A block-prefix store keeps per-slot priorities already raised to the
+alpha exponent, so the probability of slot i is leaf(i) / total and a
+draw is one search over block sums plus one within a block of 64.
+Importance weights correct the induced bias and are normalized by the
+batch maximum so the largest weight in every batch is exactly 1.
 """
 
 from __future__ import annotations
@@ -17,101 +17,113 @@ import numpy as np
 from .errors import ConfigurationError, NotReadyError, NumericalError
 from .replay import ReplayBuffer
 
+BLOCK = 64
+
 
 class SumTree:
-    """Complete binary tree over ``leaf_capacity`` non-negative values.
+    """Two-level prefix sums over ``leaf_capacity`` non-negative values.
 
-    Internal nodes store the sum of their children. The leaf count is
-    padded up to a power of two so every leaf sits at the same depth
-    and the descent visits leaves in index order; padding leaves stay
-    at zero and can never be selected.
+    Leaves sit in blocks of ``BLOCK``, padded with zeros. Each block
+    keeps the inclusive prefix sums of its leaves, recomputed from the
+    leaves whenever one of them is written, so no sum drifts. A
+    sequential prefix over the block totals ends in ``total``; it is
+    recomputed from the first changed block before the next read.
+    Every offset in [0, total) therefore falls in a block with positive
+    mass, and within it on a leaf with positive value.
     """
 
     def __init__(self, leaf_capacity: int) -> None:
         if not isinstance(leaf_capacity, int) or leaf_capacity < 1:
-            raise ConfigurationError(
-                f"leaf_capacity must be a positive int, got {leaf_capacity!r}"
-            )
+            raise ConfigurationError(f"leaf_capacity must be a positive int, got {leaf_capacity!r}")
         self.leaf_capacity = leaf_capacity
-        padded = 1
-        while padded < leaf_capacity:
-            padded *= 2
-        self._padded = padded
-        self._depth = padded.bit_length() - 1
-        # Right shifts that take a 1-based heap position to each of its
-        # ancestors, nearest first.
-        self._shifts = np.arange(1, self._depth + 1)
-        self._nodes = np.zeros(2 * padded - 1)
+        blocks = -(-leaf_capacity // BLOCK)
+        size = blocks * BLOCK
+        # total, block totals, block prefix (from 0), zeros, then leaves.
+        self._nodes = np.zeros(2 * size)
+        self._totals = self._nodes[1 : blocks + 1]
+        self._prefix = self._nodes[blocks + 1 : 2 * blocks + 2]
+        self._leaves = self._nodes[size:]
+        self._rows = self._leaves.reshape(blocks, BLOCK)
+        # NumPy orders complex numbers by real part, then imaginary part,
+        # so keys block + 1j * (in-block inclusive prefix) are sorted and
+        # one search finds a leaf from (block, offset within the block).
+        self._keys = np.repeat(np.arange(blocks, dtype=np.complex128), BLOCK)
+        self._inner = self._keys.imag.reshape(blocks, BLOCK)
+        # First block whose entry in the block prefix is out of date.
+        self._stale = blocks
 
     @property
     def total(self) -> float:
         """Sum of all leaf values."""
+        self._refresh()
         return float(self._nodes[0])
 
     @property
     def nodes(self) -> np.ndarray:
-        """Read-only view of the heap array: internal sums first (root
-        at 0), then the padded leaf row."""
+        """Read-only view of the store: the total at 0, the block totals,
+        the block prefix, zeros, and the padded leaves as the second
+        half."""
+        self._refresh()
         view = self._nodes.view()
         view.flags.writeable = False
         return view
 
     def leaf(self, index: int) -> float:
-        self._check_index(index)
-        return float(self._nodes[self._padded - 1 + index])
+        return float(self.leaves([index])[0])
 
     def leaves(self, indices) -> np.ndarray:
         """Values of leaves ``indices``, as a new array."""
-        return self._nodes[self._heap_positions(indices)]
+        return self._leaves[self._checked(indices)]
 
     def set(self, index: int, value: float) -> None:
-        """Set leaf ``index`` to ``value`` and refresh ancestor sums."""
-        self._check_index(index)
+        """Set leaf ``index`` to ``value`` and recompute its block."""
+        if not 0 <= index < self.leaf_capacity:
+            raise IndexError(f"leaf {index} out of range for capacity {self.leaf_capacity}")
         value = float(value)
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise NumericalError(f"priority must be finite, got {value!r}")
         if value < 0.0:
             raise ValueError(f"priority must be >= 0, got {value}")
-        node = self._padded - 1 + index
-        change = value - self._nodes[node]
-        self._nodes[node] = value
-        while node != 0:
-            node = (node - 1) // 2
-            self._nodes[node] += change
+        self._leaves[index] = value
+        block = index // BLOCK
+        row = self._inner[block]
+        np.add.accumulate(self._rows[block], out=row)
+        self._totals[block] = row[-1]
+        self._stale = min(self._stale, block)
 
     def set_many(self, indices, values) -> None:
         """Apply ``set(i, v)`` for each pair in order, in one pass.
 
         The whole batch is checked before anything is written, so a bad
-        index or value leaves the tree untouched. The result is bitwise
-        equal to the scalar loop: each write's delta is taken against
-        the leaf's value just before it (an earlier write in the batch
-        for a repeated leaf), and every ancestor receives the deltas in
-        write order, because ``np.add.at`` adds in element order.
+        index or value leaves the store untouched. A leaf written more
+        than once keeps its last value, and each touched block is
+        recomputed once, so the result is bitwise equal to the scalar
+        loop.
         """
-        positions = self._heap_positions(indices)
+        indices = self._checked(indices)
         values = np.asarray(values, dtype=np.float64).ravel()
-        if values.size != positions.size:
+        if values.size != indices.size:
             raise ValueError("indices and values must have equal length")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise NumericalError("priorities must be finite")
         if values.size == 0:
             return
         if values.min() < 0.0:
             raise ValueError(f"priorities must be >= 0, got {values.min()}")
-        # Group repeats of a leaf, keeping their write order.
-        order = np.argsort(positions, kind="stable")
-        grouped = positions[order]
-        written = values[order]
-        repeat = grouped[1:] == grouped[:-1]
-        before = self._nodes[grouped]
-        before[1:][repeat] = written[:-1][repeat]
-        deltas = np.empty_like(values)
-        deltas[order] = written - before
-        last = np.append(~repeat, True)
-        self._nodes[grouped[last]] = written[last]
-        ancestors = ((positions + 1)[:, None] >> self._shifts) - 1
-        np.add.at(self._nodes, ancestors.ravel(), np.repeat(deltas, self._depth))
+        # A stable sort groups repeats of a leaf in write order; the last
+        # of each group is the write that stands.
+        order = indices.argsort(kind="stable")
+        grouped = indices[order]
+        last = np.ones(grouped.size, dtype=bool)
+        np.not_equal(grouped[1:], grouped[:-1], out=last[:-1])
+        self._leaves[grouped[last]] = values[order[last]]
+        blocks = grouped // BLOCK
+        np.not_equal(blocks[1:], blocks[:-1], out=last[:-1])
+        touched = blocks[last]
+        sums = np.add.accumulate(self._rows[touched], axis=1)
+        self._inner[touched] = sums
+        self._totals[touched] = sums[:, -1]
+        self._stale = min(self._stale, int(touched[0]))
 
     def sample(self, u: float) -> int:
         """Leaf index whose prefix-sum interval contains ``u``.
@@ -119,41 +131,39 @@ class SumTree:
         Returns the unique i with prefix(i) <= u < prefix(i + 1) where
         prefix sums run over leaves in index order.
         """
-        total = self.total
-        if total <= 0.0:
-            raise NotReadyError("cannot sample from a tree with zero total mass")
-        if not 0.0 <= u < total:
-            raise ValueError(f"u must lie in [0, {total}), got {u}")
-        return int(self.sample_batch(np.array([u]))[0])
+        return int(self.sample_batch(np.array([u], dtype=np.float64))[0])
 
     def sample_batch(self, us: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`sample` over an array of offsets."""
         total = self.total
         if total <= 0.0:
             raise NotReadyError("cannot sample from a tree with zero total mass")
-        us = np.array(us, dtype=np.float64)
+        us = np.asarray(us, dtype=np.float64)
         if us.size and not (us.min() >= 0.0 and us.max() < total):
             raise ValueError("all offsets must lie in [0, total)")
-        nodes = np.zeros(us.shape, dtype=np.int64)
-        tree = self._nodes
-        for _ in range(self._depth):
-            nodes *= 2
-            nodes += 1
-            left = tree[nodes]
-            right = us >= left
-            # Subtracting left * False = 0.0 leaves us exactly as it was.
-            us -= left * right
-            nodes += right
-        return nodes - (self._padded - 1)
+        # The last block whose prefix is <= u; it has positive mass.
+        blocks = self._prefix[1:].searchsorted(us, side="right")
+        queries = np.empty(us.shape, dtype=np.complex128)
+        queries.real = blocks
+        # Rounding can carry the offset within the block up to the block
+        # total; stop it just below, on the block's last positive leaf.
+        below_total = np.nextafter(self._totals[blocks], 0.0)
+        np.minimum(us - self._prefix[blocks], below_total, out=queries.imag)
+        return self._keys.searchsorted(queries, side="right")
 
-    def _check_index(self, index: int) -> None:
-        if not 0 <= index < self.leaf_capacity:
-            raise IndexError(
-                f"leaf {index} out of range for capacity {self.leaf_capacity}"
-            )
+    def _refresh(self) -> None:
+        """Bring the block prefix and the total up to date."""
+        block = self._stale
+        if block == len(self._totals):
+            return
+        prefix = self._prefix[block:]
+        prefix[1:] = self._totals[block:]
+        np.add.accumulate(prefix, out=prefix)
+        self._nodes[0] = prefix[-1]
+        self._stale = len(self._totals)
 
-    def _heap_positions(self, indices) -> np.ndarray:
-        """Heap positions of leaves ``indices`` after a range check."""
+    def _checked(self, indices) -> np.ndarray:
+        """``indices`` as a flat integer array, after a range check."""
         indices = np.asarray(indices).ravel()
         if indices.size == 0:
             return indices.astype(np.int64)
@@ -164,7 +174,7 @@ class SumTree:
                 f"leaves {indices.min()}..{indices.max()} out of range for "
                 f"capacity {self.leaf_capacity}"
             )
-        return indices + (self._padded - 1)
+        return indices
 
 
 @dataclass(frozen=True)
@@ -218,18 +228,13 @@ class PrioritizedSampler:
     def update_priorities(self, indices, td_errors) -> None:
         """Refresh priorities from TD errors: raw priority |delta| + epsilon."""
         td_errors = np.asarray(td_errors, dtype=np.float64)
-        if not np.all(np.isfinite(td_errors)):
+        if not np.isfinite(td_errors).all():
             raise NumericalError("TD errors must be finite")
         if len(indices) != td_errors.size:
             raise ValueError("indices and td_errors must have equal length")
         raw = np.abs(td_errors.ravel()) + self.config.epsilon
-        if raw.size == 0:
-            return
-        # Python-float pow on purpose: NumPy's array ** rounds differently
-        # from scalar pow on some inputs, which would change results.
-        alpha = self.config.alpha
-        self.tree.set_many(indices, [r ** alpha for r in raw.tolist()])
-        self._max_raw = max(self._max_raw, float(raw.max()))
+        self.tree.set_many(indices, raw**self.config.alpha)
+        self._max_raw = float(raw.max(initial=self._max_raw))
 
     def sample(
         self, buffer: ReplayBuffer, batch_size: int, rng: np.random.Generator
@@ -245,16 +250,15 @@ class PrioritizedSampler:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if len(buffer) == 0:
             raise NotReadyError("cannot sample from an empty buffer")
+        # A zero total gives offsets below 0, which sample_batch rejects
+        # as NotReadyError before it looks at them.
         total = self.tree.total
-        if total <= 0.0:
-            raise NotReadyError("no transition has positive priority")
         segment = total / batch_size
         offsets = (np.arange(batch_size) + rng.random(batch_size)) * segment
         # Guard the upper edge: floating roundup may land exactly on total.
-        offsets = np.minimum(offsets, np.nextafter(total, 0.0))
+        offsets = np.minimum(offsets, math.nextafter(total, 0.0))
         indices = self.tree.sample_batch(offsets)
-        n = len(buffer)
         probs = self.tree.leaves(indices) / total
-        weights = (n * probs) ** -self.config.beta
+        weights = (len(buffer) * probs) ** -self.config.beta
         weights /= weights.max()
         return indices, weights

@@ -31,7 +31,7 @@ from replaykit.harness import (
 )
 from replaykit.hindsight import Episode, relabeled_transitions
 from replaykit.nn import backward, forward, init_mlp, soft_update
-from replaykit.prioritized import PerConfig, PrioritizedSampler, SumTree
+from replaykit.prioritized import BLOCK, PerConfig, PrioritizedSampler, SumTree
 from replaykit.replay import ReplayBuffer
 
 SEEDS = (0, 1, 2)
@@ -185,11 +185,13 @@ def linear_scan_sample(values: np.ndarray, u: float) -> int:
 
 def test_sum_tree_matches_linear_oracle() -> None:
     """1e4 random set/sample sequences: every sampled index must equal
-    the linear-scan oracle and every internal node must equal the sum
-    of its children to 1e-9 relative."""
+    the linear-scan oracle, every stored block total must equal a fresh
+    sum of its leaves to 1e-9 relative, and the total must be the last
+    entry of the block prefix."""
     rng = np.random.default_rng(7)
     mismatches = 0
-    worst_node_error = 0.0
+    worst_block_error = 0.0
+    total_mismatches = 0
     for _ in range(10_000):
         capacity = int(rng.integers(1, 33))
         tree = SumTree(capacity)
@@ -199,25 +201,26 @@ def test_sum_tree_matches_linear_oracle() -> None:
             v = float(rng.uniform(0.0, 10.0))
             tree.set(i, v)
             values[i] = v
-        n_internal = len(tree.nodes) // 2
-        if n_internal:
-            parents = tree.nodes[:n_internal]
-            children = tree.nodes[1 : 2 * n_internal + 1]
-            sums = children[0::2] + children[1::2]
-            scale = np.maximum(np.abs(parents), 1.0)
-            worst_node_error = max(
-                worst_node_error, float(np.max(np.abs(parents - sums) / scale))
-            )
+        nodes = tree.nodes
+        n_leaves = len(nodes) // 2
+        blocks = n_leaves // BLOCK
+        totals = nodes[1 : blocks + 1]
+        prefix = nodes[blocks + 1 : 2 * blocks + 2]
+        fresh = nodes[n_leaves:].reshape(blocks, BLOCK).sum(axis=1)
+        scale = np.maximum(np.abs(fresh), 1.0)
+        worst_block_error = max(worst_block_error, float(np.max(np.abs(totals - fresh) / scale)))
+        total_mismatches += not (prefix[0] == 0.0 and nodes[0] == prefix[-1] == tree.total)
         if tree.total <= 0.0:
             continue
         for u in rng.uniform(0.0, tree.total, size=4):
             if tree.sample(float(u)) != linear_scan_sample(values, float(u)):
                 mismatches += 1
-    ok = mismatches == 0 and worst_node_error <= 1e-9
+    ok = mismatches == 0 and worst_block_error <= 1e-9 and total_mismatches == 0
     assert _report(
         "sum-tree-oracle",
         ok,
-        f"mismatches {mismatches}, worst node error {worst_node_error:.2e}",
+        f"mismatches {mismatches}, worst block error {worst_block_error:.2e}, "
+        f"total mismatches {total_mismatches}",
     )
 
 

@@ -37,19 +37,19 @@ GOLDEN = {
     "cartpole-dqn-baseline": (
         {"env": "cartpole", "agent": "dqn", "episodes": "30"},
         "0782425b4cb30b0aa0fb0a6cdf1af8a309618c7e5a579fe74088dbbab946c314",
-        "d3e1ce801ad01b664e4c66b7f30e16c5908e80dd05d20a87633c3a0be156f229",
+        "6c8a4daf876b8d84441c46f37bca83d5be8c6330825d5e2558171116368d8cf6",
         "(10.35, 1.0136567466356645)",
     ),
     "cartpole-dqn-cer": (
         {"env": "cartpole", "agent": "dqn", "episodes": "30", "combined": "true"},
         "671a910bac1d3509990fdac4b046ebf6a73da31733537a9073d8727a5b31f971",
-        "e71fa728f90cb978f6116b2ee63dc6f4d9474fa4a5930b160075aef99b75e4ae",
+        "eafbf14b9f3e3ea1d279ef75eb6d93a5839c90820f6b135c34842ce77d85772a",
         "(9.2, 0.7483314773547881)",
     ),
     "cartpole-dqn-per": (
         {"env": "cartpole", "agent": "dqn", "episodes": "30", "prioritized": "true"},
         "ec14b8db442aef87a20cc211c942171bf4714001cc508e7f6d73a69857668506",
-        "3402c78e997a045ca8222da59b926e6168ea1920bf0a297f1646c317fa7b0d64",
+        "0802c1fbe50d10bbf40c9f010dfec1051dda39742865b824b939d488f614f273",
         "(15.0, 2.6267851073127395)",
     ),
     "cartpole-dqn-cper": (
@@ -61,7 +61,7 @@ GOLDEN = {
             "prioritized": "true",
         },
         "622eaf3adfd8b3710b93c7042529824d968e8c14dd71985dc9eede5c0fec2cba",
-        "5aadd3c428a0a03d43a687970cbdf0255d37491fa79f2c2e9072b8296ed2575a",
+        "3b8c7d55579a9ad6050a7bebfb9514bb2c43f9106de23f3f38588f9c5d06dad8",
         "(104.75, 12.193748398257199)",
     ),
     "mountaincar-dqn-chper": (
@@ -74,7 +74,7 @@ GOLDEN = {
             "prioritized": "true",
         },
         "17fd52ee11e84d87581ea49e6a510dc187287d8ff44c0f8ad1ee97dfa2661338",
-        "13e421cc6a6786cba564fef333b85967bbfd38ac258baeb9f24fd098b9295f90",
+        "5007ce84175e103c61b2d15e6cfcf3a6869c8cc6d909f631ddc17f9c359ae4ac",
         "(-182.9, 13.98177385026664)",
     ),
     "pendulum-ddpg-hper": (
@@ -86,8 +86,8 @@ GOLDEN = {
             "prioritized": "true",
         },
         "a93b07114c54fd491e24a3d9460d0783735e399ee493ce922d276c5a01a979e8",
-        "6ee8ff3113cac9e63f19fced26ffececa42e4ed401f86b377aee4745befb99b5",
-        "(-1494.274458877986, 116.57563776327201)",
+        "231fb05beb20b412a09f8c76d04d825a04e43dc61a58e36ff87238971543b012",
+        "(-1494.2744588779888, 116.5756377632735)",
     ),
 }
 

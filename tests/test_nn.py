@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -527,14 +529,24 @@ def reference_backward(net: Mlp, cache, output_grad: np.ndarray):
 
 
 def reference_adam(arrays, grads, ms, vs, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    bias1 = 1.0 - beta1**t
-    bias2 = 1.0 - beta2**t
+    """Adam with the bias corrections folded into step size and epsilon."""
+    root2 = math.sqrt(1.0 - beta2**t)
+    lr_t = lr * root2 / (1.0 - beta1**t)
     for p, g, m, v in zip(arrays, grads, ms, vs):
         m *= beta1
         m += (1.0 - beta1) * g
         v *= beta2
         v += (1.0 - beta2) * np.square(g)
-        p -= lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
+        p -= lr_t * m / (np.sqrt(v) + eps * root2)
+
+
+def textbook_adam(p, g, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam as first written: bias-corrected moments, then the step."""
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * np.square(g)
+    p -= lr * (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + eps)
 
 
 def reference_soft_update(targets, onlines, tau: float) -> None:
@@ -593,6 +605,27 @@ def test_adam_step_matches_per_array_reference() -> None:
             assert same_bits(got, want)
     with pytest.raises(ValueError):
         adam_step(net, np.zeros(net.params.size + 1), state)
+
+
+def test_adam_step_matches_textbook_form_within_rounding() -> None:
+    # Folding the bias corrections changes only rounding: one step from
+    # the same state moves every parameter by the textbook amount to
+    # 1e-12 relative, early (bias large) and late (bias small).
+    rng = np.random.default_rng(62)
+    net = init_mlp([5, 16, 16, 3], rng)
+    state = adam_init(net, 3e-3)
+    for t in range(1, 401):
+        grad = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=net.params.shape)
+        grad[rng.random(grad.shape) < 0.2] = 0.0
+        if t in (1, 2, 3, 10, 100, 400):
+            p, m, v = net.params.copy(), state.m.copy(), state.v.copy()
+            textbook_adam(p, grad, m, v, t, 3e-3)
+            before = net.params.copy()
+        adam_step(net, grad, state)
+        if t in (1, 2, 3, 10, 100, 400):
+            np.testing.assert_allclose(net.params - before, p - before, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(net.params, p, rtol=1e-12, atol=0)
+            assert same_bits(state.m, m) and same_bits(state.v, v)
 
 
 def test_soft_update_and_hard_copy_match_per_array_reference() -> None:

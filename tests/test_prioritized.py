@@ -234,6 +234,23 @@ def test_set_many_bitwise_equals_scalar_sets_in_order(case) -> None:
     assert batched.nodes.tobytes() == scalar.nodes.tobytes()
 
 
+def test_set_many_bitwise_equals_scalar_sets_across_blocks() -> None:
+    # Batches that repeat leaves and span several 64-leaf blocks, so each
+    # touched block, the first and the last included, must be recomputed.
+    rng = np.random.default_rng(16)
+    for capacity in (65, 128, 200, 1000):
+        scalar, batched = SumTree(capacity), SumTree(capacity)
+        for _ in range(60):
+            pool = rng.integers(0, capacity, size=int(rng.integers(1, 12)))
+            indices = rng.choice(pool, size=int(rng.integers(1, 40)))
+            values = rng.uniform(0.0, 10.0, size=indices.size)
+            values[rng.random(indices.size) < 0.2] = 0.0
+            for index, value in zip(indices.tolist(), values.tolist()):
+                scalar.set(index, value)
+            batched.set_many(indices, values)
+            assert batched.nodes.tobytes() == scalar.nodes.tobytes()
+
+
 @settings(max_examples=200, deadline=None)
 @given(tree_writes(), st.data())
 def test_set_many_rejects_bad_entry_and_writes_nothing(case, data) -> None:
