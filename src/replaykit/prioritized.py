@@ -34,7 +34,9 @@ class SumTree:
 
     def __init__(self, leaf_capacity: int) -> None:
         if not isinstance(leaf_capacity, int) or leaf_capacity < 1:
-            raise ConfigurationError(f"leaf_capacity must be a positive int, got {leaf_capacity!r}")
+            raise ConfigurationError(
+                f"leaf_capacity must be a positive int, got {leaf_capacity!r}"
+            )
         self.leaf_capacity = leaf_capacity
         blocks = -(-leaf_capacity // BLOCK)
         size = blocks * BLOCK
@@ -205,7 +207,7 @@ class PerConfig:
 
 
 class PrioritizedSampler:
-    """Couples a sum tree to buffer slots for proportional replay.
+    """Couples a priority store to buffer slots for proportional replay.
 
     New transitions are inserted at the largest raw priority seen so
     far, which guarantees each is sampled at least once before its
@@ -250,8 +252,7 @@ class PrioritizedSampler:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if len(buffer) == 0:
             raise NotReadyError("cannot sample from an empty buffer")
-        # A zero total gives offsets below 0, which sample_batch rejects
-        # as NotReadyError before it looks at them.
+        # sample_batch raises NotReadyError when the total is zero.
         total = self.tree.total
         segment = total / batch_size
         offsets = (np.arange(batch_size) + rng.random(batch_size)) * segment

@@ -608,24 +608,20 @@ def test_adam_step_matches_per_array_reference() -> None:
 
 
 def test_adam_step_matches_textbook_form_within_rounding() -> None:
-    # Folding the bias corrections changes only rounding: one step from
-    # the same state moves every parameter by the textbook amount to
-    # 1e-12 relative, early (bias large) and late (bias small).
+    # Folding the bias corrections changes only rounding: every step,
+    # from early (bias large) to late (bias small), lands each parameter
+    # where the textbook step from the same state does, to 1e-12 relative.
     rng = np.random.default_rng(62)
     net = init_mlp([5, 16, 16, 3], rng)
     state = adam_init(net, 3e-3)
     for t in range(1, 401):
         grad = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=net.params.shape)
         grad[rng.random(grad.shape) < 0.2] = 0.0
-        if t in (1, 2, 3, 10, 100, 400):
-            p, m, v = net.params.copy(), state.m.copy(), state.v.copy()
-            textbook_adam(p, grad, m, v, t, 3e-3)
-            before = net.params.copy()
+        p, m, v = net.params.copy(), state.m.copy(), state.v.copy()
+        textbook_adam(p, grad, m, v, t, 3e-3)
         adam_step(net, grad, state)
-        if t in (1, 2, 3, 10, 100, 400):
-            np.testing.assert_allclose(net.params - before, p - before, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(net.params, p, rtol=1e-12, atol=0)
-            assert same_bits(state.m, m) and same_bits(state.v, v)
+        np.testing.assert_allclose(net.params, p, rtol=1e-12, atol=0)
+        assert same_bits(state.m, m) and same_bits(state.v, v)
 
 
 def test_soft_update_and_hard_copy_match_per_array_reference() -> None:
