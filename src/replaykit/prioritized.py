@@ -119,6 +119,7 @@ class SumTree:
         last = np.ones(grouped.size, dtype=bool)
         np.not_equal(grouped[1:], grouped[:-1], out=last[:-1])
         self._leaves[grouped[last]] = values[order[last]]
+        # Sorted leaves keep a block's entries adjacent: one per run.
         blocks = grouped // BLOCK
         np.not_equal(blocks[1:], blocks[:-1], out=last[:-1])
         touched = blocks[last]
