@@ -1,7 +1,7 @@
 """Composable experience replay strategies with matching agents,
 environments, and an experiment harness."""
 
-from .agents import DdpgAgent, DdpgConfig, DqnAgent, DqnConfig, OUNoise
+from .agents import AGENTS, DdpgAgent, DdpgConfig, DqnAgent, DqnConfig, OUNoise
 from .config import RunConfig
 from .envs import env_names, env_spec, make_env
 from .errors import (
@@ -30,6 +30,7 @@ from .replay import Batch, ReplayBuffer, sample_combined, sample_uniform
 __version__ = "0.1.0"
 
 __all__ = [
+    "AGENTS",
     "Batch",
     "CheckpointError",
     "ConfigurationError",

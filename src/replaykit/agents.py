@@ -1,5 +1,16 @@
 """Value-based (DQN) and actor-critic (DDPG) learners.
 
+Every fact that differs between the two agent kinds lives on its
+class, and :data:`AGENTS` maps a config's ``agent`` name to the class.
+A class carries ``ACTIONS``, the action-space type it drives;
+``BUFFER_CAPACITY``, its default replay capacity; ``POLICY_NET``, the
+name of its policy network in ``networks()``, the dict a checkpoint
+writes; and one constructor ``(actions, config, scaler, init_rng)``
+whose input dim is ``scaler.dim``. ``begin_episode()`` is called after
+every env reset and ``act(obs, rng)`` owns exploration: DQN's epsilon
+is the linear schedule at its own count of ``act`` calls, DDPG adds
+its own Ornstein-Uhlenbeck noise, which ``begin_episode`` resets.
+
 Both agents train on a replay :class:`~replaykit.replay.Batch`, whose
 states already carry any goal and whose weights are the per-sample
 loss weights; they return the TD errors they trained on (for priority
@@ -185,42 +196,55 @@ class DqnAgent:
     parameters in force when the batch was drawn.
     """
 
+    ACTIONS = DiscreteActions
+    BUFFER_CAPACITY = 50_000
+    POLICY_NET = "q"
+
     def __init__(
         self,
-        obs_dim: int,
-        n_actions: int,
+        actions: DiscreteActions,
         config: DqnConfig,
         scaler: ObservationScaler,
-        rng: np.random.Generator,
+        init_rng: np.random.Generator,
     ) -> None:
-        if scaler.dim != obs_dim:
-            raise ConfigurationError(
-                f"scaler dim {scaler.dim} != network input dim {obs_dim}"
-            )
         self.config = config
-        self.n_actions = n_actions
+        self.actions = actions
         self.scaler = scaler
-        sizes = (obs_dim, *config.hidden_sizes, n_actions)
-        self.q = init_mlp(sizes, rng, hidden_activation="tanh")
+        sizes = (scaler.dim, *config.hidden_sizes, actions.n)
+        self.q = init_mlp(sizes, init_rng, hidden_activation="tanh")
         self.q_target = clone_mlp(self.q)
         self.adam = adam_init(self.q, config.learning_rate)
         self.updates = 0
+        # The epsilon clock: act calls so far, across episodes.
+        self.acts = 0
         # Reused by update for batches of one size: row numbers and the
         # loss gradient at the Q-network's output.
         self._rows = np.arange(0)
-        self._output_grad = np.zeros((0, n_actions))
+        self._output_grad = np.zeros((0, actions.n))
 
-    def q_values(self, obs: np.ndarray) -> np.ndarray:
-        values, _ = forward(self.q, self.scaler(obs))
-        return values
+    def networks(self) -> dict[str, Mlp]:
+        """The networks a checkpoint holds, by name."""
+        return {"q": self.q}
 
-    def act(self, obs: np.ndarray, epsilon: float, rng: np.random.Generator) -> int:
+    def begin_episode(self) -> None:
+        """Nothing to reset: the epsilon clock runs across episodes."""
+
+    @property
+    def epsilon(self) -> float:
+        """The exploration rate of the next ``act`` call."""
+        cfg = self.config
+        return epsilon_schedule(
+            cfg.epsilon_start, cfg.epsilon_end, cfg.epsilon_decay_steps, self.acts
+        )
+
+    def act(self, obs: np.ndarray, rng: np.random.Generator) -> int:
         """Epsilon-greedy action; ties resolve to the lowest index."""
-        if not 0.0 <= epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
+        epsilon = self.epsilon
+        self.acts += 1
         if epsilon > 0.0 and rng.random() < epsilon:
-            return int(rng.integers(self.n_actions))
-        return int(np.argmax(self.q_values(obs)))
+            return int(rng.integers(self.actions.n))
+        values, _ = forward(self.q, self.scaler(obs))
+        return int(np.argmax(values))
 
     def td_targets(
         self, rewards: np.ndarray, next_states: np.ndarray, dones: np.ndarray
@@ -319,40 +343,36 @@ class DdpgAgent:
     every update.
     """
 
+    ACTIONS = BoxAction
+    BUFFER_CAPACITY = 100_000
+    POLICY_NET = "actor"
+
     def __init__(
         self,
-        obs_dim: int,
-        action_dim: int,
-        action_low: float,
-        action_high: float,
+        actions: BoxAction,
         config: DdpgConfig,
         scaler: ObservationScaler,
-        rng: np.random.Generator,
+        init_rng: np.random.Generator,
     ) -> None:
-        if scaler.dim != obs_dim:
+        if not (actions.high > 0.0 and actions.low == -actions.high):
             raise ConfigurationError(
-                f"scaler dim {scaler.dim} != network input dim {obs_dim}"
-            )
-        if not (action_high > 0.0 and action_low == -action_high):
-            raise ConfigurationError(
-                f"action bounds must be symmetric, got [{action_low}, {action_high}]"
+                f"action bounds must be symmetric, got [{actions.low}, {actions.high}]"
             )
         self.config = config
-        self.action_dim = action_dim
-        self.action_low = action_low
-        self.action_high = action_high
+        self.actions = actions
         self.scaler = scaler
-        actor_sizes = (obs_dim, *config.hidden_sizes, action_dim)
-        critic_sizes = (obs_dim + action_dim, *config.hidden_sizes, 1)
+        self.noise = OUNoise(actions.dim, config.ou_theta, config.ou_sigma, config.ou_mu)
+        actor_sizes = (scaler.dim, *config.hidden_sizes, actions.dim)
+        critic_sizes = (scaler.dim + actions.dim, *config.hidden_sizes, 1)
         self.actor = init_mlp(
             actor_sizes,
-            rng,
+            init_rng,
             hidden_activation="tanh",
             output_activation="tanh",
-            output_scale=action_high,
+            output_scale=actions.high,
             final_layer_scale=1e-3,
         )
-        self.critic = init_mlp(critic_sizes, rng, hidden_activation="tanh")
+        self.critic = init_mlp(critic_sizes, init_rng, hidden_activation="tanh")
         self.actor_target = clone_mlp(self.actor)
         self.critic_target = clone_mlp(self.critic)
         self.actor_adam = adam_init(self.actor, config.actor_lr)
@@ -362,25 +382,27 @@ class DdpgAgent:
         self._critic_in = np.zeros((0, critic_sizes[0]))
         self._mean_q_grad = np.zeros((0, 1))
 
-    def greedy_action(self, obs: np.ndarray) -> np.ndarray:
-        action, _ = forward(self.actor, self.scaler(obs))
-        return action
+    def networks(self) -> dict[str, Mlp]:
+        """The networks a checkpoint holds, by name."""
+        return {"actor": self.actor, "critic": self.critic}
 
-    def act(
-        self, obs: np.ndarray, noise: OUNoise, rng: np.random.Generator
-    ) -> np.ndarray:
+    def begin_episode(self) -> None:
+        """Start the exploration noise of a new episode at ``mu``."""
+        self.noise.reset()
+
+    def act(self, obs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Actor output plus exploration noise, clipped to bounds."""
-        action = self.greedy_action(obs) + noise.sample(rng)
-        return np.clip(action, self.action_low, self.action_high)
+        action, _ = forward(self.actor, self.scaler(obs))
+        return np.clip(action + self.noise.sample(rng), self.actions.low, self.actions.high)
 
     def _critic_input(self, scaled_states: np.ndarray, actions: np.ndarray) -> np.ndarray:
         """Scaled states with actions appended, written into a buffer
         that the next call overwrites."""
         n, obs_dim = scaled_states.shape
         if self._critic_in.shape[0] != n:
-            self._critic_in = np.empty((n, obs_dim + self.action_dim))
+            self._critic_in = np.empty((n, obs_dim + self.actions.dim))
         self._critic_in[:, :obs_dim] = scaled_states
-        self._critic_in[:, obs_dim:] = actions.reshape(n, self.action_dim)
+        self._critic_in[:, obs_dim:] = actions.reshape(n, self.actions.dim)
         return self._critic_in
 
     def critic_update(self, batch: Batch, scaled_states: np.ndarray) -> np.ndarray:
@@ -408,7 +430,7 @@ class DdpgAgent:
         if self._mean_q_grad.shape[0] != n:
             self._mean_q_grad = np.full((n, 1), -1.0 / n)
         _, d_input = backward(self.critic, critic_cache, self._mean_q_grad, param_grads=False)
-        d_actions = d_input[:, -self.action_dim :]
+        d_actions = d_input[:, -self.actions.dim :]
         grad, _ = backward(self.actor, actor_cache, d_actions, input_grad=False)
         adam_step(self.actor, grad, self.actor_adam)
 
@@ -424,3 +446,8 @@ class DdpgAgent:
         self.actor_update(scaled)
         self.sync_targets()
         return td_errors
+
+
+# Config ``agent`` name -> agent class; each name is also the RunConfig
+# field holding that agent's hyperparameters.
+AGENTS = {"dqn": DqnAgent, "ddpg": DdpgAgent}

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .agents import AGENTS
 from .config import RunConfig, config_from_mapping, parse_config_file, validate_config
 from .envs import env_names
 from .errors import ConfigurationError, ReplayKitError
@@ -19,7 +20,7 @@ from .harness import evaluate_checkpoint, run_to_dir, sweep
 
 def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--env", required=True, choices=env_names())
-    parser.add_argument("--agent", required=True, choices=["dqn", "ddpg"])
+    parser.add_argument("--agent", required=True, choices=list(AGENTS))
     parser.add_argument("--seed", type=int, default=0, help="run seed (u64)")
     parser.add_argument("--episodes", type=int, default=None, help="episode limit")
     parser.add_argument("--config", default=None, help="flat key=value config file")

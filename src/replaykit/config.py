@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
-from .agents import DdpgConfig, DqnConfig
-from .envs import BoxAction, DiscreteActions, env_class
+from .agents import AGENTS, DdpgConfig, DqnConfig
+from .envs import DiscreteActions, env_class
 from .errors import ConfigurationError
 from .prioritized import PerConfig
 
@@ -29,8 +29,9 @@ class RunConfig:
     """Everything that defines a run, flat-file serializable.
 
     ``buffer_capacity`` and ``goal_tolerance`` default to None meaning
-    "resolve from the agent/environment defaults" (50k transitions for
-    DQN, 100k for DDPG; the environment's goal tolerance).
+    "resolve from the agent/environment defaults" (the agent class's
+    ``BUFFER_CAPACITY``; the environment's goal tolerance). Each
+    agent's hyperparameters sit in the field named after it.
     """
 
     env: str = "cartpole"
@@ -51,6 +52,8 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         check_seed(self.seed)
+        if self.agent not in AGENTS:
+            raise ConfigurationError(f"unknown agent {self.agent!r}; choose {' or '.join(AGENTS)}")
         if self.episodes < 0:
             raise ConfigurationError(f"episodes must be >= 0, got {self.episodes}")
         if self.eval_interval < 1 or self.eval_episodes < 1:
@@ -64,7 +67,7 @@ class RunConfig:
     def resolved_buffer_capacity(self) -> int:
         if self.buffer_capacity is not None:
             return self.buffer_capacity
-        return 100_000 if self.agent == "ddpg" else 50_000
+        return AGENTS[self.agent].BUFFER_CAPACITY
 
     def resolved_goal_tolerance(self) -> float | None:
         if self.goal_tolerance is not None:
@@ -91,15 +94,10 @@ def validate_config(cfg: RunConfig) -> None:
     except ValueError as exc:
         raise ConfigurationError(str(exc)) from None
     spec = env.spec
-    if cfg.agent not in ("dqn", "ddpg"):
-        raise ConfigurationError(f"unknown agent {cfg.agent!r}; choose dqn or ddpg")
-    if isinstance(spec.actions, BoxAction) and cfg.agent == "dqn":
+    if not isinstance(spec.actions, AGENTS[cfg.agent].ACTIONS):
+        kind = "discrete" if isinstance(spec.actions, DiscreteActions) else "continuous"
         raise ConfigurationError(
-            f"agent 'dqn' cannot drive env '{cfg.env}': continuous actions"
-        )
-    if isinstance(spec.actions, DiscreteActions) and cfg.agent == "ddpg":
-        raise ConfigurationError(
-            f"agent 'ddpg' cannot drive env '{cfg.env}': discrete actions"
+            f"agent '{cfg.agent}' cannot drive env '{cfg.env}': {kind} actions"
         )
     if cfg.hindsight and spec.goal_dim == 0:
         raise ConfigurationError(
@@ -225,17 +223,21 @@ def effective_mapping(cfg: RunConfig) -> dict[str, str]:
 
 
 def parse_config_file(path) -> dict[str, str]:
-    """Read flat key=value lines; blank lines and # comments ignored."""
+    """Read flat key=value lines; blank lines and # comments ignored.
+    Raises ConfigurationError, naming ``path``, when the file is not
+    UTF-8 text or a line is not key=value."""
     mapping: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ConfigurationError(
-                    f"{path}:{lineno}: expected key=value, got {stripped!r}"
-                )
-            key, _, value = stripped.partition("=")
-            mapping[key.strip()] = value.strip()
+        try:
+            lines = list(fh)
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ConfigurationError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
+        key, _, value = stripped.partition("=")
+        mapping[key.strip()] = value.strip()
     return mapping

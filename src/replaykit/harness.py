@@ -7,6 +7,12 @@ exploration, replay sampling, evaluation), so enabling one strategy
 never perturbs the random draws of another part of the system, and a
 (config, seed) pair reproduces its CSV byte for byte.
 
+Agents are reached only through the interface that
+:mod:`replaykit.agents` describes: the class comes from its registry,
+exploration happens inside ``act``, evaluation and checkpoints use
+``networks()`` and ``POLICY_NET``. Nothing here branches on the agent
+kind.
+
 Per-record wall-clock capture is off by default for exactly that
 reason, mirroring how reproducible builds zero their timestamps; flip
 ``timing`` on to profile at the cost of CSV reproducibility. Total
@@ -22,15 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .agents import (
-    DdpgAgent,
-    DqnAgent,
-    ObservationScaler,
-    OUNoise,
-    epsilon_schedule,
-    greedy_policy,
-    scaler_for,
-)
+from .agents import AGENTS, greedy_policy, scaler_for
 from .config import (
     RunConfig,
     check_seed,
@@ -40,7 +38,7 @@ from .config import (
     parse_config_file,  # noqa: F401  (re-exported: callers import it from here)
     validate_config,
 )
-from .envs import BoxAction, DiscreteActions, EnvSpec, env_class, env_names, make_env
+from .envs import EnvSpec, env_class, env_names, make_env
 from .errors import CheckpointError, ConfigurationError
 from .files import write_text_atomic
 from .hindsight import Episode, augment_observation, relabeled_transitions
@@ -118,10 +116,8 @@ class Experiment:
     # Both None unless the run relabels goals.
     goal_tolerance: float | None
     native_goal: np.ndarray | None
-    scaler: ObservationScaler
     env_rng: np.random.Generator
     explore_rng: np.random.Generator
-    noise: OUNoise | None
 
 
 def build_run(cfg: RunConfig) -> Experiment:
@@ -133,25 +129,8 @@ def build_run(cfg: RunConfig) -> Experiment:
     scaler = scaler_for(spec, cfg.hindsight)
     streams = np.random.SeedSequence(cfg.seed).spawn(len(_STREAMS))
     rngs = {name: np.random.default_rng(ss) for name, ss in zip(_STREAMS, streams)}
-    obs_dim = scaler.dim
-    if cfg.agent == "dqn":
-        assert isinstance(spec.actions, DiscreteActions)
-        agent: object = DqnAgent(obs_dim, spec.actions.n, cfg.dqn, scaler, rngs["init"])
-        noise = None
-    else:
-        assert isinstance(spec.actions, BoxAction)
-        agent = DdpgAgent(
-            obs_dim,
-            spec.actions.dim,
-            spec.actions.low,
-            spec.actions.high,
-            cfg.ddpg,
-            scaler,
-            rngs["init"],
-        )
-        noise = OUNoise(
-            spec.actions.dim, cfg.ddpg.ou_theta, cfg.ddpg.ou_sigma, cfg.ddpg.ou_mu
-        )
+    # The agent's hyperparameters sit in the RunConfig field named after it.
+    agent = AGENTS[cfg.agent](spec.actions, getattr(cfg, cfg.agent), scaler, rngs["init"])
     stack = ReplayStack(
         capacity=cfg.resolved_buffer_capacity(),
         combined=cfg.combined,
@@ -166,10 +145,8 @@ def build_run(cfg: RunConfig) -> Experiment:
         stack=stack,
         goal_tolerance=tolerance,
         native_goal=None if tolerance is None else env.native_goal(tolerance),
-        scaler=scaler,
         env_rng=rngs["env"],
         explore_rng=rngs["explore"],
-        noise=noise,
     )
 
 
@@ -217,40 +194,30 @@ def train(exp: Experiment) -> list[TrainRecord]:
     """Run episodes until the limit or until a frozen-policy evaluation
     meets the environment's solve threshold.
 
-    Each step: act, store, and once the warm-up count is met, draw one
-    batch, apply one agent update, and feed the TD errors back to the
-    priority sampler. Goal relabeling appends its extra transitions
-    when the episode closes.
+    Each episode starts with ``agent.begin_episode()`` after the env
+    reset. Each step: act (the agent explores on its own), store, and
+    once the warm-up count is met, draw one batch, apply one agent
+    update, and feed the TD errors back to the priority sampler. Goal
+    relabeling appends its extra transitions when the episode closes.
+    Evaluation reads the agent's ``POLICY_NET`` network.
     """
     cfg = exp.config
     agent = exp.agent
-    dqn = isinstance(agent, DqnAgent)
-    agent_cfg = cfg.dqn if dqn else cfg.ddpg
     goal = exp.native_goal
-    net = agent.q if dqn else agent.actor
-    policy = greedy_policy(net, exp.scaler, goal, exp.spec.actions)
+    policy = greedy_policy(
+        agent.networks()[agent.POLICY_NET], agent.scaler, goal, exp.spec.actions
+    )
     records: list[TrainRecord] = []
     started = time.monotonic()
     env_steps = 0
     eval_mean = eval_std = math.nan
     for episode in range(1, cfg.episodes + 1):
         obs = exp.env.reset(exp.env_rng)
-        if exp.noise is not None:
-            exp.noise.reset()
+        agent.begin_episode()
         episode_log = Episode() if cfg.hindsight else None
         episode_reward = 0.0
         while True:
-            observation = augment_observation(obs, goal)
-            if dqn:
-                eps = epsilon_schedule(
-                    agent_cfg.epsilon_start,
-                    agent_cfg.epsilon_end,
-                    agent_cfg.epsilon_decay_steps,
-                    env_steps,
-                )
-                action = agent.act(observation, eps, exp.explore_rng)
-            else:
-                action = agent.act(observation, exp.noise, exp.explore_rng)
+            action = agent.act(augment_observation(obs, goal), exp.explore_rng)
             result = exp.env.step(action)
             exp.stack.append(
                 obs, action, result.reward, result.next_state, result.done, goal
@@ -259,8 +226,8 @@ def train(exp: Experiment) -> list[TrainRecord]:
                 episode_log.append(obs, action, result.next_state, result.done)
             env_steps += 1
             episode_reward += result.reward
-            if len(exp.stack) >= agent_cfg.warmup:
-                batch = exp.stack.sample(agent_cfg.batch_size)
+            if len(exp.stack) >= agent.config.warmup:
+                batch = exp.stack.sample(agent.config.batch_size)
                 td_errors = agent.update(batch)
                 exp.stack.update_priorities(batch.indices, td_errors)
             obs = result.next_state
@@ -316,12 +283,6 @@ def write_manifest(path, cfg: RunConfig, extra: dict[str, str] | None = None) ->
     write_text_atomic(path, text, "utf-8")
 
 
-def _checkpoint_nets(agent) -> dict[str, object]:
-    if isinstance(agent, DqnAgent):
-        return {"q": agent.q}
-    return {"actor": agent.actor, "critic": agent.critic}
-
-
 # Config keys a checkpoint carries as meta lines, enough to rebuild its
 # greedy policy.
 _META_KEYS = ("env", "agent", "hindsight", "goal_tolerance")
@@ -331,7 +292,7 @@ def save_run_checkpoint(path, exp: Experiment) -> None:
     # goal_tolerance is the one in force: resolved under hindsight, else empty.
     mapping = config_to_mapping(replace(exp.config, goal_tolerance=exp.goal_tolerance))
     meta = {key: mapping[key] for key in _META_KEYS}
-    save_checkpoint(path, _checkpoint_nets(exp.agent), meta)
+    save_checkpoint(path, exp.agent.networks(), meta)
 
 
 def evaluate_checkpoint(path, episodes: int, seed: int = 0) -> tuple[float, float]:
@@ -346,7 +307,7 @@ def evaluate_checkpoint(path, episodes: int, seed: int = 0) -> tuple[float, floa
     nets, meta = load_checkpoint(path)
     env_name = meta.get("env")
     agent_kind = meta.get("agent")
-    policy_net = {"dqn": "q", "ddpg": "actor"}.get(agent_kind)
+    policy_net = AGENTS[agent_kind].POLICY_NET if agent_kind in AGENTS else None
     if env_name not in env_names() or policy_net not in nets:
         raise CheckpointError(
             f"{path}: needs a known env, agent and policy network; has env "

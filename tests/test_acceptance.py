@@ -20,7 +20,7 @@ import pytest
 from scipy import stats
 
 from replaykit.agents import DqnAgent, DqnConfig, ObservationScaler, OUNoise
-from replaykit.envs import MountainCar, Pendulum, make_env
+from replaykit.envs import DiscreteActions, MountainCar, Pendulum, make_env
 from replaykit.harness import (
     ReplayStack,
     RunConfig,
@@ -297,7 +297,7 @@ def test_dqn_learns_toy_mdp() -> None:
         warmup=1,
     )
     agent = DqnAgent(
-        2, 2, cfg, ObservationScaler(np.zeros(2), np.ones(2)),
+        DiscreteActions(2), cfg, ObservationScaler(np.zeros(2), np.ones(2)),
         np.random.default_rng(0),
     )
     stack = ReplayStack(
@@ -312,7 +312,7 @@ def test_dqn_learns_toy_mdp() -> None:
     for _ in range(20_000):
         agent.update(stack.sample(cfg.batch_size))
     learned = np.array(
-        [[agent.q_values(one_hot(s))[a] for a in (0, 1)] for s in (0, 1)]
+        [[forward(agent.q, one_hot(s))[0][a] for a in (0, 1)] for s in (0, 1)]
     )
     error = float(np.abs(learned - q_star).max())
     ok = error < 1e-2

@@ -19,7 +19,7 @@ from replaykit.agents import (
     greedy_policy,
     scaler_for,
 )
-from replaykit.envs import DiscreteActions, env_spec
+from replaykit.envs import BoxAction, DiscreteActions, env_spec
 from replaykit.errors import ConfigurationError, NumericalError
 from replaykit.nn import Mlp, forward
 from replaykit.replay import Batch, ReplayBuffer
@@ -31,13 +31,13 @@ def identity_scaler(dim: int) -> ObservationScaler:
 
 def make_dqn(obs_dim=3, n_actions=2, rng_seed=0, **config) -> DqnAgent:
     cfg = DqnConfig(**config)
-    return DqnAgent(obs_dim, n_actions, cfg, identity_scaler(obs_dim),
+    return DqnAgent(DiscreteActions(n_actions), cfg, identity_scaler(obs_dim),
                     np.random.default_rng(rng_seed))
 
 
 def make_ddpg(obs_dim=3, action_dim=1, rng_seed=0, **config) -> DdpgAgent:
     cfg = DdpgConfig(**config)
-    return DdpgAgent(obs_dim, action_dim, -2.0, 2.0, cfg, identity_scaler(obs_dim),
+    return DdpgAgent(BoxAction(action_dim, -2.0, 2.0), cfg, identity_scaler(obs_dim),
                      np.random.default_rng(rng_seed))
 
 
@@ -95,28 +95,39 @@ def test_scaler_for_env_and_goal() -> None:
 
 
 def test_dqn_act_greedy_and_tie_break() -> None:
-    agent = make_dqn()
+    agent = make_dqn(epsilon_start=0.0, epsilon_end=0.0)
     # zero the network: all Q equal, argmax must pick action 0
     for w in agent.q.weights:
         w[...] = 0.0
     for b in agent.q.biases:
         b[...] = 0.0
     rng = np.random.default_rng(2)
-    assert agent.act(np.zeros(3), 0.0, rng) == 0
+    assert agent.act(np.zeros(3), rng) == 0
     # bias action 1 upward: greedy picks it
     agent.q.biases[-1][1] = 1.0
-    assert agent.act(np.ones(3), 0.0, rng) == 1
+    assert agent.act(np.ones(3), rng) == 1
 
 
 def test_dqn_act_epsilon_one_is_uniform() -> None:
-    agent = make_dqn(n_actions=3)
+    agent = make_dqn(n_actions=3, epsilon_start=1.0, epsilon_end=1.0)
     rng = np.random.default_rng(3)
     counts = np.zeros(3)
     for _ in range(30_000):
-        counts[agent.act(np.zeros(3), 1.0, rng)] += 1
+        counts[agent.act(np.zeros(3), rng)] += 1
     assert stats.chisquare(counts).pvalue > 0.01
-    with pytest.raises(ValueError):
-        agent.act(np.zeros(3), 1.5, rng)
+
+
+def test_dqn_epsilon_follows_its_own_act_count() -> None:
+    agent = make_dqn(epsilon_start=1.0, epsilon_end=0.0, epsilon_decay_steps=4)
+    rng = np.random.default_rng(4)
+    seen = []
+    for step in range(6):
+        if step == 2:
+            agent.begin_episode()  # episodes do not reset the clock
+        seen.append(agent.epsilon)
+        agent.act(np.zeros(3), rng)
+    assert seen == pytest.approx([1.0, 0.75, 0.5, 0.25, 0.0, 0.0])
+    assert agent.acts == 6
 
 
 def test_dqn_td_targets() -> None:
@@ -250,22 +261,28 @@ def test_ou_noise_stationary_std() -> None:
 
 
 def test_ddpg_action_clipped_to_bounds() -> None:
-    agent = make_ddpg()
     # an OU state far outside the bounds forces clipping
-    noise = OUNoise(1, theta=1.0, sigma=0.0, mu=5.0)
     rng = np.random.default_rng(7)
-    action = agent.act(np.zeros(3), noise, rng)
-    assert action == pytest.approx([2.0])
-    noise = OUNoise(1, theta=1.0, sigma=0.0, mu=-5.0)
-    action = agent.act(np.zeros(3), noise, rng)
-    assert action == pytest.approx([-2.0])
+    for mu, bound in ((5.0, 2.0), (-5.0, -2.0)):
+        agent = make_ddpg(ou_theta=1.0, ou_sigma=0.0, ou_mu=mu)
+        assert agent.act(np.zeros(3), rng) == pytest.approx([bound])
+
+
+def test_ddpg_begin_episode_resets_its_noise() -> None:
+    agent = make_ddpg(ou_mu=0.5)
+    rng = np.random.default_rng(9)
+    for _ in range(5):
+        agent.act(np.zeros(3), rng)
+    assert agent.noise.state != pytest.approx([0.5])
+    agent.begin_episode()
+    assert agent.noise.state == pytest.approx([0.5])
 
 
 def test_ddpg_greedy_within_bounds() -> None:
     agent = make_ddpg()
     rng = np.random.default_rng(8)
     for _ in range(20):
-        action = agent.greedy_action(rng.normal(size=3))
+        action, _ = forward(agent.actor, agent.scaler(rng.normal(size=3)))
         assert -2.0 <= action[0] <= 2.0
 
 
@@ -379,7 +396,7 @@ def test_ddpg_update_runs_full_cycle() -> None:
 
 def test_ddpg_rejects_asymmetric_bounds() -> None:
     with pytest.raises(ConfigurationError):
-        DdpgAgent(3, 1, -1.0, 2.0, DdpgConfig(), identity_scaler(3),
+        DdpgAgent(BoxAction(1, -1.0, 2.0), DdpgConfig(), identity_scaler(3),
                   np.random.default_rng(0))
 
 
@@ -388,6 +405,8 @@ def test_agent_config_validation() -> None:
         DqnConfig(gamma=1.5)
     with pytest.raises(ConfigurationError):
         DqnConfig(epsilon_start=0.1, epsilon_end=0.5)
+    with pytest.raises(ConfigurationError):
+        DqnConfig(epsilon_start=1.5, epsilon_end=1.5)
     with pytest.raises(ConfigurationError):
         DdpgConfig(tau=0.0)
     with pytest.raises(ConfigurationError):
@@ -408,14 +427,14 @@ def test_non_finite_network_output_raises_on_every_path() -> None:
     # eval policy) and both updates. Only the online networks overflow,
     # so each error comes from the output check of forward, not from
     # the targets or the TD errors.
-    dqn = make_dqn()
+    dqn = make_dqn(epsilon_start=0.0, epsilon_end=0.0)
     overflow_outputs(dqn.q)
     ddpg = make_ddpg()
     overflow_outputs(ddpg.critic)
     policy = greedy_policy(dqn.q, dqn.scaler, None, DiscreteActions(2))
     calls = [
         lambda: forward(dqn.q, np.zeros((4, 3))),
-        lambda: dqn.act(np.zeros(3), 0.0, np.random.default_rng(0)),
+        lambda: dqn.act(np.zeros(3), np.random.default_rng(0)),
         lambda: policy(np.zeros((4, 3))),
         lambda: dqn.update(make_batch(random_rows(8))),
         lambda: ddpg.update(make_batch(random_rows(8, discrete=False))),

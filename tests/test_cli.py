@@ -101,6 +101,18 @@ def test_unknown_config_key_exits_2(tmp_path, capsys) -> None:
     assert "unknown config key" in capsys.readouterr().err
 
 
+def test_non_utf8_config_file_names_its_path_and_exits_2(tmp_path, capsys) -> None:
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"episodes=2\n# caf\xff\n")
+    code = run_cli(["train", "--env", "cartpole", "--agent", "dqn",
+                    "--out", tmp_path / "o", "--config", bad])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert str(bad) in err and "UTF-8" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_malformed_set_exits_2(tmp_path, capsys) -> None:
     code = run_cli(["train", "--env", "cartpole", "--agent", "dqn",
                     "--out", tmp_path / "x", "--set", "episodes"])

@@ -11,6 +11,7 @@ from replaykit.agents import (
     DdpgConfig,
     DqnAgent,
     DqnConfig,
+    epsilon_schedule,
     greedy_policy,
     scaler_for,
 )
@@ -217,7 +218,7 @@ def test_validate_config_accepts_supported_pairs() -> None:
 def test_build_run_dqn() -> None:
     exp = build_run(tiny_config())
     assert isinstance(exp.agent, DqnAgent)
-    assert exp.noise is None
+    assert exp.agent.config is exp.config.dqn
     assert exp.goal_tolerance is None
     assert exp.native_goal is None
     assert exp.stack.buffer.capacity == 256
@@ -228,7 +229,8 @@ def test_build_run_ddpg_with_goal() -> None:
     cfg = RunConfig(env="pendulum", agent="ddpg", hindsight=True, episodes=1)
     exp = build_run(cfg)
     assert isinstance(exp.agent, DdpgAgent)
-    assert exp.noise is not None
+    assert exp.agent.config is cfg.ddpg
+    assert exp.agent.noise.state == pytest.approx([cfg.ddpg.ou_mu])
     assert exp.goal_tolerance == 0.1
     # pendulum obs (3) + goal (1)
     assert exp.agent.actor.input_dim == 4
@@ -425,6 +427,63 @@ def test_train_pendulum_hindsight_stores_no_terminal_rows() -> None:
         state, action = rows.states[i, :3], rows.actions[i]
         expected, _ = Pendulum.goal_reward(state, action, None, [goal], exp.goal_tolerance)
         assert rows.rewards[i] == expected
+
+
+def test_train_epsilon_clock_is_the_env_step_count() -> None:
+    """Trajectory-level invariant: every act explores with the linear
+    schedule at the number of env steps taken before it, across episode
+    ends and evaluations, and the agent's clock ends at the run's steps."""
+    dqn = DqnConfig(warmup=8, batch_size=4, hidden_sizes=(8,), epsilon_start=1.0,
+                    epsilon_end=0.1, epsilon_decay_steps=30)
+    exp = build_run(tiny_config(episodes=4, dqn=dqn))
+    env_steps = 0
+    used: list[tuple[int, float]] = []
+    original_step, original_act = exp.env.step, exp.agent.act
+
+    def counting_step(action):
+        nonlocal env_steps
+        env_steps += 1
+        return original_step(action)
+
+    def recording_act(obs, rng):
+        used.append((env_steps, exp.agent.epsilon))
+        return original_act(obs, rng)
+
+    exp.env.step = counting_step
+    exp.agent.act = recording_act
+    records = train(exp)
+    assert len(records) == 4 and not math.isnan(records[-1].eval_mean)
+    assert exp.agent.acts == records[-1].steps == env_steps == len(used)
+    assert env_steps > dqn.epsilon_decay_steps
+    for step, (seen_step, epsilon) in enumerate(used):
+        assert seen_step == step
+        assert epsilon == epsilon_schedule(1.0, 0.1, 30, step)
+
+
+def test_train_ou_noise_starts_every_episode_at_mu() -> None:
+    """Trajectory-level invariant: the OU state is ``mu`` at the first
+    act of every episode, though each episode leaves it elsewhere."""
+    ddpg = DdpgConfig(warmup=64, batch_size=16, hidden_sizes=(16,), ou_mu=0.3)
+    exp = build_run(tiny_config(env="pendulum", agent="ddpg", episodes=3, ddpg=ddpg))
+    at_reset: list[np.ndarray] = []
+    at_first_act: list[np.ndarray] = []
+    original_reset, original_act = exp.env.reset, exp.agent.act
+
+    def recording_reset(rng):
+        at_reset.append(exp.agent.noise.state.copy())
+        return original_reset(rng)
+
+    def recording_act(obs, rng):
+        if len(at_first_act) < len(at_reset):
+            at_first_act.append(exp.agent.noise.state.copy())
+        return original_act(obs, rng)
+
+    exp.env.reset = recording_reset
+    exp.agent.act = recording_act
+    records = train(exp)
+    assert len(records) == len(at_first_act) == 3
+    assert all(np.array_equal(state, [0.3]) for state in at_first_act)
+    assert not any(np.array_equal(state, [0.3]) for state in at_reset[1:])
 
 
 # --- convergence and output files ---
