@@ -29,6 +29,7 @@ import numpy as np
 
 from .envs import BoxAction, DiscreteActions
 from .errors import ConfigurationError, NumericalError
+from .hindsight import augment_observation
 from .nn import (
     Mlp,
     adam_init,
@@ -96,16 +97,15 @@ def greedy_policy(
     stack of observations.
 
     The returned function maps an (n, obs_dim) array of raw observations
-    to a list of n actions: the goal, if any, is appended to every row,
-    the rows are scaled, and one ``forward`` call on them as an
-    (n, 1, input_dim) stack of rows gives each the bits of a one-row
-    call. A discrete action is the lowest index of the row's largest Q
+    to a list of n actions: ``augment_observation`` appends the goal, if
+    any, to every row, the rows are scaled, and one ``forward`` call on
+    them as an (n, 1, input_dim) stack of rows gives each the bits of a
+    one-row call. A discrete action is the lowest index of the row's largest Q
     value; a continuous one is the actor's output clipped to the bounds.
     The network is read at call time, so a policy built once follows
     training. Raises ConfigurationError when ``net`` does not fit the
     scaled, goal-augmented observation or the action space.
     """
-    goal = None if goal is None else np.asarray(goal, dtype=np.float64)
     discrete = isinstance(actions, DiscreteActions)
     n_out = actions.n if discrete else actions.dim
     if net.input_dim != scaler.dim or net.output_dim != n_out:
@@ -115,9 +115,7 @@ def greedy_policy(
         )
 
     def policy(observations: np.ndarray) -> list:
-        x = np.asarray(observations, dtype=np.float64)
-        if goal is not None:
-            x = np.concatenate([x, np.broadcast_to(goal, (x.shape[0], goal.size))], axis=1)
+        x = augment_observation(observations, goal)
         out, _ = forward(net, scaler(x)[:, None, :])
         if discrete:
             return np.argmax(out[:, 0], axis=1).tolist()

@@ -72,8 +72,8 @@ class ReplayStack:
     def __len__(self) -> int:
         return len(self.buffer)
 
-    def append(self, state, action, reward, next_state, done, goal=None) -> int:
-        index = self.buffer.append(state, action, reward, next_state, done, goal)
+    def append(self, state, action, reward, next_state, done) -> int:
+        index = self.buffer.append(state, action, reward, next_state, done)
         if self.per is not None:
             self.per.insert(index)
         return index
@@ -197,7 +197,9 @@ def train(exp: Experiment) -> list[TrainRecord]:
     Each episode starts with ``agent.begin_episode()`` after the env
     reset. Each step: act (the agent explores on its own), store, and
     once the warm-up count is met, draw one batch, apply one agent
-    update, and feed the TD errors back to the priority sampler. Goal
+    update, and feed the TD errors back to the priority sampler. Under
+    hindsight every state is goal-augmented once, when the env returns
+    it, and the agent acts on the array the buffer stores. Goal
     relabeling appends its extra transitions when the episode closes.
     Evaluation reads the agent's ``POLICY_NET`` network.
     """
@@ -212,25 +214,25 @@ def train(exp: Experiment) -> list[TrainRecord]:
     env_steps = 0
     eval_mean = eval_std = math.nan
     for episode in range(1, cfg.episodes + 1):
-        obs = exp.env.reset(exp.env_rng)
+        state = exp.env.reset(exp.env_rng)
+        obs = augment_observation(state, goal)
         agent.begin_episode()
         episode_log = Episode() if cfg.hindsight else None
         episode_reward = 0.0
         while True:
-            action = agent.act(augment_observation(obs, goal), exp.explore_rng)
+            action = agent.act(obs, exp.explore_rng)
             result = exp.env.step(action)
-            exp.stack.append(
-                obs, action, result.reward, result.next_state, result.done, goal
-            )
+            next_obs = augment_observation(result.next_state, goal)
+            exp.stack.append(obs, action, result.reward, next_obs, result.done)
             if episode_log is not None:
-                episode_log.append(obs, action, result.next_state, result.done)
+                episode_log.append(state, action, result.next_state, result.done)
             env_steps += 1
             episode_reward += result.reward
             if len(exp.stack) >= agent.config.warmup:
                 batch = exp.stack.sample(agent.config.batch_size)
                 td_errors = agent.update(batch)
                 exp.stack.update_priorities(batch.indices, td_errors)
-            obs = result.next_state
+            state, obs = result.next_state, next_obs
             if result.done or result.truncated:
                 break
         if episode_log is not None and len(episode_log) > 0:
@@ -363,17 +365,17 @@ def run_to_dir(cfg: RunConfig, out_dir) -> dict[str, object]:
     }
 
 
-# Sweep order mirrors the usual strategy-combination tables.
-SWEEP_STRATEGIES: tuple[tuple[str, bool, bool, bool], ...] = (
-    # name, combined, hindsight, prioritized
-    ("baseline", False, False, False),
-    ("cer", True, False, False),
-    ("per", False, False, True),
-    ("her", False, True, False),
-    ("cper", True, False, True),
-    ("cher", True, True, False),
-    ("hper", False, True, True),
-    ("chper", True, True, True),
+# (combined, hindsight, prioritized) in the order of the usual
+# strategy-combination tables; ``RunConfig.strategy_name`` names each.
+SWEEP_STRATEGIES: tuple[tuple[bool, bool, bool], ...] = (
+    (False, False, False),
+    (True, False, False),
+    (False, False, True),
+    (False, True, False),
+    (True, False, True),
+    (True, True, False),
+    (False, True, True),
+    (True, True, True),
 )
 
 UNSUPPORTED = "unsupported"
@@ -392,10 +394,11 @@ def sweep(cfg: RunConfig, out_dir) -> list[tuple[str, str, int | None]]:
     validate_config(cfg)
     os.makedirs(out_dir, exist_ok=True)
     rows: list[tuple[str, str, int | None]] = []
-    for name, combined, hindsight, prioritized in SWEEP_STRATEGIES:
+    for combined, hindsight, prioritized in SWEEP_STRATEGIES:
         combo = replace(
             cfg, combined=combined, hindsight=hindsight, prioritized=prioritized
         )
+        name = combo.strategy_name()
         try:
             validate_config(combo)
         except ConfigurationError:

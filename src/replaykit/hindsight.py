@@ -1,13 +1,20 @@
 """Final-state goal relabeling for goal-reaching tasks.
 
-An :class:`Episode` records the states, actions and next states of
+A goal-conditioned learner sees an observation with its goal
+appended after the state, and :func:`augment_observation` is the one
+place that builds that layout: the harness calls it on every state it
+acts on and stores, and the greedy policy on every stack of rows it
+scores. The replay buffer never sees a goal of its own; it stores the
+augmented rows as they are.
+
+An :class:`Episode` records the raw states, actions and next states of
 the steps taken so far. After the episode ends,
 :func:`relabeled_transitions` returns one copy of every step as
-columns, with the goal replaced by the goal actually achieved at the
-episode's final state and the reward recomputed under that substitute
-goal. The harness appends those rows to the replay buffer after the
-originals it stored step by step, so a relabeled episode contributes
-exactly twice its length in stored transitions.
+columns, with the goal actually achieved at the episode's final state
+appended to both states and the reward recomputed under that
+substitute goal. The harness appends those rows to the replay buffer
+after the originals it stored step by step, so a relabeled episode
+contributes exactly twice its length in stored transitions.
 
 Every goal fact comes from the env class (see ``envs``): its
 ``goal_reward`` scores each step, and under the native goal it
@@ -71,22 +78,28 @@ class Episode:
 
 class Columns(NamedTuple):
     """Steps as parallel arrays, one row per step, in the order
-    of ``ReplayBuffer.append``'s arguments."""
+    of ``ReplayBuffer.append``'s arguments; both states carry the goal."""
 
     states: np.ndarray
     actions: np.ndarray
     rewards: np.ndarray
     next_states: np.ndarray
     dones: np.ndarray
-    goals: np.ndarray
 
 
-def augment_observation(state: np.ndarray, goal: np.ndarray | None) -> np.ndarray:
-    """Concatenate the goal onto the observation; identity when the
-    goal is absent or empty."""
+def augment_observation(state, goal: np.ndarray | None) -> np.ndarray:
+    """The observation, or each row of a stack of observations, as
+    float64 with the goal appended after the state; the observation
+    alone when the goal is absent or empty. The values are copied, so
+    every row holds the bits of the 1-D augment of that row."""
+    state = np.asarray(state, dtype=np.float64)
     if goal is None or len(goal) == 0:
-        return np.asarray(state, dtype=np.float64)
-    return np.concatenate([np.asarray(state, dtype=np.float64), np.asarray(goal, dtype=np.float64)])
+        return state
+    width = state.shape[-1]
+    out = np.empty((*state.shape[:-1], width + len(goal)))
+    out[..., :width] = state
+    out[..., width:] = goal
+    return out
 
 
 def relabeled_transitions(
@@ -94,7 +107,8 @@ def relabeled_transitions(
 ) -> Columns:
     """The episode's steps relabeled with ``goal``, by default the goal
     achieved at the final state, with rewards recomputed by
-    ``env.goal_reward`` at ``tolerance``, in episode order.
+    ``env.goal_reward`` at ``tolerance``, in episode order. The goal is
+    appended to every state and next state.
 
     A relabeled step is terminal exactly when it succeeds under the
     goal and ``env.spec.success_ends_episode`` holds.
@@ -111,10 +125,9 @@ def relabeled_transitions(
         rewards[i], success = env.goal_reward(*step, goal, tolerance)
         dones[i] = success and terminal
     return Columns(
-        states=np.array(episode.states, dtype=np.float64),
+        states=augment_observation(episode.states, goal),
         actions=np.array(episode.actions),
         rewards=rewards,
-        next_states=np.array(episode.next_states, dtype=np.float64),
+        next_states=augment_observation(episode.next_states, goal),
         dones=dones,
-        goals=np.tile(goal, (n, 1)),
     )

@@ -1,12 +1,15 @@
 """Ring-buffer transition storage with uniform and combined sampling.
 
 The buffer is a fixed-capacity FIFO kept as struct-of-arrays columns:
-state, action, reward, next_state, done and, on goal tasks, goal. This
-module is the only one that knows that layout. Samplers are free
-functions returning ``(indices, weights)`` arrays, so strategies can
-be stacked: combined sampling wraps any inner sampler and forces the
-newest slot into position 0 of every batch. :meth:`ReplayBuffer.gather`
-turns sampled slots into one :class:`Batch` of arrays for the learner.
+state, action, reward, next_state and done. This module is the only
+one that knows that layout. A row is stored as the learner reads it:
+on goal tasks its states already carry the goal, appended by
+:func:`replaykit.hindsight.augment_observation`, and the buffer treats
+them as any other state vector. Samplers are free functions returning
+``(indices, weights)`` arrays, so strategies can be stacked: combined
+sampling wraps any inner sampler and forces the newest slot into
+position 0 of every batch. :meth:`ReplayBuffer.gather` turns sampled
+slots into one :class:`Batch` of arrays for the learner.
 """
 
 from __future__ import annotations
@@ -22,9 +25,10 @@ from .errors import ConfigurationError, NotReadyError
 class Batch:
     """Sampled rows as parallel arrays.
 
-    ``states`` and ``next_states`` already carry the goal appended when
-    the buffer stores goals; ``dones`` is 0.0/1.0; ``weights`` are the
-    per-sample loss weights (all 1.0 for unweighted samplers).
+    ``states`` and ``next_states`` are the stored rows, so on goal
+    tasks they carry the goal the row was stored with; ``dones`` is
+    0.0/1.0; ``weights`` are the per-sample loss weights (all 1.0 for
+    unweighted samplers).
     """
 
     indices: np.ndarray
@@ -48,11 +52,11 @@ class ReplayBuffer:
 
     ``done`` records task termination only; episodes cut off by a step
     limit store ``done=False`` so that learners bootstrap through the
-    cutoff. ``goal`` is None unless the run relabels goals, in which
-    case it holds the goal vector the reward was computed against.
+    cutoff. On goal tasks each state is the observation with the goal
+    its reward was computed against appended.
 
     The columns are allocated by the first append, which fixes the
-    state, action and goal shapes. They are zero-filled, so pages of
+    state and action shapes. They are zero-filled, so pages of
     slots never written are not resident in memory.
     """
 
@@ -62,8 +66,8 @@ class ReplayBuffer:
         self.capacity = capacity
         self._cursor = 0  # next slot to write
         self._count = 0
-        # (state, action, goal) shapes of every row; None until the
-        # first append allocates the columns.
+        # (state, action) shapes of every row; None until the first
+        # append allocates the columns.
         self._shapes: tuple | None = None
 
     def __len__(self) -> int:
@@ -76,7 +80,7 @@ class ReplayBuffer:
             raise NotReadyError("buffer is empty")
         return (self._cursor - 1) % self.capacity
 
-    def append(self, state, action, reward, next_state, done, goal=None) -> int:
+    def append(self, state, action, reward, next_state, done) -> int:
         """Store one transition, evicting the oldest entry when full.
 
         Returns the slot index written.
@@ -94,18 +98,12 @@ class ReplayBuffer:
             raise ValueError("state components must be finite")
         if not np.isfinite(reward):
             raise ValueError(f"reward must be finite, got {reward!r}")
-        if goal is not None:
-            goal = np.asarray(goal, dtype=np.float64)
-            if goal.ndim != 1:
-                raise ValueError("goal must be a 1-D vector")
-            if not np.isfinite(goal).all():
-                raise ValueError("goal components must be finite")
-        shapes = (state.shape, action.shape, None if goal is None else goal.shape)
+        shapes = (state.shape, action.shape)
         if self._shapes is None:
             self._allocate(shapes)
         elif shapes != self._shapes:
             raise ValueError(
-                f"(state, action, goal) shapes {shapes} != the buffer's {self._shapes}"
+                f"(state, action) shapes {shapes} != the buffer's {self._shapes}"
             )
         index = self._cursor
         self._states[index] = state
@@ -113,40 +111,31 @@ class ReplayBuffer:
         self._rewards[index] = reward
         self._next_states[index] = next_state
         self._dones[index] = done
-        if goal is not None:
-            self._goals[index] = goal
         self._cursor = (self._cursor + 1) % self.capacity
         self._count = min(self._count + 1, self.capacity)
         return index
 
     def _allocate(self, shapes: tuple) -> None:
-        state_shape, action_shape, goal_shape = shapes
+        state_shape, action_shape = shapes
         self._shapes = shapes
         self._states = np.zeros((self.capacity, *state_shape))
         self._actions = np.zeros((self.capacity, *action_shape))
         self._rewards = np.zeros(self.capacity)
         self._next_states = np.zeros((self.capacity, *state_shape))
         self._dones = np.zeros(self.capacity, dtype=bool)
-        self._goals = None if goal_shape is None else np.zeros((self.capacity, *goal_shape))
 
     def gather(self, indices, weights=None) -> Batch:
-        """The rows at slots ``indices`` as one :class:`Batch`, goals
-        appended to both states; ``weights`` default to 1.0."""
+        """The rows at slots ``indices`` as one :class:`Batch`;
+        ``weights`` default to 1.0."""
         indices = np.asarray(indices, dtype=np.int64)
         if not (indices.size and 0 <= indices.min() and indices.max() < self._count):
             raise IndexError(f"slots {indices} are not among the {self._count} filled")
-        states = self._states[indices]
-        next_states = self._next_states[indices]
-        if self._goals is not None:
-            goals = self._goals[indices]
-            states = np.concatenate([states, goals], axis=1)
-            next_states = np.concatenate([next_states, goals], axis=1)
         return Batch(
             indices=indices,
-            states=states,
+            states=self._states[indices],
             actions=self._actions[indices],
             rewards=self._rewards[indices],
-            next_states=next_states,
+            next_states=self._next_states[indices],
             dones=self._dones[indices].astype(np.float64),
             weights=np.ones(indices.size) if weights is None else weights,
         )

@@ -77,7 +77,7 @@ def cartpole_runs():
                 def recording(batch_size, _exp=exp, _orig=sample, _flags=flags,
                               _appended=appended):
                     batch = _orig(batch_size)
-                    state, action, reward, next_state, done, _ = _appended[0]
+                    state, action, reward, next_state, done = _appended[0]
                     _flags.append(
                         batch.indices[0] == _exp.stack.buffer.newest
                         and np.array_equal(batch.states[0], state)
@@ -363,7 +363,8 @@ def test_her_accounting_and_native_restriction() -> None:
             )
         )
         accounting_ok &= bool(relabeled.dones[-1]) and relabeled.rewards[-1] == 0.0
-        accounting_ok &= relabeled.goals[-1] == pytest.approx([episode.final_state[0]])
+        accounting_ok &= relabeled.states[-1, 2:] == pytest.approx([episode.final_state[0]])
+        accounting_ok &= relabeled.next_states[-1, 2:] == pytest.approx([episode.final_state[0]])
 
     # a training run stores originals plus relabeled copies: exactly 2x
     cfg = RunConfig(

@@ -364,7 +364,7 @@ def test_train_cer_invariant_every_batch(monkeypatch) -> None:
 
     def recording_sample(batch_size):
         batch = original_sample(batch_size)
-        state, action, reward, next_state, done, _ = appended[-1]
+        state, action, reward, next_state, done = appended[-1]
         seen.append(
             batch.indices[0] == exp.stack.buffer.newest
             and np.array_equal(batch.states[0], state)
@@ -427,6 +427,59 @@ def test_train_pendulum_hindsight_stores_no_terminal_rows() -> None:
         state, action = rows.states[i, :3], rows.actions[i]
         expected, _ = Pendulum.goal_reward(state, action, None, [goal], exp.goal_tolerance)
         assert rows.rewards[i] == expected
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(env="mountaincar", dqn=DqnConfig(warmup=50, batch_size=8, hidden_sizes=(8,))),
+        dict(
+            env="pendulum",
+            agent="ddpg",
+            ddpg=DdpgConfig(warmup=50, batch_size=8, hidden_sizes=(8,)),
+        ),
+    ],
+    ids=["mountaincar-dqn", "pendulum-ddpg"],
+)
+def test_train_hindsight_learner_reads_what_the_agent_saw(overrides) -> None:
+    """Trajectory-level invariant of a real HER run: each stored original
+    row's state is, bit for bit, the array the agent acted on at that
+    step, and its next state the one it acts on next within the episode;
+    every relabeled row carries the goal achieved at its episode's final
+    state."""
+    exp = build_run(
+        tiny_config(hindsight=True, episodes=2, buffer_capacity=2_000, **overrides)
+    )
+    obs_dim = len(exp.spec.obs_center)
+    seen: list[np.ndarray] = []
+    original_act = exp.agent.act
+
+    def recording_act(obs, rng):
+        seen.append(np.array(obs, copy=True))
+        return original_act(obs, rng)
+
+    exp.agent.act = recording_act
+    records = train(exp)
+    rows = exp.stack.buffer.gather(np.arange(len(exp.stack)))
+    assert len(seen) == records[-1].steps > exp.agent.config.warmup  # it learned too
+    assert len(rows) == 2 * len(seen)
+    slot = acted = 0
+    for rec in records:
+        n = rec.steps - acted
+        original = slice(slot, slot + n)
+        relabeled = slice(slot + n, slot + 2 * n)
+        for k in range(n):
+            assert rows.states[slot + k].tobytes() == seen[acted + k].tobytes()
+            if k + 1 < n:
+                assert rows.next_states[slot + k].tobytes() == seen[acted + k + 1].tobytes()
+        final_state = rows.next_states[slot + n - 1, :obs_dim]
+        goal = type(exp.env).achieved_goal(final_state)
+        for column in (rows.states, rows.next_states):
+            assert column[relabeled, :obs_dim].tobytes() == column[original, :obs_dim].tobytes()
+            assert column[relabeled, obs_dim:].tobytes() == np.tile(goal, (n, 1)).tobytes()
+        slot += 2 * n
+        acted += n
+    assert slot == len(rows)
 
 
 def test_train_epsilon_clock_is_the_env_step_count() -> None:
@@ -681,7 +734,12 @@ def test_sweep_reports_unsupported_and_statuses(tmp_path) -> None:
     # structurally unsupported on cartpole
     cfg = tiny_config(episodes=1, eval_interval=10)
     rows = sweep(cfg, tmp_path / "sweep")
-    assert [name for name, _, _ in rows] == [name for name, _, _, _ in SWEEP_STRATEGIES]
+    names = [
+        RunConfig(combined=c, hindsight=h, prioritized=p).strategy_name()
+        for c, h, p in SWEEP_STRATEGIES
+    ]
+    assert names == ["baseline", "cer", "per", "her", "cper", "cher", "hper", "chper"]
+    assert [name for name, _, _ in rows] == names
     statuses = dict((name, status) for name, status, _ in rows)
     assert statuses["baseline"] == NO_CONVERGENCE
     assert statuses["cer"] == NO_CONVERGENCE

@@ -20,6 +20,14 @@ def chain(states: list[np.ndarray], done_last=False) -> Episode:
     return episode
 
 
+def goals_of(columns) -> np.ndarray:
+    """The goal appended to each relabeled row: the 1-D goal tail of its
+    state, which its next state must carry too."""
+    goals = columns.states[:, -1:]
+    assert np.array_equal(columns.next_states[:, -1:], goals)
+    return goals
+
+
 def mountaincar_states(n: int, seed: int = 0) -> list[np.ndarray]:
     rng = np.random.default_rng(seed)
     env = make_env("mountaincar")
@@ -73,6 +81,16 @@ def test_augment_observation() -> None:
     assert augment_observation(state, np.array([3.0])) == pytest.approx([1.0, 2.0, 3.0])
     assert augment_observation(state, None) == pytest.approx([1.0, 2.0])
     assert augment_observation(state, np.empty(0)) == pytest.approx([1.0, 2.0])
+    # a stack of rows: each row holds the bits of its own 1-D augment
+    rows = np.random.default_rng(0).normal(size=(5, 3))
+    goal = np.array([0.1, -7.25])
+    stacked = augment_observation(rows, goal)
+    assert stacked.shape == (5, 5)
+    want = np.stack([augment_observation(row, goal) for row in rows])
+    assert stacked.tobytes() == want.tobytes()
+    assert augment_observation(list(rows), goal).tobytes() == want.tobytes()
+    for absent in (None, np.empty(0)):
+        assert augment_observation(rows, absent).tobytes() == rows.tobytes()
 
 
 def mountaincar_goal_reward(next_state, goal):
@@ -158,9 +176,9 @@ def test_relabel_doubles_and_preserves_originals() -> None:
     # the episode's own steps are untouched, in order
     assert all(s is t for s, t in zip(episode.states, states))
     assert all(s is t for s, t in zip(episode.next_states, states[1:]))
-    # relabeled copies keep order, actions, and states
-    assert np.array_equal(out.states, np.array(states[:-1]))
-    assert np.array_equal(out.next_states, np.array(states[1:]))
+    # relabeled copies keep order, actions, and states (ahead of the goal)
+    assert np.array_equal(out.states[:, :2], np.array(states[:-1]))
+    assert np.array_equal(out.next_states[:, :2], np.array(states[1:]))
     assert list(out.actions) == [i % 2 for i in range(6)]
 
 
@@ -169,8 +187,8 @@ def test_relabeled_goal_is_final_achieved_goal() -> None:
     episode = chain(states)
     relabeled = relabeled_transitions(episode, MountainCar, MC_TOL)
     expected_goal = np.array([episode.final_state[0]])
-    assert relabeled.goals.shape == (len(episode), 1)
-    for goal in relabeled.goals:
+    assert relabeled.states.shape == relabeled.next_states.shape == (len(episode), 3)
+    for goal in goals_of(relabeled):
         assert np.array_equal(goal, expected_goal)
 
 
@@ -202,7 +220,7 @@ def test_single_transition_episode() -> None:
     assert len(out.rewards) == 1
     assert out.dones[0]
     assert out.rewards[0] == 0.0
-    assert np.array_equal(out.goals[0], np.array([result.next_state[0]]))
+    assert np.array_equal(goals_of(out)[0], np.array([result.next_state[0]]))
 
 
 def test_pendulum_relabel_success_flags() -> None:
@@ -221,7 +239,7 @@ def test_pendulum_relabel_success_flags() -> None:
         relabeled = relabeled_transitions(episode, Pendulum, tolerance)
         assert not relabeled.dones.any()
     goal = np.array([math.atan2(episode.final_state[1], episode.final_state[0])])
-    for got in relabeled.goals:
+    for got in goals_of(relabeled):
         assert np.array_equal(got, goal)
 
 
@@ -306,7 +324,7 @@ def test_native_goal_relabel_reproduces_episode(env, make_policy, seed) -> None:
     )
     assert relabeled.rewards.tobytes() == rewards.tobytes()
     assert relabeled.dones.tolist() == dones
-    assert relabeled.goals.tolist() == [env.native_goal(tolerance).tolist()] * len(episode)
+    assert goals_of(relabeled).tolist() == [env.native_goal(tolerance).tolist()] * len(episode)
     reference = [
         reference_step_reward(env, *step)
         for step in zip(episode.states, episode.actions, episode.next_states)

@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from replaykit.errors import ConfigurationError, NotReadyError
+from replaykit.hindsight import augment_observation
 from replaykit.replay import ReplayBuffer, sample_combined, sample_uniform
 
 
@@ -36,10 +37,10 @@ def test_append_validates_shapes_and_finiteness() -> None:
     for row in bad_rows:
         with pytest.raises(ValueError):
             ReplayBuffer(4).append(*row)
+    # a non-finite goal fails the finite check of the states it is appended to
+    with_nan_goal = augment_observation(np.zeros(2), np.array([np.nan]))
     with pytest.raises(ValueError):
-        ReplayBuffer(4).append(np.zeros(2), 0, 1.0, np.zeros(2), False, goal=np.array([np.nan]))
-    with pytest.raises(ValueError):
-        ReplayBuffer(4).append(np.zeros(2), 0, 1.0, np.zeros(2), False, goal=np.zeros((1, 1)))
+        ReplayBuffer(4).append(with_nan_goal, 0, 1.0, with_nan_goal, False)
     buf = ReplayBuffer(4)
     with pytest.raises(ValueError):
         buf.append(np.zeros(2), 0, float("inf"), np.zeros(2), False)
@@ -92,19 +93,6 @@ def test_state_dim_mismatch_rejected() -> None:
         buf.append(np.zeros(2), np.zeros(1), 0.0, np.zeros(2), False)  # action shape
 
 
-def test_goal_presence_must_be_consistent() -> None:
-    buf = ReplayBuffer(4)
-    buf.append(*make_row(0.0))
-    with pytest.raises(ValueError):
-        buf.append(np.zeros(2), 0, 0.0, np.ones(2), False, goal=np.array([1.0]))
-    goals = ReplayBuffer(4)
-    goals.append(np.zeros(2), 0, 0.0, np.ones(2), False, goal=np.array([1.0]))
-    with pytest.raises(ValueError):
-        goals.append(*make_row(0.0))
-    with pytest.raises(ValueError):
-        goals.append(np.zeros(2), 0, 0.0, np.ones(2), False, goal=np.zeros(2))
-
-
 def test_gather_stacks_and_augments() -> None:
     rng = np.random.default_rng(1)
     rows = [
@@ -116,7 +104,11 @@ def test_gather_stacks_and_augments() -> None:
     goal = np.array([0.7])
     for row in rows:
         plain.append(*row)
-        with_goal.append(*row, goal=goal)
+        state, action, reward, next_state, done = row
+        with_goal.append(
+            augment_observation(state, goal), action, reward,
+            augment_observation(next_state, goal), done,
+        )
     order = np.array([2, 0, 3, 3])
     batch = plain.gather(order, np.full(4, 0.5))
     assert len(batch) == 4
