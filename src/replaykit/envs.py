@@ -1,10 +1,18 @@
 """Native classic-control environments: CartPole, MountainCar, Pendulum.
 
 Each environment is a small stateful stepper over a pure dynamics
-function. All randomness flows through the generator handed to
-``reset``, so a (seed, action sequence) pair fully determines a
-trajectory. ``done`` means task termination; hitting the step limit
-sets ``truncated`` instead, and both can be true on the same step.
+function, ``dynamics(state, action) -> (next_state, reward, done)``.
+All randomness flows through the generator handed to ``reset``, so a
+(seed, action sequence) pair fully determines a trajectory. ``done``
+means task termination; hitting the step limit sets ``truncated``
+instead, and both can be true on the same step. ``step`` returns a
+``StepResult`` named tuple holding a copy of the new state, a Python
+float reward and bool flags.
+
+The dynamics unpack the state into Python floats once and do their
+scalar arithmetic on them. These are IEEE doubles, like numpy float64
+scalars, and the operations and their order are fixed, so every result
+is bit-for-bit what the same formulas give on numpy scalars.
 
 MountainCar and Pendulum are goal envs, after GoalEnv's
 ``compute_reward`` (Plappert et al., arXiv:1802.09464): each class
@@ -14,13 +22,15 @@ holds every goal fact of its task, namely the goal space on its
 next_state, goal, tolerance) -> (reward, success)``. Under the native
 goal ``goal_reward`` gives the env's own step rewards, so rows that
 hindsight relabels and the rows the env produced follow one reward
-function.
+function. On Pendulum, ``dynamics`` and ``goal_reward`` both score
+through one private float scorer, so a step takes its angle once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,8 +83,7 @@ class EnvSpec:
         return len(self.goal_center)
 
 
-@dataclass(frozen=True)
-class StepResult:
+class StepResult(NamedTuple):
     next_state: np.ndarray
     reward: float
     done: bool
@@ -82,6 +91,8 @@ class StepResult:
 
 
 def _check_discrete(action, n: int) -> int:
+    if type(action) is int and 0 <= action < n:
+        return action
     if isinstance(action, (bool, np.bool_)):
         raise ValueError(f"action must be an integer in [0, {n}), got {action!r}")
     if isinstance(action, (np.integer, int)):
@@ -104,6 +115,7 @@ class Env:
     def __init__(self) -> None:
         self._state: np.ndarray | None = None
         self._elapsed = 0
+        self._max_steps = self.spec.max_episode_steps
 
     def reset(self, rng: np.random.Generator) -> np.ndarray:
         self._state = self.start_state(rng)
@@ -116,8 +128,7 @@ class Env:
         next_state, reward, done = self.dynamics(self._state, action)
         self._state = next_state
         self._elapsed += 1
-        truncated = self._elapsed >= self.spec.max_episode_steps
-        return StepResult(next_state.copy(), reward, done, truncated)
+        return StepResult(next_state.copy(), reward, done, self._elapsed >= self._max_steps)
 
 
 class CartPole(Env):
@@ -156,7 +167,7 @@ class CartPole(Env):
     @staticmethod
     def dynamics(state: np.ndarray, action: int) -> tuple[np.ndarray, float, bool]:
         action = _check_discrete(action, 2)
-        x, x_dot, theta, theta_dot = state
+        x, x_dot, theta, theta_dot = state.tolist()
         force = CartPole.FORCE_MAG if action == 1 else -CartPole.FORCE_MAG
         cos_t = math.cos(theta)
         sin_t = math.sin(theta)
@@ -173,9 +184,8 @@ class CartPole(Env):
         x_dot = x_dot + CartPole.DT * x_acc
         theta = theta + CartPole.DT * theta_dot
         theta_dot = theta_dot + CartPole.DT * theta_acc
-        next_state = np.array([x, x_dot, theta, theta_dot])
-        done = bool(abs(x) > CartPole.X_LIMIT or abs(theta) > CartPole.THETA_LIMIT)
-        return next_state, 1.0, done
+        done = abs(x) > CartPole.X_LIMIT or abs(theta) > CartPole.THETA_LIMIT
+        return np.array([x, x_dot, theta, theta_dot]), 1.0, done
 
 
 class MountainCar(Env):
@@ -217,7 +227,7 @@ class MountainCar(Env):
     @staticmethod
     def dynamics(state: np.ndarray, action: int) -> tuple[np.ndarray, float, bool]:
         action = _check_discrete(action, 3)
-        position, velocity = state
+        position, velocity = state.tolist()
         velocity += (action - 1) * MountainCar.FORCE + math.cos(3 * position) * (
             -MountainCar.GRAVITY
         )
@@ -226,7 +236,7 @@ class MountainCar(Env):
         position = min(max(position, MountainCar.MIN_POSITION), MountainCar.MAX_POSITION)
         if position == MountainCar.MIN_POSITION and velocity < 0.0:
             velocity = 0.0  # inelastic left wall
-        done = bool(position >= MountainCar.GOAL_POSITION)
+        done = position >= MountainCar.GOAL_POSITION
         reward = 0.0 if done else -1.0
         return np.array([position, velocity]), reward, done
 
@@ -319,11 +329,15 @@ class Pendulum(Env):
         action = np.asarray(action, dtype=np.float64).reshape(-1)
         if action.shape != (1,):
             raise ValueError(f"action must be a single torque, got shape {action.shape}")
-        if not np.isfinite(action[0]):
+        torque = float(action[0])
+        if not math.isfinite(torque):
             raise ValueError(f"action must be finite, got {action[0]!r}")
-        torque = min(max(float(action[0]), -Pendulum.MAX_TORQUE), Pendulum.MAX_TORQUE)
-        theta = math.atan2(state[1], state[0])
-        theta_dot = state[2]
+        torque = min(max(torque, -Pendulum.MAX_TORQUE), Pendulum.MAX_TORQUE)
+        cos_t, sin_t, theta_dot = state.tolist()
+        theta = math.atan2(sin_t, cos_t)
+        reward, _ = Pendulum._score(
+            theta, theta_dot, torque, Pendulum.NATIVE_GOAL[0], Pendulum.spec.goal_tolerance
+        )
         g, m, length, dt = (
             Pendulum.GRAVITY,
             Pendulum.MASS,
@@ -336,11 +350,7 @@ class Pendulum(Env):
         theta_dot = theta_dot + theta_acc * dt
         theta_dot = min(max(theta_dot, -Pendulum.MAX_SPEED), Pendulum.MAX_SPEED)
         theta = theta + theta_dot * dt
-        next_state = Pendulum.observation(theta, theta_dot)
-        reward, _ = Pendulum.goal_reward(
-            state, action, next_state, Pendulum.NATIVE_GOAL, Pendulum.spec.goal_tolerance
-        )
-        return next_state, reward, False
+        return Pendulum.observation(theta, theta_dot), reward, False
 
     @staticmethod
     def achieved_goal(state: np.ndarray) -> np.ndarray:
@@ -352,10 +362,18 @@ class Pendulum(Env):
 
     @staticmethod
     def goal_reward(state, action, next_state, goal, tolerance) -> tuple[float, bool]:
-        theta = math.atan2(state[1], state[0])
-        delta = wrap_angle(theta - float(goal[0]))
         torque = min(max(float(action[0]), -Pendulum.MAX_TORQUE), Pendulum.MAX_TORQUE)
-        reward = -(delta**2 + 0.1 * state[2] ** 2 + 0.001 * torque**2)
+        theta = math.atan2(state[1], state[0])
+        return Pendulum._score(theta, float(state[2]), torque, float(goal[0]), tolerance)
+
+    @staticmethod
+    def _score(theta, theta_dot, torque, goal, tolerance) -> tuple[float, bool]:
+        """The cost of acting with a clipped ``torque`` at angle
+        ``theta`` and speed ``theta_dot``, with the angle measured from
+        ``goal``, and whether that angle error is within ``tolerance``.
+        All arguments are floats; every Pendulum reward comes from here."""
+        delta = wrap_angle(theta - goal)
+        reward = -(delta**2 + 0.1 * theta_dot**2 + 0.001 * torque**2)
         return reward, abs(delta) <= tolerance
 
 

@@ -39,7 +39,7 @@ from .config import (
     validate_config,
 )
 from .envs import EnvSpec, env_class, env_names, make_env
-from .errors import CheckpointError, ConfigurationError
+from .errors import CheckpointError, ConfigurationError, IntegrityError
 from .files import write_text_atomic
 from .hindsight import Episode, augment_observation, relabeled_transitions
 from .nn import load_checkpoint, save_checkpoint
@@ -155,21 +155,28 @@ def evaluate_policy(env, policy, episodes: int, rng: np.random.Generator) -> tup
     policy with exploration disabled.
 
     Plays ``episodes`` episodes in lockstep, each on a fresh instance of
-    ``env``'s class, reset in episode order from ``rng``. Every round
-    makes one ``policy`` call on the stacked observations of the live
+    ``env``'s class, reset in episode order from ``rng``. The current
+    observations live in one (episodes, obs_dim) array, one row per
+    episode, and every step writes its next state into that episode's
+    row. Every round makes one ``policy`` call on the rows of the live
     episodes, in episode order, and steps each of them with its action,
     so an episode's rewards add up in step order exactly as when the
     episodes are played one at a time. Raises ConfigurationError when
-    ``episodes`` is below 1.
+    ``episodes`` is below 1 and IntegrityError when the policy returns
+    a different number of actions than there are live episodes.
     """
     if episodes < 1:
         raise ConfigurationError(f"eval episodes must be >= 1, got {episodes}")
     envs = [type(env)() for _ in range(episodes)]
-    obs = [e.reset(rng) for e in envs]
+    obs = np.stack([e.reset(rng) for e in envs])
     totals = [0.0] * episodes
     live = list(range(episodes))
     while live:
-        actions = policy(np.stack([obs[i] for i in live]))
+        actions = policy(obs[live])
+        if len(actions) != len(live):
+            raise IntegrityError(
+                f"policy returned {len(actions)} actions for {len(live)} live episodes"
+            )
         still_live = []
         for i, action in zip(live, actions):
             result = envs[i].step(action)

@@ -289,3 +289,215 @@ def test_step_before_reset_raises() -> None:
         action = 0 if isinstance(env.spec.actions, DiscreteActions) else np.zeros(1)
         with pytest.raises(RuntimeError):
             env.step(action)
+
+
+# --- bitwise reference: the dynamics as numpy-scalar formulas ---
+#
+# Frozen copies of the formulas the envs used when they did their scalar
+# arithmetic on numpy float64 scalars. The envs now unpack each state
+# into Python floats; IEEE doubles and the same operations in the same
+# order must give the same bits, -0.0 included.
+
+
+def reference_cartpole(state, action):
+    c = CartPole
+    x, x_dot, theta, theta_dot = state
+    force = c.FORCE_MAG if action == 1 else -c.FORCE_MAG
+    cos_t = math.cos(theta)
+    sin_t = math.sin(theta)
+    temp = (force + c.POLE_MASS_LENGTH * theta_dot**2 * sin_t) / c.TOTAL_MASS
+    theta_acc = (c.GRAVITY * sin_t - cos_t * temp) / (
+        c.HALF_POLE_LENGTH * (4.0 / 3.0 - c.POLE_MASS * cos_t**2 / c.TOTAL_MASS)
+    )
+    x_acc = temp - c.POLE_MASS_LENGTH * theta_acc * cos_t / c.TOTAL_MASS
+    x = x + c.DT * x_dot
+    x_dot = x_dot + c.DT * x_acc
+    theta = theta + c.DT * theta_dot
+    theta_dot = theta_dot + c.DT * theta_acc
+    done = bool(abs(x) > c.X_LIMIT or abs(theta) > c.THETA_LIMIT)
+    return np.array([x, x_dot, theta, theta_dot]), 1.0, done
+
+
+def reference_mountaincar(state, action):
+    c = MountainCar
+    position, velocity = state
+    velocity += (action - 1) * c.FORCE + math.cos(3 * position) * (-c.GRAVITY)
+    velocity = min(max(velocity, -c.MAX_SPEED), c.MAX_SPEED)
+    position += velocity
+    position = min(max(position, c.MIN_POSITION), c.MAX_POSITION)
+    if position == c.MIN_POSITION and velocity < 0.0:
+        velocity = 0.0
+    done = bool(position >= c.GOAL_POSITION)
+    return np.array([position, velocity]), (0.0 if done else -1.0), done
+
+
+def reference_pendulum_goal_reward(state, action, goal, tolerance):
+    theta = math.atan2(state[1], state[0])
+    delta = wrap_angle(theta - float(goal[0]))
+    torque = min(max(float(action[0]), -Pendulum.MAX_TORQUE), Pendulum.MAX_TORQUE)
+    reward = -(delta**2 + 0.1 * state[2] ** 2 + 0.001 * torque**2)
+    return reward, abs(delta) <= tolerance
+
+
+def reference_pendulum(state, action):
+    c = Pendulum
+    action = np.asarray(action, dtype=np.float64).reshape(-1)
+    torque = min(max(float(action[0]), -c.MAX_TORQUE), c.MAX_TORQUE)
+    theta = math.atan2(state[1], state[0])
+    theta_dot = state[2]
+    theta_acc = 3.0 * c.GRAVITY / (2.0 * c.LENGTH) * math.sin(theta) + 3.0 / (
+        c.MASS * c.LENGTH**2
+    ) * torque
+    theta_dot = theta_dot + theta_acc * c.DT
+    theta_dot = min(max(theta_dot, -c.MAX_SPEED), c.MAX_SPEED)
+    theta = theta + theta_dot * c.DT
+    next_state = np.array([math.cos(theta), math.sin(theta), theta_dot])
+    reward, _ = reference_pendulum_goal_reward(
+        state, action, c.NATIVE_GOAL, c.spec.goal_tolerance
+    )
+    return next_state, reward, False
+
+
+def bits(value) -> bytes:
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+def assert_same_step(got, expected) -> None:
+    next_state, reward, done = got
+    assert next_state.dtype == np.float64
+    assert bits(next_state) == bits(expected[0])
+    assert bits(reward) == bits(expected[1])
+    assert done is expected[2]
+
+
+def edge_values(*values: float) -> list[float]:
+    """Each value, its neighbours one ulp away, and its negation."""
+    out = []
+    for v in values:
+        for w in (v, -v):
+            out += [w, np.nextafter(w, -np.inf), np.nextafter(w, np.inf)]
+    return out
+
+
+def cartpole_states(rng) -> np.ndarray:
+    edges = edge_values(CartPole.X_LIMIT, CartPole.THETA_LIMIT, 0.0)
+    states = [
+        # at the limits: zero speeds keep x or theta on the boundary
+        np.array([x, 0.0, theta, 0.0]) for x in edges for theta in edges
+    ]
+    states += [np.array([-0.0, -0.0, -0.0, -0.0]), np.array([0.0, -0.0, 0.0, -0.0])]
+    random = rng.uniform(-1.0, 1.0, size=(20000, 4)) * [3.0, 4.0, 0.5, 4.0]
+    return np.vstack([states, random])
+
+
+def mountaincar_states(rng) -> np.ndarray:
+    c = MountainCar
+    positions = edge_values(c.MIN_POSITION, c.MAX_POSITION, c.GOAL_POSITION, 0.0)
+    speeds = edge_values(c.MAX_SPEED, c.MAX_SPEED - c.FORCE, 0.0)
+    states = [np.array([p, v]) for p in positions for v in speeds]
+    # left wall: arriving with any negative speed clamps and stops the car
+    states += [np.array([c.MIN_POSITION + d, -v]) for d in (0.0, 1e-3, 0.02) for v in (0.01, 0.07)]
+    random = np.column_stack(
+        [rng.uniform(c.MIN_POSITION, c.MAX_POSITION, 15000), rng.uniform(-0.08, 0.08, 15000)]
+    )
+    return np.vstack([states, random])
+
+
+def pendulum_cases(rng) -> list[tuple[np.ndarray, np.ndarray]]:
+    c = Pendulum
+    speeds = edge_values(c.MAX_SPEED, c.MAX_SPEED - 0.2, 0.0)
+    torques = edge_values(c.MAX_TORQUE, 5.0, 50.0, 0.0)
+    angles = [0.0, -0.0, math.pi, -math.pi, math.pi / 2, 1.0, -2.5]
+    cases = [
+        (c.observation(a, s), np.array([t])) for a in angles for s in speeds for t in torques
+    ]
+    # off the unit circle too: the state is any float triple
+    triples = rng.uniform(-1.0, 1.0, size=(15000, 3)) * [1.2, 1.2, 9.0]
+    torques = rng.uniform(-3.0, 3.0, size=(15000, 1))
+    return cases + list(zip(triples, torques))
+
+
+def test_cartpole_dynamics_bitwise_equal_reference() -> None:
+    for state in cartpole_states(np.random.default_rng(20)):
+        for action in (0, 1):
+            expected = reference_cartpole(state, action)
+            assert_same_step(CartPole.dynamics(state, action), expected)
+
+
+def test_mountaincar_dynamics_bitwise_equal_reference() -> None:
+    for state in mountaincar_states(np.random.default_rng(21)):
+        for action in (0, 1, 2):
+            expected = reference_mountaincar(state, action)
+            assert_same_step(MountainCar.dynamics(state, action), expected)
+
+
+def test_pendulum_dynamics_and_goal_reward_bitwise_equal_reference() -> None:
+    rng = np.random.default_rng(22)
+    for state, action in pendulum_cases(rng):
+        assert_same_step(Pendulum.dynamics(state, action), reference_pendulum(state, action))
+        goal = rng.uniform(-4.0, 4.0, size=1)
+        tolerance = float(rng.uniform(0.0, 1.0))
+        reward, success = Pendulum.goal_reward(state, action, None, goal, tolerance)
+        expected_reward, expected_success = reference_pendulum_goal_reward(
+            state, action, goal, tolerance
+        )
+        assert bits(reward) == bits(expected_reward)
+        assert success is expected_success
+
+
+# --- the env contract ---
+
+
+def some_action(spec, i: int):
+    if isinstance(spec.actions, DiscreteActions):
+        return i % spec.actions.n
+    return np.array([2.0 * math.sin(i)])
+
+
+@pytest.mark.parametrize("name", env_names())
+def test_step_results_are_owned_by_the_caller(name) -> None:
+    """Mutating what reset or step returned leaves the env's own state,
+    and so its next steps, as they were."""
+    spec = env_spec(name)
+    plain, mutated = make_env(name), make_env(name)
+    plain.reset(np.random.default_rng(10))
+    mutated.reset(np.random.default_rng(10))[:] = 99.0
+    for i in range(30):
+        expected = plain.step(some_action(spec, i))
+        got = mutated.step(some_action(spec, i))
+        assert got.next_state.tobytes() == expected.next_state.tobytes()
+        assert (got.reward, got.done, got.truncated) == (
+            expected.reward, expected.done, expected.truncated
+        )
+        got.next_state[:] = 99.0
+        if expected.done:
+            break
+
+
+@pytest.mark.parametrize("name", env_names())
+def test_step_result_types_and_immutability(name) -> None:
+    spec = env_spec(name)
+    env = make_env(name)
+    env.reset(np.random.default_rng(11))
+    for i in range(spec.max_episode_steps):
+        result = env.step(some_action(spec, i))
+        assert result._fields == ("next_state", "reward", "done", "truncated")
+        assert type(result.reward) is float
+        assert type(result.done) is bool and type(result.truncated) is bool
+        assert result.next_state.dtype == np.float64
+        assert result.next_state.shape == (spec.obs_dim,)
+        if result.done or result.truncated:
+            break
+    with pytest.raises(AttributeError):
+        result.reward = 0.0
+
+
+def test_discrete_actions_accept_integer_types() -> None:
+    state = np.array([0.01, -0.02, 0.03, 0.04])
+    expected = CartPole.dynamics(state, 1)
+    for action in (1, np.int64(1), np.uint8(1), 1.0):
+        got = CartPole.dynamics(state, action)
+        assert got[0].tobytes() == expected[0].tobytes() and got[1:] == expected[1:]
+    for bad in (np.True_, 2**70, -(2**70)):
+        with pytest.raises(ValueError):
+            CartPole.dynamics(state, bad)

@@ -16,7 +16,7 @@ from replaykit.agents import (
     scaler_for,
 )
 from replaykit.envs import DiscreteActions, Pendulum, env_class, env_spec, make_env
-from replaykit.errors import ConfigurationError
+from replaykit.errors import ConfigurationError, IntegrityError
 from replaykit.harness import (
     CSV_HEADER,
     NO_CONVERGENCE,
@@ -856,6 +856,15 @@ def test_lockstep_evaluate_policy_equals_one_at_a_time(
 def test_evaluate_policy_rejects_fewer_than_one_episode(episodes) -> None:
     with pytest.raises(ConfigurationError, match="episodes"):
         evaluate_policy(make_env("cartpole"), lambda obs: [0] * len(obs), episodes,
+                        np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("extra, got", [(-1, 4), (1, 6)], ids=["short", "long"])
+def test_evaluate_policy_rejects_a_wrong_action_count(extra, got) -> None:
+    # Pairing live episodes with actions must not drop an episode or an
+    # action: 5 episodes and 4 actions would otherwise score 4 of them.
+    with pytest.raises(IntegrityError, match=f"returned {got} actions for 5 live episodes"):
+        evaluate_policy(make_env("cartpole"), lambda obs: [0] * (len(obs) + extra), 5,
                         np.random.default_rng(0))
 
 
