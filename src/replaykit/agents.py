@@ -16,8 +16,11 @@ states already carry any goal and whose weights are the per-sample
 loss weights; they return the TD errors they trained on (for priority
 updates) and keep frozen target copies of their networks: DQN
 refreshes its target by hard copy on a fixed period, DDPG blends
-continuously with a small Polyak factor. Observations are scaled by a
-fixed per-environment affine map before they reach any network.
+continuously with a small Polyak factor. DQN holds its Q-network and
+target as one :class:`~replaykit.nn.NetworkPair`, so each update
+evaluates both in one stacked ``forward_pair`` pass; ``act``,
+evaluation and DDPG use plain ``forward``. Observations are scaled by
+a fixed per-environment affine map before they reach any network.
 """
 
 from __future__ import annotations
@@ -32,11 +35,13 @@ from .errors import ConfigurationError, NumericalError
 from .hindsight import augment_observation
 from .nn import (
     Mlp,
+    NetworkPair,
     adam_init,
     adam_step,
     backward,
     clone_mlp,
     forward,
+    forward_pair,
     hard_copy,
     init_mlp,
     soft_update,
@@ -72,8 +77,9 @@ class ObservationScaler:
     def dim(self) -> int:
         return self.center.shape[0]
 
-    def __call__(self, obs: np.ndarray) -> np.ndarray:
-        scaled = np.subtract(obs, self.center, dtype=np.float64)
+    def __call__(self, obs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The scaled observations, in ``out`` when given."""
+        scaled = np.subtract(obs, self.center, out=out, dtype=np.float64)
         scaled /= self.halfwidth
         return scaled
 
@@ -119,7 +125,12 @@ def greedy_policy(
         out, _ = forward(net, scaler(x)[:, None, :])
         if discrete:
             return np.argmax(out[:, 0], axis=1).tolist()
-        return list(np.clip(out[:, 0], actions.low, actions.high))
+        # Clip the fresh output in place: np.clip's bits on the finite
+        # values forward guarantees, one (dim,) float64 row per episode.
+        rows = out[:, 0]
+        np.maximum(rows, actions.low, out=rows)
+        np.minimum(rows, actions.high, out=rows)
+        return list(rows)
 
     return policy
 
@@ -189,7 +200,10 @@ class DqnAgent:
     """Q-learning over a dense network with a periodically frozen
     target copy.
 
-    TD target: y = r for terminal transitions, else r + gamma * max_a'
+    ``q`` and ``q_target`` are the online and target halves of one
+    :class:`~replaykit.nn.NetworkPair`, so an update evaluates Q on the
+    states and Q_target on the next states in one stacked pass. TD
+    target: y = r for terminal transitions, else r + gamma * max_a'
     Q_target(s', a'). The returned TD errors are Q(s, a) - y under the
     parameters in force when the batch was drawn.
     """
@@ -209,8 +223,8 @@ class DqnAgent:
         self.actions = actions
         self.scaler = scaler
         sizes = (scaler.dim, *config.hidden_sizes, actions.n)
-        self.q = init_mlp(sizes, init_rng, hidden_activation="tanh")
-        self.q_target = clone_mlp(self.q)
+        self.pair = NetworkPair(init_mlp(sizes, init_rng, hidden_activation="tanh"))
+        self.q, self.q_target = self.pair.online, self.pair.target
         self.adam = adam_init(self.q, config.learning_rate)
         self.updates = 0
         # The epsilon clock: act calls so far, across episodes.
@@ -244,17 +258,16 @@ class DqnAgent:
         values, _ = forward(self.q, self.scaler(obs))
         return int(np.argmax(values))
 
-    def td_targets(
-        self, rewards: np.ndarray, next_states: np.ndarray, dones: np.ndarray
-    ) -> np.ndarray:
-        next_q, _ = forward(self.q_target, self.scaler(next_states))
-        return rewards + self.config.gamma * (1.0 - dones) * next_q.max(axis=1)
-
     def update(self, batch: Batch) -> np.ndarray:
-        """One weighted TD regression step; returns per-sample TD errors."""
+        """One weighted TD regression step; returns per-sample TD errors.
+        States and next states are scaled straight into the pair's
+        input rows."""
         n = len(batch)
-        targets = self.td_targets(batch.rewards, batch.next_states, batch.dones)
-        q_all, cache = forward(self.q, self.scaler(batch.states))
+        states, next_states = self.pair.input_rows(n)
+        self.scaler(batch.states, out=states)
+        self.scaler(batch.next_states, out=next_states)
+        q_all, next_q, cache = forward_pair(self.pair, states, next_states)
+        targets = batch.rewards + self.config.gamma * (1.0 - batch.dones) * next_q.max(axis=1)
         if self._rows.size != n:
             self._rows = np.arange(n)
             self._output_grad = np.zeros_like(q_all)

@@ -87,8 +87,8 @@ class RunConfig:
 
 def validate_config(cfg: RunConfig) -> None:
     """Reject impossible (env, agent, strategy) combinations with the
-    conflicting pair named, and a goal tolerance the env's native goal
-    cannot honor."""
+    conflicting pair named, a goal tolerance the env's native goal
+    cannot honor, and a buffer too small to reach the warm-up."""
     try:
         env = env_class(cfg.env)
     except ValueError as exc:
@@ -105,6 +105,14 @@ def validate_config(cfg: RunConfig) -> None:
         )
     if spec.goal_dim > 0:
         env.native_goal(cfg.resolved_goal_tolerance())
+    # Learning waits for warmup stored rows, and the buffer never holds
+    # more than its capacity.
+    warmup = getattr(cfg, cfg.agent).warmup
+    if cfg.resolved_buffer_capacity() < warmup:
+        raise ConfigurationError(
+            f"buffer_capacity {cfg.resolved_buffer_capacity()} is below "
+            f"{cfg.agent}_warmup {warmup}: the agent would never learn"
+        )
 
 
 def _parse_bool(raw: str) -> bool:

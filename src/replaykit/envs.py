@@ -326,9 +326,12 @@ class Pendulum(Env):
 
     @staticmethod
     def dynamics(state: np.ndarray, action) -> tuple[np.ndarray, float, bool]:
-        action = np.asarray(action, dtype=np.float64).reshape(-1)
-        if action.shape != (1,):
-            raise ValueError(f"action must be a single torque, got shape {action.shape}")
+        # An exact float64 (1,) array, as the agents and the eval policy
+        # pass, goes straight to the finite check.
+        if not (type(action) is np.ndarray and action.dtype == np.float64 and action.shape == (1,)):
+            action = np.asarray(action, dtype=np.float64).reshape(-1)
+            if action.shape != (1,):
+                raise ValueError(f"action must be a single torque, got shape {action.shape}")
         torque = float(action[0])
         if not math.isfinite(torque):
             raise ValueError(f"action must be finite, got {action[0]!r}")

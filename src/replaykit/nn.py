@@ -26,10 +26,24 @@ parameter gradient. Lifetimes follow from that:
 
 Stacks of rows use no workspace. Copying a network (``clone_mlp`` or
 ``copy.deepcopy``) never shares its workspaces.
+
+A :class:`NetworkPair` holds an online network and its frozen target,
+one architecture, as rows 0 and 1 of one (2, P) parameter array; each
+is an ordinary network whose ``params`` is its row, so every update
+above works on either unchanged. ``forward_pair`` evaluates both at
+one row count in one stacked pass: per layer, one (2, n, fan_in) @
+(2, fan_in, fan_out) matmul whose slices are each the product of a
+plain matrix forward, so the bits are those of two ``forward`` calls.
+The pair keeps its own input and hidden buffers per row count; its
+outputs are fresh, and its cache is one of the online network that
+``backward`` accepts, with the same lifetime as a matrix forward's: the
+pass counts as a forward through the online network's workspace for
+that row count.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -100,13 +114,15 @@ class Mlp:
 
     def split(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Per-layer weight and bias views of a vector laid out like
-        ``params``."""
+        ``params``, or of a stack of such vectors along the last axis
+        (weights of shape (..., fan_in, fan_out), biases (..., fan_out))."""
         weights, biases = [], []
+        lead = flat.shape[:-1]
         start = 0
         for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
             end = start + fan_in * fan_out
-            weights.append(flat[start:end].reshape(fan_in, fan_out))
-            biases.append(flat[end : end + fan_out])
+            weights.append(flat[..., start:end].reshape(lead + (fan_in, fan_out)))
+            biases.append(flat[..., end : end + fan_out])
             start = end + fan_out
         return weights, biases
 
@@ -190,6 +206,67 @@ def clone_mlp(net: Mlp) -> Mlp:
     )
 
 
+class NetworkPair:
+    """An online network and its target, held as the two rows of one
+    (2, P) parameter array so that :func:`forward_pair` evaluates both
+    in one stacked pass.
+
+    ``online`` and ``target`` are ordinary networks whose ``params`` are
+    rows 0 and 1 of ``params`` (their ``weights`` and ``biases`` views
+    into those rows), so ``adam_step``, ``hard_copy``, ``soft_update``
+    and checkpoints act on the pair in place, and a deep copy of either
+    is a standalone network. ``weights[i]`` (2, fan_in, fan_out) and
+    ``biases[i]`` (2, 1, fan_out) view layer i of both rows. The given
+    network becomes ``online``; the target starts as its copy.
+    """
+
+    def __init__(self, online: Mlp) -> None:
+        self._join(online, clone_mlp(online))
+
+    def _join(self, online: Mlp, target: Mlp) -> None:
+        self.params = np.stack([online.params, target.params])
+        for net, row in zip((online, target), self.params):
+            net.params = row
+            net.weights, net.biases = net.split(row)
+        self.online, self.target = online, target
+        weights, biases = online.split(self.params)
+        self.weights, self.biases = weights, [b[:, None, :] for b in biases]
+        self._workspaces: dict[int, PairWorkspace] = {}
+
+    def workspace(self, rows: int) -> PairWorkspace:
+        """The pair's buffers for ``rows``-row inputs, built on first
+        use."""
+        ws = self._workspaces.get(rows)
+        if ws is None:
+            ws = self._workspaces[rows] = PairWorkspace(self.online, rows)
+        return ws
+
+    def input_rows(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        """The (rows, input_dim) online and target inputs that
+        ``forward_pair`` reads in place; a caller may write into them."""
+        return self.workspace(rows).inputs
+
+    def __deepcopy__(self, memo) -> NetworkPair:
+        online = copy.deepcopy(self.online, memo)
+        target = copy.deepcopy(self.target, memo)
+        twin = memo[id(self)] = NetworkPair.__new__(NetworkPair)
+        twin._join(online, target)
+        return twin
+
+
+class PairWorkspace:
+    """A pair's buffers for inputs of one row count: ``x`` (2, rows,
+    input_dim) and ``hidden[i]`` (2, rows, n), row 0 online and row 1
+    target. ``inputs`` are the two input rows and ``online_inputs`` the
+    activations entering each layer of the online network."""
+
+    def __init__(self, net: Mlp, rows: int) -> None:
+        self.x = np.empty((2, rows, net.input_dim))
+        self.hidden = [np.empty((2, rows, n)) for n in net.layer_sizes[1:-1]]
+        self.inputs = (self.x[0], self.x[1])
+        self.online_inputs = [self.x[0]] + [h[0] for h in self.hidden]
+
+
 @dataclass
 class ForwardCache:
     inputs: list[np.ndarray]  # activation entering each layer
@@ -230,15 +307,76 @@ def forward(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     earlier cache of that workspace, even when this forward raises.
     """
     a, squeezed = _as_rows(x, net.input_dim)
-    ws = None
     if a.ndim == 2:
         ws = net.workspace(a.shape[0])
         ws.generation += 1
-    last = len(net.weights) - 1
-    inputs = []
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        inputs.append(a)
-        z = np.matmul(a, w, out=ws.hidden[i] if ws is not None and i < last else None)
+        hidden = ws.hidden
+    else:
+        ws = None
+        hidden = [np.empty((a.shape[0], 1, n)) for n in net.layer_sizes[1:-1]]
+    out = _layers(net, a, net.weights, net.biases, hidden)
+    cache = ForwardCache(
+        inputs=[a, *hidden],
+        outputs=out,
+        version=net.version,
+        layer_sizes=net.layer_sizes,
+        squeezed=squeezed,
+        workspace=ws,
+        generation=0 if ws is None else ws.generation,
+    )
+    return (out[0] if squeezed else out), cache
+
+
+def forward_pair(
+    pair: NetworkPair, x_online: np.ndarray, x_target: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, ForwardCache]:
+    """Evaluate ``pair.online`` on ``x_online`` and ``pair.target`` on
+    ``x_target``, two (n, input_dim) matrices, in one stacked pass.
+
+    Each layer is one (2, n, fan_in) @ (2, fan_in, fan_out) matmul, one
+    bias add and one activation, with one finite check over both
+    outputs. Each slice of the matmul is the matrix product a matrix
+    ``forward`` of one network runs, so the outputs have the bits of
+    ``forward(pair.online, x_online)`` and ``forward(pair.target,
+    x_target)``. Returns both fresh outputs and the online network's
+    cache, which ``backward(pair.online, ...)`` accepts.
+
+    The inputs are copied into ``pair.input_rows(n)`` unless they are
+    those arrays, which a caller may fill in place. Like a matrix
+    forward through the online network, the pass bumps the generation
+    of its workspace for n rows, so it invalidates that workspace's
+    earlier caches and a later forward invalidates its cache.
+    """
+    online = pair.online
+    ws = pair.workspace(len(x_online))
+    for given, row in zip((x_online, x_target), ws.inputs):
+        if given is not row:
+            if np.shape(given) != row.shape:
+                raise ValueError(f"inputs must both have shape {row.shape}")
+            row[...] = given
+    online_ws = online.workspace(ws.x.shape[1])
+    online_ws.generation += 1
+    out = _layers(online, ws.x, pair.weights, pair.biases, ws.hidden)
+    cache = ForwardCache(
+        inputs=ws.online_inputs,
+        outputs=out[0],
+        version=online.version,
+        layer_sizes=online.layer_sizes,
+        squeezed=False,
+        workspace=online_ws,
+        generation=online_ws.generation,
+    )
+    return out[0], out[1], cache
+
+
+def _layers(net: Mlp, a: np.ndarray, weights, biases, hidden: list[np.ndarray]) -> np.ndarray:
+    """The matmul, bias add and activation of every layer of ``net``'s
+    architecture, from ``a`` through ``weights`` and ``biases``, with
+    hidden activations written into ``hidden``; returns the fresh
+    output once it is checked finite."""
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        z = np.matmul(a, w, out=hidden[i] if i < last else None)
         z += b
         if i < last:
             if net.hidden_activation == "tanh":
@@ -251,16 +389,7 @@ def forward(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
         a = z
     if not np.isfinite(a).all():
         raise NumericalError("network produced a non-finite output")
-    cache = ForwardCache(
-        inputs=inputs,
-        outputs=a,
-        version=net.version,
-        layer_sizes=net.layer_sizes,
-        squeezed=squeezed,
-        workspace=ws,
-        generation=0 if ws is None else ws.generation,
-    )
-    return (a[0] if squeezed else a), cache
+    return a
 
 
 def backward(

@@ -370,7 +370,7 @@ def test_her_accounting_and_native_restriction() -> None:
     cfg = RunConfig(
         env="mountaincar", agent="dqn", hindsight=True, episodes=3,
         eval_interval=10, buffer_capacity=5_000,
-        dqn=DqnConfig(warmup=100_000),
+        dqn=DqnConfig(warmup=5_000),
     )
     exp = build_run(cfg)
     records = train(exp)

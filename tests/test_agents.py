@@ -21,7 +21,7 @@ from replaykit.agents import (
 )
 from replaykit.envs import BoxAction, DiscreteActions, env_spec
 from replaykit.errors import ConfigurationError, NumericalError
-from replaykit.nn import Mlp, forward
+from replaykit.nn import Mlp, adam_step, backward, forward, hard_copy
 from replaykit.replay import Batch, ReplayBuffer
 
 
@@ -130,26 +130,74 @@ def test_dqn_epsilon_follows_its_own_act_count() -> None:
     assert agent.acts == 6
 
 
+def reference_td_errors(agent: DqnAgent, batch: Batch) -> np.ndarray:
+    """Q(s, a) - (r + gamma * (1 - d) * max_a' Q_target(s', a')), with one
+    plain forward each through agent.q and agent.q_target."""
+    q, _ = forward(agent.q, agent.scaler(batch.states))
+    next_q, _ = forward(agent.q_target, agent.scaler(batch.next_states))
+    targets = batch.rewards + agent.config.gamma * (1.0 - batch.dones) * next_q.max(axis=1)
+    return q[np.arange(len(batch)), batch.actions.astype(int)] - targets
+
+
+def constant_outputs(net: Mlp, values) -> None:
+    net.params[...] = 0.0
+    net.biases[-1][...] = values
+
+
 def test_dqn_td_targets() -> None:
     agent = make_dqn(gamma=0.99)
-    # target net outputs fixed values via biases
-    for w in agent.q_target.weights:
-        w[...] = 0.0
-    for b in agent.q_target.biases:
-        b[...] = 0.0
-    agent.q_target.biases[-1][:] = [10.0, 4.0]
-    rewards = np.array([1.0, 2.0, 3.0])
-    next_states = np.zeros((3, 3))
-    dones = np.array([0.0, 1.0, 0.0])
-    targets = agent.td_targets(rewards, next_states, dones)
-    assert targets == pytest.approx([1.0 + 0.99 * 10.0, 2.0, 3.0 + 0.99 * 10.0])
+    # both nets output fixed values via their biases
+    constant_outputs(agent.q, [0.5, -1.5])
+    constant_outputs(agent.q_target, [10.0, 4.0])
+    batch = make_batch([
+        (np.zeros(3), 0, 1.0, np.zeros(3), False),
+        (np.zeros(3), 1, 2.0, np.zeros(3), True),
+        (np.zeros(3), 1, 3.0, np.zeros(3), False),
+    ])
+    expected = reference_td_errors(agent, batch)
+    td = agent.update(batch)
+    assert td.tobytes() == expected.tobytes()
+    assert td == pytest.approx([0.5 - (1.0 + 0.99 * 10.0), -1.5 - 2.0, -1.5 - (3.0 + 0.99 * 10.0)])
 
 
 def test_dqn_td_targets_gamma_zero() -> None:
     agent = make_dqn(gamma=0.0)
-    rewards = np.array([5.0, -1.0])
-    targets = agent.td_targets(rewards, np.zeros((2, 3)), np.zeros(2))
-    assert targets == pytest.approx([5.0, -1.0])
+    batch = make_batch([(np.ones(3), 0, 5.0, np.ones(3), False),
+                        (np.zeros(3), 1, -1.0, np.ones(3), False)])
+    q, _ = forward(agent.q, batch.states)
+    expected = reference_td_errors(agent, batch)
+    td = agent.update(batch)
+    assert td.tobytes() == expected.tobytes()
+    assert td.tobytes() == (q[[0, 1], [0, 1]] - [5.0, -1.0]).tobytes()
+
+
+@pytest.mark.parametrize("hidden_sizes", [(), (8,), (64, 64)])
+@pytest.mark.parametrize("batch_size", [1, 32, 33])
+def test_dqn_update_matches_plain_forward_reference(batch_size, hidden_sizes) -> None:
+    # A twin agent takes each step through plain forward calls on its
+    # own q and q_target; both must agree bit for bit in TD errors and
+    # parameters, across target syncs.
+    config = dict(obs_dim=4, gamma=0.9, hidden_sizes=hidden_sizes, target_update_period=2)
+    agent, twin = make_dqn(**config), make_dqn(**config)
+    rng = np.random.default_rng(batch_size)
+    for step in range(5):
+        batch = make_batch(random_rows(batch_size, obs_dim=4, rng_seed=step),
+                           rng.uniform(0.1, 1.0, size=batch_size))
+        td_ref = reference_td_errors(twin, batch)
+        q, cache = forward(twin.q, twin.scaler(batch.states))
+        output_grad = np.zeros_like(q)
+        loss_grad = 2.0 * batch.weights
+        loss_grad *= td_ref
+        loss_grad /= batch_size
+        output_grad[np.arange(batch_size), batch.actions.astype(int)] = loss_grad
+        grad, _ = backward(twin.q, cache, output_grad, input_grad=False)
+        adam_step(twin.q, grad, twin.adam)
+        if step % 2 == 1:
+            hard_copy(twin.q_target, twin.q)
+        td = agent.update(batch)
+        assert td.tobytes() == td_ref.tobytes()
+        assert agent.q.params.tobytes() == twin.q.params.tobytes()
+        assert agent.q_target.params.tobytes() == twin.q_target.params.tobytes()
 
 
 def test_dqn_update_returns_pre_update_td_errors() -> None:
@@ -468,3 +516,20 @@ def test_learner_updates_allocate_less_than_their_parameters() -> None:
     ddpg = make_ddpg()
     ddpg_peak = traced_peak_bytes(ddpg.update, make_batch(random_rows(64, discrete=False)))
     assert ddpg_peak < ddpg.actor.params.nbytes + ddpg.critic.params.nbytes
+
+
+def test_continuous_greedy_policy_clips_like_np_clip() -> None:
+    # Actor outputs scaled to +-3 overshoot the +-2 bounds both ways.
+    agent = make_ddpg()
+    agent.actor.output_scale = 3.0
+    rng = np.random.default_rng(13)
+    agent.actor.weights[-1][...] = rng.normal(scale=10.0, size=agent.actor.weights[-1].shape)
+    observations = rng.normal(size=(64, 3))
+    out, _ = forward(agent.actor, agent.scaler(observations)[:, None, :])
+    actions = greedy_policy(agent.actor, agent.scaler, None, agent.actions)(observations)
+    assert len(actions) == 64
+    assert all(type(a) is np.ndarray and a.dtype == np.float64 and a.shape == (1,)
+               for a in actions)
+    clipped = np.clip(out[:, 0], -2.0, 2.0)
+    assert np.stack(actions).tobytes() == clipped.tobytes()
+    assert (clipped == 2.0).any() and (clipped == -2.0).any() and (np.abs(clipped) < 2.0).any()

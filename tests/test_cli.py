@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from replaykit.cli import main
+from replaykit.config import config_from_mapping, validate_config
 from replaykit.errors import CheckpointError
 from replaykit.harness import evaluate_checkpoint
 from replaykit.nn import init_mlp, save_checkpoint
@@ -398,3 +399,23 @@ def test_eval_checkpoint_goal_tolerance_below_floor_exits_1(tmp_path, capsys) ->
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "goal_tolerance 0.01 is below mountaincar's floor" in err
+
+
+@pytest.mark.parametrize(
+    "env, agent, capacity",
+    [("cartpole", "dqn", 500), ("pendulum", "ddpg", 800), ("cartpole", "dqn", 999)],
+)
+def test_train_buffer_below_warmup_exits_2(tmp_path, capsys, env, agent, capacity) -> None:
+    # The stack never holds more rows than its capacity, so a warm-up
+    # (default 1,000) above it would never be reached.
+    out = tmp_path / "run"
+    code = run_cli(["train", "--env", env, "--agent", agent, "--out", out,
+                    "--set", "episodes=1", "--set", f"buffer_capacity={capacity}"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"buffer_capacity {capacity} is below {agent}_warmup 1000" in err
+    assert not out.exists()
+    # A buffer exactly the warm-up's size is accepted.
+    validate_config(config_from_mapping(
+        {"env": env, "agent": agent, "buffer_capacity": "1000"}
+    ))

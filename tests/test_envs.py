@@ -501,3 +501,22 @@ def test_discrete_actions_accept_integer_types() -> None:
     for bad in (np.True_, 2**70, -(2**70)):
         with pytest.raises(ValueError):
             CartPole.dynamics(state, bad)
+
+
+def test_pendulum_action_forms_give_the_same_step() -> None:
+    # An exact float64 (1,) array skips the conversion; every other
+    # form goes through it and must land on the same bits.
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        state = Pendulum.observation(rng.uniform(-math.pi, math.pi), rng.uniform(-8.0, 8.0))
+        torque = rng.uniform(-3.0, 3.0)
+        want = Pendulum.dynamics(state, np.array([torque]))
+        for action in ([torque], (torque,), torque, np.array([[torque]]),
+                       np.array([torque], dtype=np.longdouble),
+                       np.array([torque])[::-1]):
+            got = Pendulum.dynamics(state, action)
+            assert got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:]
+    with pytest.raises(ValueError, match="finite"):
+        Pendulum.dynamics(state, np.array([np.inf]))
+    with pytest.raises(ValueError, match="single torque"):
+        Pendulum.dynamics(state, np.zeros(0))

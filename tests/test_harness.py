@@ -388,7 +388,7 @@ def test_train_hindsight_doubles_stored_transitions() -> None:
         hindsight=True,
         episodes=2,
         buffer_capacity=2_000,
-        dqn=DqnConfig(warmup=10_000),  # no updates, storage only
+        dqn=DqnConfig(warmup=2_000),  # never reached: storage only
     )
     exp = build_run(cfg)
     records = train(exp)
@@ -413,7 +413,7 @@ def test_train_pendulum_hindsight_stores_no_terminal_rows() -> None:
         hindsight=True,
         episodes=1,
         buffer_capacity=400,
-        ddpg=DdpgConfig(warmup=10_000),  # no updates, storage only
+        ddpg=DdpgConfig(warmup=400),  # reached only after the last step: storage only
     )
     exp = build_run(cfg)
     train(exp)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -12,11 +13,13 @@ from replaykit.nn import (
     HIDDEN_ACTIVATIONS,
     OUTPUT_ACTIVATIONS,
     Mlp,
+    NetworkPair,
     adam_init,
     adam_step,
     backward,
     clone_mlp,
     forward,
+    forward_pair,
     hard_copy,
     init_mlp,
     load_checkpoint,
@@ -752,3 +755,132 @@ def test_forward_stacked_rows_equal_one_row_forward(sizes, hidden, output, n, se
     stacked, _ = forward(net, rows[:, None, :])
     assert stacked.shape == (n, 1, sizes[-1])
     assert same_bits(stacked[:, 0], one_row_reference(net, rows))
+
+
+# The paired online/target pass: forward_pair against two plain forwards.
+
+PAIR_NETS = {
+    "4-64-64-2": ((4, 64, 64, 2), "tanh", "identity"),
+    "2-64-64-3": ((2, 64, 64, 3), "tanh", "identity"),
+    "4-400-300-2": ((4, 400, 300, 2), "tanh", "identity"),
+    "4-2": ((4, 2), "tanh", "identity"),
+    "6-32-3-relu-tanh": ((6, 32, 3), "relu", "tanh"),
+}
+
+
+def make_pair(name: str, seed: int) -> NetworkPair:
+    """A pair whose target no longer equals its online network."""
+    sizes, hidden, output = PAIR_NETS[name]
+    rng = np.random.default_rng(seed)
+    pair = NetworkPair(init_mlp(sizes, rng, hidden_activation=hidden,
+                                output_activation=output, output_scale=2.0))
+    pair.target.params += rng.normal(scale=0.05, size=pair.target.params.shape)
+    return pair
+
+
+@pytest.mark.parametrize("rows", [1, 2, 16, 31, 32, 33, 64, 128])
+@pytest.mark.parametrize("name", sorted(PAIR_NETS))
+def test_forward_pair_matches_two_plain_forwards(name, rows) -> None:
+    pair = make_pair(name, rows)
+    rng = np.random.default_rng(1000 + rows)
+    x_online = rng.normal(size=(rows, pair.online.input_dim))
+    x_target = rng.normal(size=(rows, pair.online.input_dim))
+    gy = rng.normal(size=(rows, pair.online.output_dim))
+    y_online, y_target, cache = forward_pair(pair, x_online, x_target)
+    grad, dx = backward(pair.online, cache, gy)
+    grad = grad.copy()
+    cache_inputs = [a.copy() for a in cache.inputs]
+    want_online, plain = forward(pair.online, x_online)
+    want_target, _ = forward(pair.target, x_target)
+    assert same_bits(y_online, want_online) and same_bits(y_target, want_target)
+    assert same_bits(cache.outputs, plain.outputs)
+    assert len(cache_inputs) == len(plain.inputs)
+    assert all(same_bits(a, b) for a, b in zip(cache_inputs, plain.inputs))
+    want_grad, want_dx = backward(pair.online, plain, gy)
+    assert same_bits(grad, want_grad) and same_bits(dx, want_dx)
+    # Inputs written in place into the pair's rows give the same bits.
+    rows_online, rows_target = pair.input_rows(rows)
+    rows_online[...], rows_target[...] = x_online, x_target
+    again_online, again_target, _ = forward_pair(pair, rows_online, rows_target)
+    assert same_bits(again_online, y_online) and same_bits(again_target, y_target)
+    assert not np.shares_memory(again_online, y_online)
+
+
+def test_forward_pair_cache_goes_stale() -> None:
+    pair = make_pair("4-64-64-2", 3)
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(8, 4))
+    gy = np.ones((8, 2))
+    _, _, cache = forward_pair(pair, x, x)
+    forward(pair.online, rng.normal(size=(8, 4)))  # same row count
+    with pytest.raises(IntegrityError, match="later forward"):
+        backward(pair.online, cache, gy)
+    _, _, first = forward_pair(pair, x, x)
+    _, _, second = forward_pair(pair, x, x)
+    with pytest.raises(IntegrityError, match="later forward"):
+        backward(pair.online, first, gy)
+    forward(pair.online, rng.normal(size=(4, 4)))  # another row count
+    grad, _ = backward(pair.online, second, gy, input_grad=False)
+    adam_step(pair.online, grad, adam_init(pair.online, 1e-3))
+    with pytest.raises(IntegrityError, match="current parameters"):
+        backward(pair.online, second, gy)
+    with pytest.raises(ValueError, match="shape"):
+        forward_pair(pair, x, x[:, :3])
+
+
+def test_pair_networks_are_row_views() -> None:
+    pair = make_pair("2-64-64-3", 4)
+    for row, net in enumerate((pair.online, pair.target)):
+        assert net.params.base is pair.params
+        assert same_bits(net.params, pair.params[row])
+        for view in net.weights + net.biases:
+            assert np.shares_memory(view, pair.params[row])
+        for layer, (w, b) in enumerate(zip(pair.weights, pair.biases)):
+            assert same_bits(w[row], net.weights[layer])
+            assert same_bits(b[row, 0], net.biases[layer])
+    for view in pair.weights + pair.biases:
+        assert np.shares_memory(view, pair.params)
+
+
+def test_adam_step_on_online_leaves_target_row() -> None:
+    pair = make_pair("4-64-64-2", 5)
+    target = pair.target.params.copy()
+    state = adam_init(pair.online, 1e-2)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        adam_step(pair.online, rng.normal(size=pair.online.params.shape), state)
+    assert same_bits(pair.params[1], target) and same_bits(pair.target.params, target)
+    assert not same_bits(pair.params[0], target)
+
+
+def test_hard_copy_and_soft_update_on_pair_match_per_array_reference() -> None:
+    pair = make_pair("2-64-64-3", 6)
+    rng = np.random.default_rng(6)
+    arrays = [a.copy() for a in pair.target.weights + pair.target.biases]
+    for tau in (0.005, 0.3, 1.0, 0.0, 0.77):
+        pair.online.params += rng.normal(scale=0.1, size=pair.online.params.shape)
+        soft_update(pair.target, pair.online, tau)
+        reference_soft_update(arrays, pair.online.weights + pair.online.biases, tau)
+        for got, want in zip(pair.target.weights + pair.target.biases, arrays):
+            assert same_bits(got, want)
+    hard_copy(pair.target, pair.online)
+    assert same_bits(pair.params[1], pair.params[0])
+    x = rng.normal(size=(5, 2))
+    y_online, y_target, _ = forward_pair(pair, x, x)
+    assert same_bits(y_online, y_target)
+
+
+def test_deep_copies_of_a_pair_share_no_memory() -> None:
+    pair = make_pair("4-64-64-2", 7)
+    online = copy.deepcopy(pair.online)
+    assert same_bits(online.params, pair.online.params)
+    for array in [online.params] + online.weights + online.biases:
+        assert not np.shares_memory(array, pair.params)
+    twin = copy.deepcopy(pair)
+    assert not np.shares_memory(twin.params, pair.params)
+    assert twin.online.params.base is twin.params and twin.target.params.base is twin.params
+    x = np.random.default_rng(7).normal(size=(3, 4))
+    for got, want in zip(forward_pair(twin, x, x)[:2], forward_pair(pair, x, x)[:2]):
+        assert same_bits(got, want)
+    twin.online.params[...] = 0.0
+    assert not np.any(pair.online.params == 0.0)
