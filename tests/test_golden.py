@@ -23,9 +23,13 @@ from __future__ import annotations
 
 import hashlib
 
+import numpy as np
 import pytest
 
+from replaykit.agents import AGENTS, scaler_for
+from replaykit.envs import DiscreteActions, env_spec
 from replaykit.harness import config_from_mapping, evaluate_checkpoint, run_to_dir
+from replaykit.nn import init_mlp, save_checkpoint
 
 CAPACITY = 300
 WARMUP = 64
@@ -126,3 +130,47 @@ def test_golden_run_hashes(name, tmp_path) -> None:
     assert got_csv == csv_hash, f"{name}: run.csv changed"
     assert got_checkpoint == checkpoint_hash, f"{name}: checkpoint.txt changed"
     assert got_eval == eval_repr, f"{name}: checkpoint evaluation changed"
+
+
+# name -> (env, agent, hindsight, network init seed, eval seed,
+#          repr of evaluate_checkpoint(path, EVAL_EPISODES, eval seed))
+TANH_CHECKPOINTS = {
+    "cartpole-dqn-q": ("cartpole", "dqn", False, 9, 3, "(19.15, 2.7253440149823285)"),
+    "pendulum-ddpg-hindsight-actor": (
+        "pendulum",
+        "ddpg",
+        True,
+        12,
+        4,
+        "(-1322.055346582074, 301.39707786748863)",
+    ),
+}
+
+
+def tanh_checkpoint(name: str, path) -> None:
+    """Write a checkpoint whose policy network has tanh hidden layers,
+    as every agent built before the relu hidden layers did."""
+    env, agent, hindsight, net_seed, _, _ = TANH_CHECKPOINTS[name]
+    spec = env_spec(env)
+    discrete = isinstance(spec.actions, DiscreteActions)
+    sizes = (
+        scaler_for(spec, hindsight).dim,
+        64,
+        64,
+        spec.actions.n if discrete else spec.actions.dim,
+    )
+    head = {} if discrete else {"output_activation": "tanh", "output_scale": spec.actions.high}
+    net = init_mlp(sizes, np.random.default_rng(net_seed), hidden_activation="tanh", **head)
+    meta = {"env": env, "agent": agent, "hindsight": str(hindsight).lower()}
+    save_checkpoint(path, {AGENTS[agent].POLICY_NET: net}, meta)
+
+
+@pytest.mark.parametrize("name", sorted(TANH_CHECKPOINTS))
+def test_tanh_checkpoints_keep_their_evaluation(name, tmp_path) -> None:
+    """Checkpoints store their activations, so one written by an agent
+    with tanh hidden layers evaluates the same whatever the agents
+    build today."""
+    *_, eval_seed, eval_repr = TANH_CHECKPOINTS[name]
+    path = tmp_path / "checkpoint.txt"
+    tanh_checkpoint(name, path)
+    assert repr(evaluate_checkpoint(path, EVAL_EPISODES, eval_seed)) == eval_repr
