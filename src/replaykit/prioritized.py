@@ -42,17 +42,35 @@ class SumTree:
         size = blocks * BLOCK
         # total, block totals, block prefix (from 0), zeros, then leaves.
         self._nodes = np.zeros(2 * size)
-        self._totals = self._nodes[1 : blocks + 1]
-        self._prefix = self._nodes[blocks + 1 : 2 * blocks + 2]
-        self._leaves = self._nodes[size:]
-        self._rows = self._leaves.reshape(blocks, BLOCK)
         # NumPy orders complex numbers by real part, then imaginary part,
         # so keys block + 1j * (in-block inclusive prefix) are sorted and
         # one search finds a leaf from (block, offset within the block).
         self._keys = np.repeat(np.arange(blocks, dtype=np.complex128), BLOCK)
-        self._inner = self._keys.imag.reshape(blocks, BLOCK)
         # First block whose entry in the block prefix is out of date.
         self._stale = blocks
+        self._bind_views()
+
+    def _bind_views(self) -> None:
+        """Name the parts of ``_nodes`` and ``_keys`` that the methods
+        read and write through."""
+        blocks = self._keys.size // BLOCK
+        size = blocks * BLOCK
+        self._totals = self._nodes[1 : blocks + 1]
+        self._prefix = self._nodes[blocks + 1 : 2 * blocks + 2]
+        self._leaves = self._nodes[size:]
+        self._rows = self._leaves.reshape(blocks, BLOCK)
+        self._inner = self._keys.imag.reshape(blocks, BLOCK)
+
+    def __deepcopy__(self, memo) -> SumTree:
+        # The generated copy would give every view an array of its own,
+        # so writes through _leaves and _inner would no longer reach the
+        # sums and keys that reads use.
+        twin = memo[id(self)] = SumTree.__new__(SumTree)
+        twin.leaf_capacity = self.leaf_capacity
+        twin._nodes, twin._keys = self._nodes.copy(), self._keys.copy()
+        twin._stale = self._stale
+        twin._bind_views()
+        return twin
 
     @property
     def total(self) -> float:

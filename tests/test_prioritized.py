@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -426,3 +428,19 @@ def test_stratified_draws_cover_segments() -> None:
     rng = np.random.default_rng(26)
     indices, _ = sampler.sample(buf, 8, rng)
     assert sorted(indices.tolist()) == list(range(8))
+
+
+def test_deep_copied_tree_tracks_its_own_writes() -> None:
+    tree = SumTree(200)
+    for i in range(150):
+        tree.set(i, 1.0)
+    twin = copy.deepcopy(tree)
+    for t in (tree, twin):
+        t.set(10, 50.0)
+        t.set_many([3, 130], [2.0, 0.0])
+    assert twin.total == tree.total == 199.0
+    assert twin.nodes.tobytes() == tree.nodes.tobytes()
+    offsets = np.linspace(0.0, tree.total, 200, endpoint=False)
+    assert np.array_equal(twin.sample_batch(offsets), tree.sample_batch(offsets))
+    twin.set(0, 7.0)
+    assert tree.leaf(0) == 1.0 and tree.total == 199.0
