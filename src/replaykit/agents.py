@@ -307,9 +307,12 @@ class DdpgConfig:
         if self.batch_size < 1 or self.warmup < 1:
             raise ConfigurationError("batch_size and warmup must be >= 1")
         ou = (self.ou_theta, self.ou_sigma, self.ou_mu)
-        if not (all(map(math.isfinite, ou)) and self.ou_theta > 0.0 and self.ou_sigma >= 0.0):
+        # The noise recurrence n <- (1 - theta) * n + ... is stable only
+        # for 0 < theta < 2.
+        stable = 0.0 < self.ou_theta < 2.0
+        if not (all(map(math.isfinite, ou)) and stable and self.ou_sigma >= 0.0):
             raise ConfigurationError(
-                f"need finite ou_theta > 0, ou_sigma >= 0 and ou_mu; got {ou}"
+                f"need ou_theta in (0, 2), finite ou_sigma >= 0 and finite ou_mu; got {ou}"
             )
         _check_learning_rate("actor_lr", self.actor_lr)
         _check_learning_rate("critic_lr", self.critic_lr)
@@ -335,8 +338,13 @@ class OUNoise:
         self.state[:] = self.mu
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
+        """Advance the recurrence one step; returns a copy of the new
+        state. Raises NumericalError when the state stops being finite,
+        as a sigma near the largest double makes it."""
         self.state += self.theta * (self.mu - self.state)
         self.state += self.sigma * rng.standard_normal(self.dim)
+        if not all(map(math.isfinite, self.state.tolist())):
+            raise NumericalError(f"OU noise state {self.state} is not finite")
         return self.state.copy()
 
     @staticmethod

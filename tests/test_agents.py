@@ -285,6 +285,21 @@ def test_ou_noise_zero_sigma_stays_at_mu() -> None:
     assert noise.state[0] == pytest.approx(2.0)  # 1 + 0.5 * (3 - 1)
 
 
+def test_ou_noise_raises_when_its_state_overflows() -> None:
+    noise = OUNoise(1, theta=0.15, sigma=1e308)
+    rng = np.random.default_rng(8)
+    with pytest.raises(NumericalError, match="OU noise state"), np.errstate(over="ignore"):
+        for _ in range(100):
+            assert np.isfinite(noise.sample(rng)).all()
+
+
+@pytest.mark.parametrize("theta", [2.0, 3.0, 1e308, -0.5, math.nan])
+def test_ddpg_config_rejects_unstable_ou_theta(theta) -> None:
+    with pytest.raises(ConfigurationError, match=r"ou_theta in \(0, 2\)"):
+        DdpgConfig(ou_theta=theta)
+    DdpgConfig(ou_theta=1.999)
+
+
 def test_ou_noise_reset() -> None:
     noise = OUNoise(1, theta=0.15, sigma=0.2)
     rng = np.random.default_rng(5)

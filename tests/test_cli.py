@@ -419,3 +419,26 @@ def test_train_buffer_below_warmup_exits_2(tmp_path, capsys, env, agent, capacit
     validate_config(config_from_mapping(
         {"env": env, "agent": agent, "buffer_capacity": "1000"}
     ))
+
+
+@pytest.mark.parametrize("theta", ["2", "3", "1e308"])
+def test_train_unstable_ou_theta_exits_2(tmp_path, capsys, theta) -> None:
+    # The noise recurrence n <- (1 - theta) * n + ... grows without
+    # bound unless 0 < theta < 2.
+    out = tmp_path / "run"
+    code = run_cli(["train", "--env", "pendulum", "--agent", "ddpg", "--episodes", "2",
+                    "--out", out, "--set", f"ddpg_ou_theta={theta}"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "ou_theta in (0, 2)" in err
+    assert not out.exists()
+
+
+def test_train_ou_noise_overflow_exits_1(tmp_path, capsys) -> None:
+    out = tmp_path / "run"
+    code = run_cli(["train", "--env", "pendulum", "--agent", "ddpg", "--episodes", "2",
+                    "--out", out, "--set", "ddpg_ou_sigma=1e308"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: OU noise state ") and "is not finite" in err
+    assert "Traceback" not in err

@@ -40,7 +40,7 @@ ddpg_configs = st.builds(
     critic_lr=positive,
     batch_size=count,
     warmup=count,
-    ou_theta=positive,
+    ou_theta=st.floats(0.0, 2.0, exclude_min=True, exclude_max=True),
     ou_sigma=st.floats(min_value=0.0, allow_infinity=False),
     ou_mu=finite,
     hidden_sizes=sizes,
