@@ -21,6 +21,11 @@ target as one :class:`~replaykit.nn.NetworkPair`, so each update
 evaluates both in one stacked ``forward_pair`` pass; ``act``,
 evaluation and DDPG use plain ``forward``. Observations are scaled by
 a fixed per-environment affine map before they reach any network.
+
+Every network an agent builds has rectifier (relu) hidden layers, as in
+both source algorithms (Mnih et al. 2015; Lillicrap et al. 2015, section
+7). A checkpoint stores each network's activations, so one written with
+tanh hidden layers still loads and evaluates as it was trained.
 """
 
 from __future__ import annotations
@@ -197,7 +202,7 @@ class DqnConfig:
 
 
 class DqnAgent:
-    """Q-learning over a dense network with a periodically frozen
+    """Q-learning over a dense relu network with a periodically frozen
     target copy.
 
     ``q`` and ``q_target`` are the online and target halves of one
@@ -223,7 +228,7 @@ class DqnAgent:
         self.actions = actions
         self.scaler = scaler
         sizes = (scaler.dim, *config.hidden_sizes, actions.n)
-        self.pair = NetworkPair(init_mlp(sizes, init_rng, hidden_activation="tanh"))
+        self.pair = NetworkPair(init_mlp(sizes, init_rng, hidden_activation="relu"))
         self.q, self.q_target = self.pair.online, self.pair.target
         self.adam = adam_init(self.q, config.learning_rate)
         self.updates = 0
@@ -355,11 +360,11 @@ class OUNoise:
 class DdpgAgent:
     """Deterministic-policy actor-critic for continuous actions.
 
-    The actor ends in tanh scaled to the action bound. Critic training
-    is a weighted TD regression; the actor ascends the critic by
-    chaining the critic's action-input gradient into its own backward
-    pass. Both targets track online networks by Polyak blending after
-    every update.
+    Actor and critic have relu hidden layers; the actor's output is
+    tanh scaled to the action bound. Critic training is a weighted TD
+    regression; the actor ascends the critic by chaining the critic's
+    action-input gradient into its own backward pass. Both targets
+    track online networks by Polyak blending after every update.
     """
 
     ACTIONS = BoxAction
@@ -386,12 +391,12 @@ class DdpgAgent:
         self.actor = init_mlp(
             actor_sizes,
             init_rng,
-            hidden_activation="tanh",
+            hidden_activation="relu",
             output_activation="tanh",
             output_scale=actions.high,
             final_layer_scale=1e-3,
         )
-        self.critic = init_mlp(critic_sizes, init_rng, hidden_activation="tanh")
+        self.critic = init_mlp(critic_sizes, init_rng, hidden_activation="relu")
         self.actor_target = clone_mlp(self.actor)
         self.critic_target = clone_mlp(self.critic)
         self.actor_adam = adam_init(self.actor, config.actor_lr)

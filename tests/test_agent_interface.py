@@ -12,9 +12,9 @@ import pytest
 import replaykit.harness as harness
 from replaykit.agents import AGENTS, greedy_policy, scaler_for
 from replaykit.config import RunConfig, validate_config
-from replaykit.envs import env_names, env_spec
+from replaykit.envs import BoxAction, env_names, env_spec
 from replaykit.errors import ConfigurationError
-from replaykit.nn import load_checkpoint
+from replaykit.nn import Mlp, load_checkpoint
 
 FITS = [
     (agent, env, hindsight)
@@ -115,3 +115,21 @@ def test_validate_config_rejects_every_misfit_naming_both(agent, env) -> None:
         validate_config(RunConfig(env=env, agent=agent))
     message = str(excinfo.value)
     assert f"agent '{agent}'" in message and f"env '{env}'" in message
+
+
+@pytest.mark.parametrize("agent, env, hindsight", FITS)
+def test_agents_build_relu_hidden_layers(agent, env, hindsight) -> None:
+    """Every network an agent builds, targets included, has rectifier
+    hidden layers; a continuous policy keeps a tanh output scaled to
+    the action bound."""
+    exp = harness.build_run(tiny_config(agent, env, hindsight))
+    nets = [value for value in vars(exp.agent).values() if isinstance(value, Mlp)]
+    assert {id(net) for net in exp.agent.networks().values()} <= {id(net) for net in nets}
+    assert len(nets) == 2 * len(exp.agent.networks())  # each with its target
+    assert all(net.hidden_activation == "relu" for net in nets)
+    policy = exp.agent.networks()[exp.agent.POLICY_NET]
+    actions = env_spec(env).actions
+    if isinstance(actions, BoxAction):
+        assert (policy.output_activation, policy.output_scale) == ("tanh", actions.high)
+    else:
+        assert policy.output_activation == "identity"

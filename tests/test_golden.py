@@ -40,21 +40,21 @@ EVAL_EPISODES = 20
 GOLDEN = {
     "cartpole-dqn-baseline": (
         {"env": "cartpole", "agent": "dqn", "episodes": "30"},
-        "0782425b4cb30b0aa0fb0a6cdf1af8a309618c7e5a579fe74088dbbab946c314",
-        "6c8a4daf876b8d84441c46f37bca83d5be8c6330825d5e2558171116368d8cf6",
-        "(10.35, 1.0136567466356645)",
+        "748f4aa4c039efdf1d23d25e584c8bf21c72d4860b47076c25befe687584ecd9",
+        "93d843d2a8892220da37de693beff0c1c0e37be823a86adb6d70a2a3868b6983",
+        "(9.2, 0.7483314773547881)",
     ),
     "cartpole-dqn-cer": (
         {"env": "cartpole", "agent": "dqn", "episodes": "30", "combined": "true"},
-        "671a910bac1d3509990fdac4b046ebf6a73da31733537a9073d8727a5b31f971",
-        "eafbf14b9f3e3ea1d279ef75eb6d93a5839c90820f6b135c34842ce77d85772a",
+        "fdf6aefa809d10e1d1b995acbd6e9022865c434d3531ca143057fd1a18109265",
+        "a5a825733a957341fea2c4c207bec7cd539887e12fcf35f9c278860f1554f476",
         "(9.2, 0.7483314773547881)",
     ),
     "cartpole-dqn-per": (
         {"env": "cartpole", "agent": "dqn", "episodes": "30", "prioritized": "true"},
-        "ec14b8db442aef87a20cc211c942171bf4714001cc508e7f6d73a69857668506",
-        "0802c1fbe50d10bbf40c9f010dfec1051dda39742865b824b939d488f614f273",
-        "(15.0, 2.6267851073127395)",
+        "a0c5b11c3343b9512cb39ad7b46bfecddc985a9bc03dea75b457a1063bfb5d4f",
+        "0afdc7eb4b3cab325f8cc42b3f086dcf49760d49dfebde0e5ba5acea52d40b49",
+        "(10.55, 0.8046738469715539)",
     ),
     "cartpole-dqn-cper": (
         {
@@ -64,9 +64,9 @@ GOLDEN = {
             "combined": "true",
             "prioritized": "true",
         },
-        "622eaf3adfd8b3710b93c7042529824d968e8c14dd71985dc9eede5c0fec2cba",
-        "3b8c7d55579a9ad6050a7bebfb9514bb2c43f9106de23f3f38588f9c5d06dad8",
-        "(104.75, 12.193748398257199)",
+        "19b38782bd11c6cbe308c83ed6775b482bd6e1ca4afe64be4f6941b97d95fbf1",
+        "7eaac6b422cc233d70a5fb522583673b23c6f1682d5ef7c7bd0427cfc3a85659",
+        "(23.8, 10.557461816175325)",
     ),
     "mountaincar-dqn-chper": (
         {
@@ -77,9 +77,9 @@ GOLDEN = {
             "hindsight": "true",
             "prioritized": "true",
         },
-        "17fd52ee11e84d87581ea49e6a510dc187287d8ff44c0f8ad1ee97dfa2661338",
-        "5007ce84175e103c61b2d15e6cfcf3a6869c8cc6d909f631ddc17f9c359ae4ac",
-        "(-182.9, 13.98177385026664)",
+        "c9fa5e835cf04046b17adc6ec4e59829fdb9fad539bbd937536be948e1c9de7d",
+        "b15a5e7ed32c759a8a70af4fba5b5157fcec5d88cf074fe24bc9bb21a15bcc4a",
+        "(-200.0, 0.0)",
     ),
     "pendulum-ddpg-hper": (
         {
@@ -89,9 +89,9 @@ GOLDEN = {
             "hindsight": "true",
             "prioritized": "true",
         },
-        "a93b07114c54fd491e24a3d9460d0783735e399ee493ce922d276c5a01a979e8",
-        "231fb05beb20b412a09f8c76d04d825a04e43dc61a58e36ff87238971543b012",
-        "(-1494.2744588779888, 116.5756377632735)",
+        "9e7d3319131d6e448d4227e359ae413cbc8ff85d271e76d79d7a504a26fc535f",
+        "a03dae6e13d4e6d2781dd049508b9f97ed473fb522f13bd24d0210d97803cc72",
+        "(-1334.9545673963748, 261.17970371852107)",
     ),
 }
 
