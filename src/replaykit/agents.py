@@ -14,13 +14,14 @@ its own Ornstein-Uhlenbeck noise, which ``begin_episode`` resets.
 Both agents train on a replay :class:`~replaykit.replay.Batch`, whose
 states already carry any goal and whose weights are the per-sample
 loss weights; they return the TD errors they trained on (for priority
-updates) and keep frozen target copies of their networks: DQN
-refreshes its target by hard copy on a fixed period, DDPG blends
-continuously with a small Polyak factor. DQN holds its Q-network and
-target as one :class:`~replaykit.nn.NetworkPair`, so each update
-evaluates both in one stacked ``forward_pair`` pass; ``act``,
-evaluation and DDPG use plain ``forward``. Observations are scaled by
-a fixed per-environment affine map before they reach any network.
+updates) and keep frozen target copies of their networks. Every
+network and its target are one :class:`~replaykit.nn.NetworkPair`, so
+an update evaluates both in one stacked ``forward_pair`` pass, and
+target sync acts on the pair: DQN refreshes its target by
+``hard_copy`` on a fixed period, DDPG blends both of its targets with
+``soft_update`` and a small Polyak factor after every update. ``act``
+and evaluation use plain ``forward``. Observations are scaled by a
+fixed per-environment affine map before they reach any network.
 
 Every network an agent builds has rectifier (relu) hidden layers, as in
 both source algorithms (Mnih et al. 2015; Lillicrap et al. 2015, section
@@ -44,7 +45,6 @@ from .nn import (
     adam_init,
     adam_step,
     backward,
-    clone_mlp,
     forward,
     forward_pair,
     hard_copy,
@@ -287,7 +287,7 @@ class DqnAgent:
         adam_step(self.q, grad, self.adam)
         self.updates += 1
         if self.updates % self.config.target_update_period == 0:
-            hard_copy(self.q_target, self.q)
+            hard_copy(self.pair)
         return td_errors
 
 
@@ -361,10 +361,15 @@ class DdpgAgent:
     """Deterministic-policy actor-critic for continuous actions.
 
     Actor and critic have relu hidden layers; the actor's output is
-    tanh scaled to the action bound. Critic training is a weighted TD
-    regression; the actor ascends the critic by chaining the critic's
-    action-input gradient into its own backward pass. Both targets
-    track online networks by Polyak blending after every update.
+    tanh scaled to the action bound. ``actor``/``actor_target`` and
+    ``critic``/``critic_target`` are the halves of ``actor_pair`` and
+    ``critic_pair``. An update makes two stacked passes: the actor on
+    the states and the target actor on the next states, then Q on
+    (s, a) and Q_target on (s', a'). Critic training is a weighted TD
+    regression; the actor then ascends the updated critic by chaining
+    the critic's action-input gradient into its own backward pass. Both
+    targets track the online networks by Polyak blending after every
+    update.
     """
 
     ACTIONS = BoxAction
@@ -388,22 +393,23 @@ class DdpgAgent:
         self.noise = OUNoise(actions.dim, config.ou_theta, config.ou_sigma, config.ou_mu)
         actor_sizes = (scaler.dim, *config.hidden_sizes, actions.dim)
         critic_sizes = (scaler.dim + actions.dim, *config.hidden_sizes, 1)
-        self.actor = init_mlp(
-            actor_sizes,
-            init_rng,
-            hidden_activation="relu",
-            output_activation="tanh",
-            output_scale=actions.high,
-            final_layer_scale=1e-3,
+        self.actor_pair = NetworkPair(
+            init_mlp(
+                actor_sizes,
+                init_rng,
+                hidden_activation="relu",
+                output_activation="tanh",
+                output_scale=actions.high,
+                final_layer_scale=1e-3,
+            )
         )
-        self.critic = init_mlp(critic_sizes, init_rng, hidden_activation="relu")
-        self.actor_target = clone_mlp(self.actor)
-        self.critic_target = clone_mlp(self.critic)
+        self.critic_pair = NetworkPair(init_mlp(critic_sizes, init_rng, hidden_activation="relu"))
+        self.actor, self.actor_target = self.actor_pair.online, self.actor_pair.target
+        self.critic, self.critic_target = self.critic_pair.online, self.critic_pair.target
         self.actor_adam = adam_init(self.actor, config.actor_lr)
         self.critic_adam = adam_init(self.critic, config.critic_lr)
-        # Reused by updates for batches of one size: the critic's input
-        # rows and the gradient of -mean(Q) at the critic's output.
-        self._critic_in = np.zeros((0, critic_sizes[0]))
+        # Reused by actor updates for batches of one size: the gradient
+        # of -mean(Q) at the critic's output.
         self._mean_q_grad = np.zeros((0, 1))
 
     def networks(self) -> dict[str, Mlp]:
@@ -419,24 +425,15 @@ class DdpgAgent:
         action, _ = forward(self.actor, self.scaler(obs))
         return np.clip(action + self.noise.sample(rng), self.actions.low, self.actions.high)
 
-    def _critic_input(self, scaled_states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        """Scaled states with actions appended, written into a buffer
-        that the next call overwrites."""
-        n, obs_dim = scaled_states.shape
-        if self._critic_in.shape[0] != n:
-            self._critic_in = np.empty((n, obs_dim + self.actions.dim))
-        self._critic_in[:, :obs_dim] = scaled_states
-        self._critic_in[:, obs_dim:] = actions.reshape(n, self.actions.dim)
-        return self._critic_in
-
-    def critic_update(self, batch: Batch, scaled_states: np.ndarray) -> np.ndarray:
+    def critic_update(
+        self, batch: Batch, inputs: np.ndarray, next_inputs: np.ndarray
+    ) -> np.ndarray:
         """Weighted TD regression on the critic; returns TD errors.
-        ``scaled_states`` is ``self.scaler(batch.states)``."""
-        scaled_next = self.scaler(batch.next_states)
-        next_actions, _ = forward(self.actor_target, scaled_next)
-        next_q, _ = forward(self.critic_target, self._critic_input(scaled_next, next_actions))
+        ``inputs`` are the critic's (s, a) rows of ``batch`` and
+        ``next_inputs`` its (s', actor_target(s')) rows, both scaled;
+        one stacked pass evaluates Q and Q_target on them."""
+        q, next_q, cache = forward_pair(self.critic_pair, inputs, next_inputs)
         targets = batch.rewards + self.config.gamma * (1.0 - batch.dones) * next_q[:, 0]
-        q, cache = forward(self.critic, self._critic_input(scaled_states, batch.actions))
         td_errors = q[:, 0] - targets
         check_divergence(td_errors)
         output_grad = _squared_loss_grad(batch.weights, td_errors)[:, None]
@@ -444,12 +441,15 @@ class DdpgAgent:
         adam_step(self.critic, grad, self.critic_adam)
         return td_errors
 
-    def actor_update(self, scaled: np.ndarray) -> None:
-        """Ascend mean_i Q(s_i, actor(s_i)) through the frozen critic,
-        over already scaled states."""
-        n = scaled.shape[0]
-        actions, actor_cache = forward(self.actor, scaled)
-        q, critic_cache = forward(self.critic, self._critic_input(scaled, actions))
+    def actor_update(self, inputs: np.ndarray, actions: np.ndarray, actor_cache) -> None:
+        """Ascend mean_i Q(s_i, actor(s_i)) through the critic, which
+        stays frozen. ``actions`` are the actor's outputs on the scaled
+        states in the state columns of ``inputs``, with ``actor_cache``
+        their forward cache; they overwrite the action columns of
+        ``inputs``."""
+        n = len(inputs)
+        inputs[:, self.scaler.dim :] = actions
+        _, critic_cache = forward(self.critic, inputs)
         # Gradient of -mean(Q) w.r.t. the critic's inputs, action slice.
         if self._mean_q_grad.shape[0] != n:
             self._mean_q_grad = np.full((n, 1), -1.0 / n)
@@ -459,15 +459,29 @@ class DdpgAgent:
         adam_step(self.actor, grad, self.actor_adam)
 
     def sync_targets(self) -> None:
-        soft_update(self.actor_target, self.actor, self.config.tau)
-        soft_update(self.critic_target, self.critic, self.config.tau)
+        soft_update(self.actor_pair, self.config.tau)
+        soft_update(self.critic_pair, self.config.tau)
 
     def update(self, batch: Batch) -> np.ndarray:
         """Critic step, actor step, then target blend; returns the
-        critic's TD errors. The states are scaled once for both steps."""
-        scaled = self.scaler(batch.states)
-        td_errors = self.critic_update(batch, scaled)
-        self.actor_update(scaled)
+        critic's TD errors.
+
+        States and next states are scaled straight into the actor
+        pair's input rows, and the critic pair's input rows take them
+        with the batch's actions and the target actor's actions. The
+        actor step reuses the actor's cache from the stacked pass,
+        which stays valid: the critic step changes no actor parameter.
+        """
+        n, dim = len(batch), self.scaler.dim
+        states, next_states = self.actor_pair.input_rows(n)
+        self.scaler(batch.states, out=states)
+        self.scaler(batch.next_states, out=next_states)
+        actions, next_actions, actor_cache = forward_pair(self.actor_pair, states, next_states)
+        inputs, next_inputs = self.critic_pair.input_rows(n)
+        inputs[:, :dim], inputs[:, dim:] = states, batch.actions
+        next_inputs[:, :dim], next_inputs[:, dim:] = next_states, next_actions
+        td_errors = self.critic_update(batch, inputs, next_inputs)
+        self.actor_update(inputs, actions, actor_cache)
         self.sync_targets()
         return td_errors
 

@@ -24,13 +24,15 @@ parameter gradient. Lifetimes follow from that:
 * the parameter gradient ``backward`` returns is valid until the next
   ``backward`` through the same network with the same row count.
 
-Stacks of rows use no workspace. Copying a network (``clone_mlp`` or
-``copy.deepcopy``) never shares its workspaces.
+Stacks of rows use no workspace. Copying a network (``clone_mlp``,
+``copy.deepcopy`` or a pickle round trip) never shares its workspaces.
 
 A :class:`NetworkPair` holds an online network and its frozen target,
 one architecture, as rows 0 and 1 of one (2, P) parameter array; each
 is an ordinary network whose ``params`` is its row, so every update
-above works on either unchanged. ``forward_pair`` evaluates both at
+above works on either unchanged. Target sync is an operation on the
+pair: ``hard_copy`` copies the online row over the target row and
+``soft_update`` blends it in. ``forward_pair`` evaluates both at
 one row count in one stacked pass: per layer, one (2, n, fan_in) @
 (2, fan_in, fan_out) matmul whose slices are each the product of a
 plain matrix forward, so the bits are those of two ``forward`` calls.
@@ -43,7 +45,6 @@ that row count.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 
@@ -74,11 +75,9 @@ class Mlp:
     biases: list[np.ndarray]
     version: int = 0
     params: np.ndarray = field(init=False, repr=False, compare=False)
-    # Workspace per row count, and the scratch vector of soft_update.
     _workspaces: dict[int, Workspace] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
-    _blend: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         sizes = self.layer_sizes = tuple(int(n) for n in self.layer_sizes)
@@ -134,12 +133,18 @@ class Mlp:
             ws = self._workspaces[rows] = Workspace(self, rows)
         return ws
 
-    def __deepcopy__(self, memo) -> Mlp:
-        # The generated copy would turn weights and biases into arrays of
-        # their own, no longer views of params, and share no workspace.
-        twin = memo[id(self)] = clone_mlp(self)
-        twin.version = self.version
-        return twin
+    # Copies and pickles leave out the views and the workspaces, and
+    # rebuild the views on the copy's own params; carried over as
+    # arrays, weights and biases would no longer view params.
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["weights"], state["biases"], state["_workspaces"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.weights, self.biases = self.split(self.params)
+        self._workspaces = {}
 
 
 class Workspace:
@@ -213,11 +218,12 @@ class NetworkPair:
 
     ``online`` and ``target`` are ordinary networks whose ``params`` are
     rows 0 and 1 of ``params`` (their ``weights`` and ``biases`` views
-    into those rows), so ``adam_step``, ``hard_copy``, ``soft_update``
-    and checkpoints act on the pair in place, and a deep copy of either
-    is a standalone network. ``weights[i]`` (2, fan_in, fan_out) and
-    ``biases[i]`` (2, 1, fan_out) view layer i of both rows. The given
-    network becomes ``online``; the target starts as its copy.
+    into those rows), so ``adam_step`` and checkpoints act on either in
+    place, and a copy of either alone is a standalone network.
+    ``weights[i]`` (2, fan_in, fan_out) and ``biases[i]`` (2, 1,
+    fan_out) view layer i of both rows. The given network becomes
+    ``online``; the target starts as its copy, so the two share one
+    architecture by construction.
     """
 
     def __init__(self, online: Mlp) -> None:
@@ -232,6 +238,8 @@ class NetworkPair:
         weights, biases = online.split(self.params)
         self.weights, self.biases = weights, [b[:, None, :] for b in biases]
         self._workspaces: dict[int, PairWorkspace] = {}
+        # soft_update forms tau * online here.
+        self._blend = np.empty_like(online.params)
 
     def workspace(self, rows: int) -> PairWorkspace:
         """The pair's buffers for ``rows``-row inputs, built on first
@@ -246,12 +254,13 @@ class NetworkPair:
         ``forward_pair`` reads in place; a caller may write into them."""
         return self.workspace(rows).inputs
 
-    def __deepcopy__(self, memo) -> NetworkPair:
-        online = copy.deepcopy(self.online, memo)
-        target = copy.deepcopy(self.target, memo)
-        twin = memo[id(self)] = NetworkPair.__new__(NetworkPair)
-        twin._join(online, target)
-        return twin
+    # Copies and pickles carry the two networks alone and join them
+    # again, so the halves view the copy's own rows.
+    def __getstate__(self) -> dict:
+        return {"online": self.online, "target": self.target}
+
+    def __setstate__(self, state: dict) -> None:
+        self._join(state["online"], state["target"])
 
 
 class PairWorkspace:
@@ -528,33 +537,21 @@ def adam_step(net: Mlp, grad: np.ndarray, state: AdamState) -> None:
     net.version += 1
 
 
-def _check_same_architecture(target: Mlp, online: Mlp) -> None:
-    if (
-        target.layer_sizes != online.layer_sizes
-        or target.hidden_activation != online.hidden_activation
-        or target.output_activation != online.output_activation
-        or target.output_scale != online.output_scale
-    ):
-        raise ValueError("target and online networks differ in architecture")
+def hard_copy(pair: NetworkPair) -> None:
+    """Copy the pair's online parameters over its target's."""
+    pair.target.params[...] = pair.online.params
+    pair.target.version += 1
 
 
-def hard_copy(target: Mlp, online: Mlp) -> None:
-    """target <- online, deep copy of all parameters."""
-    _check_same_architecture(target, online)
-    target.params[...] = online.params
-    target.version += 1
-
-
-def soft_update(target: Mlp, online: Mlp, tau: float) -> None:
-    """Polyak blend target <- tau * online + (1 - tau) * target, with
-    ``tau * online`` formed in the target's scratch vector."""
+def soft_update(pair: NetworkPair, tau: float) -> None:
+    """Polyak blend target <- tau * online + (1 - tau) * target of the
+    pair's networks, with ``tau * online`` formed in the pair's scratch
+    vector."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must be in [0, 1], got {tau}")
-    _check_same_architecture(target, online)
-    if target._blend is None:
-        target._blend = np.empty_like(target.params)
+    target = pair.target
     target.params *= 1.0 - tau
-    target.params += np.multiply(online.params, tau, out=target._blend)
+    target.params += np.multiply(pair.online.params, tau, out=pair._blend)
     target.version += 1
 
 

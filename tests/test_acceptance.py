@@ -30,7 +30,7 @@ from replaykit.harness import (
     train,
 )
 from replaykit.hindsight import Episode, relabeled_transitions
-from replaykit.nn import backward, forward, init_mlp, soft_update
+from replaykit.nn import NetworkPair, backward, clone_mlp, forward, init_mlp, soft_update
 from replaykit.prioritized import BLOCK, PerConfig, PrioritizedSampler, SumTree
 from replaykit.replay import ReplayBuffer
 
@@ -442,18 +442,22 @@ def test_soft_update_algebra() -> None:
     online = init_mlp((3, 5, 2), rng)
     checks = []
     for tau in (0.0, 0.5, 1.0):
-        target = init_mlp((3, 5, 2), rng)
+        pair = NetworkPair(clone_mlp(online))
+        target = pair.target
+        target.params[...] = init_mlp((3, 5, 2), rng).params
         expected = [
             (1.0 - tau) * t + tau * o
             for t, o in zip(target.weights, online.weights)
         ]
-        soft_update(target, online, tau)
+        soft_update(pair, tau)
         checks.append(
             all(np.array_equal(e, w) for e, w in zip(expected, target.weights))
         )
-    target = init_mlp((3, 5, 2), rng)
+    pair = NetworkPair(clone_mlp(online))
+    target = pair.target
+    target.params[...] = init_mlp((3, 5, 2), rng).params
     for _ in range(400):
-        soft_update(target, online, 0.1)
+        soft_update(pair, 0.1)
     gap = max(
         float(np.max(np.abs(t - o)))
         for t, o in zip(

@@ -193,7 +193,7 @@ def test_dqn_update_matches_plain_forward_reference(batch_size, hidden_sizes) ->
         grad, _ = backward(twin.q, cache, output_grad, input_grad=False)
         adam_step(twin.q, grad, twin.adam)
         if step % 2 == 1:
-            hard_copy(twin.q_target, twin.q)
+            hard_copy(twin.pair)
         td = agent.update(batch)
         assert td.tobytes() == td_ref.tobytes()
         assert agent.q.params.tobytes() == twin.q.params.tobytes()
@@ -349,6 +349,21 @@ def test_ddpg_greedy_within_bounds() -> None:
         assert -2.0 <= action[0] <= 2.0
 
 
+def critic_inputs(agent: DdpgAgent, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
+    """The critic's scaled (s, a) and (s', actor_target(s')) rows of
+    ``batch``, through plain forwards."""
+    states, next_states = agent.scaler(batch.states), agent.scaler(batch.next_states)
+    next_actions, _ = forward(agent.actor_target, next_states)
+    return np.hstack([states, batch.actions]), np.hstack([next_states, next_actions])
+
+
+def actor_step(agent: DdpgAgent, scaled: np.ndarray) -> None:
+    """One actor update over already scaled states, through a plain
+    forward of the actor."""
+    actions, cache = forward(agent.actor, scaled)
+    agent.actor_update(np.hstack([scaled, actions]), actions, cache)
+
+
 def test_ddpg_critic_target_hand_check() -> None:
     """r = 0.5, gamma = 0.9, target critic pinned at 1.0 -> y = 1.4."""
     agent = make_ddpg(gamma=0.9)
@@ -359,7 +374,7 @@ def test_ddpg_critic_target_hand_check() -> None:
     agent.critic_target.biases[-1][0] = 1.0
     batch = make_batch([(np.zeros(3), np.array([0.3]), 0.5, np.zeros(3), False)])
     q, _ = forward(agent.critic, np.concatenate([np.zeros(3), np.array([0.3])])[None, :])
-    td = agent.critic_update(batch, agent.scaler(batch.states))
+    td = agent.critic_update(batch, *critic_inputs(agent, batch))
     assert td[0] == pytest.approx(float(q[0, 0]) - 1.4)
 
 
@@ -367,7 +382,7 @@ def test_ddpg_critic_terminal_ignores_bootstrap() -> None:
     agent = make_ddpg(gamma=0.9)
     batch = make_batch([(np.zeros(3), np.array([0.0]), 2.0, np.zeros(3), True)])
     q, _ = forward(agent.critic, np.zeros(4)[None, :])
-    td = agent.critic_update(batch, agent.scaler(batch.states))
+    td = agent.critic_update(batch, *critic_inputs(agent, batch))
     assert td[0] == pytest.approx(float(q[0, 0]) - 2.0)
 
 
@@ -421,7 +436,7 @@ def test_ddpg_actor_update_increases_critic_value() -> None:
     states = rng.normal(size=(16, 3))
     before = float(np.mean(forward(agent.actor, states)[0]))
     for _ in range(5):
-        agent.actor_update(agent.scaler(states))
+        actor_step(agent, agent.scaler(states))
     after = float(np.mean(forward(agent.actor, states)[0]))
     assert after > before
 
@@ -434,7 +449,7 @@ def test_ddpg_actor_update_zero_critic_is_noop() -> None:
         b[...] = 0.0
     batch = make_batch(random_rows(4, discrete=False))
     before = [w.copy() for w in agent.actor.weights]
-    agent.actor_update(agent.scaler(batch.states))
+    actor_step(agent, agent.scaler(batch.states))
     for b_, a in zip(before, agent.actor.weights):
         assert np.array_equal(b_, a)
 

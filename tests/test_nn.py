@@ -329,11 +329,21 @@ def test_adam_descends_a_quadratic() -> None:
     assert loss < first_loss * 0.01
 
 
+def paired(online: Mlp, target: Mlp) -> NetworkPair:
+    """A pair of ``online`` and a target holding ``target``'s
+    parameters."""
+    pair = NetworkPair(online)
+    pair.target.params[...] = target.params
+    return pair
+
+
 def test_hard_copy_is_deep() -> None:
     rng = np.random.default_rng(51)
     online = init_mlp([3, 4, 2], rng)
     target = init_mlp([3, 4, 2], rng)
-    hard_copy(target, online)
+    pair = paired(online, target)
+    target = pair.target
+    hard_copy(pair)
     for t, o in zip(target.weights, online.weights):
         assert np.array_equal(t, o)
     online.weights[0][0, 0] += 100.0
@@ -346,17 +356,21 @@ def test_soft_update_extremes_and_blend() -> None:
     target = init_mlp([2, 3, 1], rng)
     frozen = clone_mlp(target)
 
-    soft_update(target, online, 0.0)
+    pair = paired(online, target)
+    target = pair.target
+    soft_update(pair, 0.0)
     for t, f in zip(target.weights + target.biases, frozen.weights + frozen.biases):
         assert np.array_equal(t, f)
 
-    half = clone_mlp(frozen)
-    soft_update(half, online, 0.5)
+    half_pair = paired(clone_mlp(online), frozen)
+    half = half_pair.target
+    soft_update(half_pair, 0.5)
     for h, f, o in zip(half.weights, frozen.weights, online.weights):
         assert h == pytest.approx(0.5 * f + 0.5 * o)
 
-    full = clone_mlp(frozen)
-    soft_update(full, online, 1.0)
+    full_pair = paired(clone_mlp(online), frozen)
+    full = full_pair.target
+    soft_update(full_pair, 1.0)
     for f_, o in zip(full.weights, online.weights):
         assert np.array_equal(f_, o)
 
@@ -367,7 +381,9 @@ def test_soft_update_contraction() -> None:
     target = init_mlp([2, 3, 1], rng)
     tau = 0.05
     gap_before = [t - o for t, o in zip(target.weights, online.weights)]
-    soft_update(target, online, tau)
+    pair = paired(online, target)
+    target = pair.target
+    soft_update(pair, tau)
     for before, t, o in zip(gap_before, target.weights, online.weights):
         assert np.max(np.abs((t - o) - (1.0 - tau) * before)) < 1e-12
 
@@ -375,12 +391,9 @@ def test_soft_update_contraction() -> None:
 def test_soft_update_validates() -> None:
     rng = np.random.default_rng(54)
     a = init_mlp([2, 3, 1], rng)
-    b = init_mlp([2, 4, 1], rng)
-    with pytest.raises(ValueError):
-        soft_update(a, b, 0.5)
     c = init_mlp([2, 3, 1], rng)
     with pytest.raises(ValueError):
-        soft_update(a, c, 1.5)
+        soft_update(paired(a, c), 1.5)
 
 
 def test_checkpoint_round_trip_exact(tmp_path) -> None:
@@ -631,15 +644,17 @@ def test_soft_update_and_hard_copy_match_per_array_reference() -> None:
     rng = np.random.default_rng(61)
     online = init_mlp([4, 8, 8, 2], rng)
     target = init_mlp([4, 8, 8, 2], rng)
+    pair = paired(online, target)
+    target = pair.target
     arrays = [a.copy() for a in target.weights + target.biases]
     for tau in (0.005, 0.3, 0.005, 1.0, 0.0, 0.77):
         online.params += rng.normal(scale=0.1, size=online.params.shape)
-        soft_update(target, online, tau)
+        soft_update(pair, tau)
         reference_soft_update(arrays, online.weights + online.biases, tau)
         for got, want in zip(target.weights + target.biases, arrays):
             assert same_bits(got, want)
     version = target.version
-    hard_copy(target, online)
+    hard_copy(pair)
     assert target.version == version + 1
     for got, want in zip(target.weights + target.biases, online.weights + online.biases):
         assert same_bits(got, want) and not np.shares_memory(got, want)
@@ -859,11 +874,11 @@ def test_hard_copy_and_soft_update_on_pair_match_per_array_reference() -> None:
     arrays = [a.copy() for a in pair.target.weights + pair.target.biases]
     for tau in (0.005, 0.3, 1.0, 0.0, 0.77):
         pair.online.params += rng.normal(scale=0.1, size=pair.online.params.shape)
-        soft_update(pair.target, pair.online, tau)
+        soft_update(pair, tau)
         reference_soft_update(arrays, pair.online.weights + pair.online.biases, tau)
         for got, want in zip(pair.target.weights + pair.target.biases, arrays):
             assert same_bits(got, want)
-    hard_copy(pair.target, pair.online)
+    hard_copy(pair)
     assert same_bits(pair.params[1], pair.params[0])
     x = rng.normal(size=(5, 2))
     y_online, y_target, _ = forward_pair(pair, x, x)
