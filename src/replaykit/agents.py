@@ -345,10 +345,17 @@ class OUNoise:
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """Advance the recurrence one step; returns a copy of the new
         state. Raises NumericalError when the state stops being finite,
-        as a sigma near the largest double makes it."""
-        self.state += self.theta * (self.mu - self.state)
-        self.state += self.sigma * rng.standard_normal(self.dim)
-        if not all(map(math.isfinite, self.state.tolist())):
+        as a sigma near the largest double makes it.
+
+        Each component runs on Python floats, with the operations of
+        ``n += theta * (mu - n); n += sigma * g`` in that order, so the
+        bits are those of the array formula; unlike numpy, Python
+        floats overflow to inf without a warning."""
+        theta, sigma, mu = self.theta, self.sigma, self.mu
+        pairs = zip(self.state.tolist(), rng.standard_normal(self.dim).tolist())
+        state = [n + theta * (mu - n) + sigma * g for n, g in pairs]
+        self.state[:] = state
+        if not all(map(math.isfinite, state)):
             raise NumericalError(f"OU noise state {self.state} is not finite")
         return self.state.copy()
 

@@ -61,16 +61,17 @@ class SumTree:
         self._rows = self._leaves.reshape(blocks, BLOCK)
         self._inner = self._keys.imag.reshape(blocks, BLOCK)
 
-    def __deepcopy__(self, memo) -> SumTree:
-        # The generated copy would give every view an array of its own,
-        # so writes through _leaves and _inner would no longer reach the
-        # sums and keys that reads use.
-        twin = memo[id(self)] = SumTree.__new__(SumTree)
-        twin.leaf_capacity = self.leaf_capacity
-        twin._nodes, twin._keys = self._nodes.copy(), self._keys.copy()
-        twin._stale = self._stale
-        twin._bind_views()
-        return twin
+    # Copies and pickles carry only the two arrays and rebuild the views
+    # on them; carried over, each view would become an array of its own,
+    # so writes through _leaves and _inner would no longer reach the
+    # sums and keys that reads use.
+    def __getstate__(self) -> dict:
+        names = ("leaf_capacity", "_nodes", "_keys", "_stale")
+        return {name: self.__dict__[name] for name in names}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._bind_views()
 
     @property
     def total(self) -> float:

@@ -14,7 +14,7 @@ from replaykit.agents import AGENTS, greedy_policy, scaler_for
 from replaykit.config import RunConfig, validate_config
 from replaykit.envs import BoxAction, env_names, env_spec
 from replaykit.errors import ConfigurationError
-from replaykit.nn import Mlp, load_checkpoint
+from replaykit.nn import Mlp, NetworkPair, load_checkpoint
 
 FITS = [
     (agent, env, hindsight)
@@ -133,3 +133,22 @@ def test_agents_build_relu_hidden_layers(agent, env, hindsight) -> None:
         assert (policy.output_activation, policy.output_scale) == ("tanh", actions.high)
     else:
         assert policy.output_activation == "identity"
+
+
+@pytest.mark.parametrize("agent, env, hindsight", FITS)
+def test_every_network_and_its_target_are_one_pair(agent, env, hindsight) -> None:
+    """Each network a checkpoint holds is the online half of a
+    NetworkPair the agent holds, and each other network attribute is
+    that pair's target, viewing row 1 of the pair's parameters."""
+    exp = harness.build_run(tiny_config(agent, env, hindsight))
+    held = list(vars(exp.agent).values())
+    pair_of = {id(pair.online): pair for pair in held if isinstance(pair, NetworkPair)}
+    networks = list(exp.agent.networks().values())
+    assert sorted(pair_of) == sorted(map(id, networks))
+    targets = [net for net in held if isinstance(net, Mlp) and id(net) not in pair_of]
+    assert len(targets) == len(networks)
+    for net in networks:
+        pair = pair_of[id(net)]
+        assert any(target is pair.target for target in targets)
+        assert np.shares_memory(net.params, pair.params[0])
+        assert np.shares_memory(pair.target.params, pair.params[1])

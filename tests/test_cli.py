@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -436,9 +438,13 @@ def test_train_unstable_ou_theta_exits_2(tmp_path, capsys, theta) -> None:
 
 def test_train_ou_noise_overflow_exits_1(tmp_path, capsys) -> None:
     out = tmp_path / "run"
-    code = run_cli(["train", "--env", "pendulum", "--agent", "ddpg", "--episodes", "2",
-                    "--out", out, "--set", "ddpg_ou_sigma=1e308"])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(["train", "--env", "pendulum", "--agent", "ddpg", "--episodes", "2",
+                        "--out", out, "--set", "ddpg_ou_sigma=1e308"])
     assert code == 1
+    assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err
     assert err.startswith("error: OU noise state ") and "is not finite" in err
     assert "Traceback" not in err
+    assert err.count("\n") == 1

@@ -1,10 +1,11 @@
-"""All of a run's state lives in its Experiment: a deep copy taken
-mid-run continues bit for bit like the original and shares no memory
-with it."""
+"""All of a run's state lives in its Experiment: a deep copy or a
+pickle round trip taken mid-run continues bit for bit like the
+original and shares no memory with it."""
 
 from __future__ import annotations
 
 import copy
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -72,20 +73,31 @@ def run_state(exp, records) -> dict[str, object]:
     return state
 
 
+# How a run is copied; a deep-copied run's test id is the run's name
+# alone, a pickled run's ends in "-pickle".
+COPIES = {
+    "": copy.deepcopy,
+    "-pickle": lambda exp: pickle.loads(pickle.dumps(exp)),
+}
+
+
 def continue_run(exp, episodes: int):
     exp.config = replace(exp.config, episodes=episodes)
     return train(exp)
 
 
-@pytest.mark.parametrize("name", sorted(RUNS))
-def test_deep_copy_continues_like_the_original(name) -> None:
+@pytest.mark.parametrize(
+    "name, how",
+    [pytest.param(name, how, id=name + how) for name in sorted(RUNS) for how in COPIES],
+)
+def test_deep_copy_continues_like_the_original(name, how) -> None:
     settings, before, after = RUNS[name]
     warmup = {f"{settings['agent']}_warmup": "64"}
     cfg = config_from_mapping({**settings, **_TINY, **warmup, "episodes": str(before)})
     exp = build_run(cfg)
     train(exp)
     assert len(exp.stack) >= 64, f"{name}: the copy is taken before the warm-up ends"
-    twin = copy.deepcopy(exp)
+    twin = COPIES[how](exp)
     records = continue_run(exp, after)
     twin_records = continue_run(twin, after)
     original = run_state(exp, records)

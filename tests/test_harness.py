@@ -337,6 +337,44 @@ def test_train_seed_changes_trajectories() -> None:
     assert a != b
 
 
+class FirstUpdate(Exception):
+    """Raised in place of a run's first learning step."""
+
+
+def rows_before_first_update(cfg: RunConfig) -> tuple:
+    """The network bits a run starts from and every row it stores
+    before its first learning step."""
+    exp = build_run(cfg)
+    params = exp.agent.pair.params.tobytes()
+
+    def stop(batch):
+        raise FirstUpdate
+
+    exp.agent.update = stop
+    with pytest.raises(FirstUpdate):
+        train(exp)
+    assert len(exp.stack) == cfg.dqn.warmup
+    rows = exp.stack.buffer.gather(np.arange(len(exp.stack)))
+    columns = (rows.states, rows.actions, rows.rewards, rows.next_states, rows.dones)
+    return params, tuple(column.tobytes() for column in columns)
+
+
+def test_strategies_perturb_no_other_random_stream() -> None:
+    # The harness promises that enabling one strategy never perturbs the
+    # random draws of another part: at one seed, CartPole DQN under
+    # uniform, CER, PER and CPER starts from the same network bits and
+    # stores the same rows until it first learns.
+    seen = {
+        (combined, prioritized): rows_before_first_update(
+            RunConfig(env="cartpole", agent="dqn", seed=5, combined=combined,
+                      prioritized=prioritized)
+        )
+        for combined in (False, True)
+        for prioritized in (False, True)
+    }
+    assert len(set(seen.values())) == 1
+
+
 def test_train_early_stops_on_solve(monkeypatch) -> None:
     import replaykit.harness as harness
 

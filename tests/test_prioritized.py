@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -430,11 +431,11 @@ def test_stratified_draws_cover_segments() -> None:
     assert sorted(indices.tolist()) == list(range(8))
 
 
-def test_deep_copied_tree_tracks_its_own_writes() -> None:
+def check_copied_tree_tracks_its_own_writes(make_copy) -> None:
     tree = SumTree(200)
     for i in range(150):
         tree.set(i, 1.0)
-    twin = copy.deepcopy(tree)
+    twin = make_copy(tree)
     for t in (tree, twin):
         t.set(10, 50.0)
         t.set_many([3, 130], [2.0, 0.0])
@@ -444,3 +445,11 @@ def test_deep_copied_tree_tracks_its_own_writes() -> None:
     assert np.array_equal(twin.sample_batch(offsets), tree.sample_batch(offsets))
     twin.set(0, 7.0)
     assert tree.leaf(0) == 1.0 and tree.total == 199.0
+
+
+def test_deep_copied_tree_tracks_its_own_writes() -> None:
+    check_copied_tree_tracks_its_own_writes(copy.deepcopy)
+
+
+def test_pickled_tree_tracks_its_own_writes() -> None:
+    check_copied_tree_tracks_its_own_writes(lambda tree: pickle.loads(pickle.dumps(tree)))
