@@ -430,7 +430,11 @@ class DdpgAgent:
     def act(self, obs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Actor output plus exploration noise, clipped to bounds."""
         action, _ = forward(self.actor, self.scaler(obs))
-        return np.clip(action + self.noise.sample(rng), self.actions.low, self.actions.high)
+        action += self.noise.sample(rng)
+        # np.clip's bits on finite values, in place on the fresh output.
+        np.maximum(action, self.actions.low, out=action)
+        np.minimum(action, self.actions.high, out=action)
+        return action
 
     def critic_update(
         self, batch: Batch, inputs: np.ndarray, next_inputs: np.ndarray

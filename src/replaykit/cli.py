@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .agents import AGENTS
 from .config import RunConfig, config_from_mapping, parse_config_file, validate_config
 from .envs import env_names
@@ -82,6 +84,14 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Overflow and NaN end a run through the finite checks of forward,
+    # adam_step and check_divergence, as a typed error; numpy's own
+    # warnings about them would only print ahead of it.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _run(args)
+
+
+def _run(args: argparse.Namespace) -> int:
     try:
         if args.command == "train":
             cfg = _config_from_args(args)

@@ -78,6 +78,14 @@ class ReplayStack:
             self.per.insert(index)
         return index
 
+    def extend(self, states, actions, rewards, next_states, dones) -> np.ndarray:
+        """Store columns of transitions as one write, with the result of
+        one :meth:`append` per row."""
+        slots = self.buffer.extend(states, actions, rewards, next_states, dones)
+        if self.per is not None:
+            self.per.insert_many(slots)
+        return slots
+
     def sample(self, batch_size: int) -> Batch:
         inner = self.per.sample if self.per is not None else sample_uniform
         if self.combined:
@@ -207,7 +215,8 @@ def train(exp: Experiment) -> list[TrainRecord]:
     update, and feed the TD errors back to the priority sampler. Under
     hindsight every state is goal-augmented once, when the env returns
     it, and the agent acts on the array the buffer stores. Goal
-    relabeling appends its extra transitions when the episode closes.
+    relabeling stores its extra transitions in one write when the
+    episode closes.
     Evaluation reads the agent's ``POLICY_NET`` network.
     """
     cfg = exp.config
@@ -243,9 +252,9 @@ def train(exp: Experiment) -> list[TrainRecord]:
             if result.done or result.truncated:
                 break
         if episode_log is not None and len(episode_log) > 0:
-            relabeled = relabeled_transitions(episode_log, type(exp.env), exp.goal_tolerance)
-            for row in zip(*relabeled):
-                exp.stack.append(*row)
+            exp.stack.extend(
+                *relabeled_transitions(episode_log, type(exp.env), exp.goal_tolerance)
+            )
         fresh_eval = episode % cfg.eval_interval == 0
         if fresh_eval:
             eval_mean, eval_std = evaluate_policy(

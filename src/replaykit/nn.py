@@ -27,6 +27,12 @@ parameter gradient. Lifetimes follow from that:
 Stacks of rows use no workspace. Copying a network (``clone_mlp``,
 ``copy.deepcopy`` or a pickle round trip) never shares its workspaces.
 
+A product of two 2-D operands (each layer of a vector or matrix forward,
+and both products of every backward layer) goes through ``np.dot``,
+which hands it to BLAS with less dispatch than ``np.matmul``; stacks
+(``forward_pair``'s (2, n, k) and evaluation's (n, 1, k) rows) need
+``np.matmul``. On the builds the tests pin, both give the same bits.
+
 A :class:`NetworkPair` holds an online network and its frozen target,
 one architecture, as rows 0 and 1 of one (2, P) parameter array; each
 is an ordinary network whose ``params`` is its row, so every update
@@ -383,9 +389,11 @@ def _layers(net: Mlp, a: np.ndarray, weights, biases, hidden: list[np.ndarray]) 
     architecture, from ``a`` through ``weights`` and ``biases``, with
     hidden activations written into ``hidden``; returns the fresh
     output once it is checked finite."""
+    # np.dot goes straight to BLAS on a 2-D product; a stack needs matmul.
+    product = np.dot if a.ndim == 2 else np.matmul
     last = len(weights) - 1
     for i, (w, b) in enumerate(zip(weights, biases)):
-        z = np.matmul(a, w, out=hidden[i] if i < last else None)
+        z = product(a, w, out=hidden[i] if i < last else None)
         z += b
         if i < last:
             if net.hidden_activation == "tanh":
@@ -461,12 +469,12 @@ def backward(
                 np.greater(a_out, 0.0, out=temp)
             delta *= temp
         if param_grads:
-            np.matmul(cache.inputs[i].T, delta, out=ws.grad_weights[i])
+            np.dot(cache.inputs[i].T, delta, out=ws.grad_weights[i])
             delta.sum(axis=0, out=ws.grad_biases[i])
         if i > 0:
-            delta = np.matmul(delta, net.weights[i].T, out=ws.delta[i - 1])
+            delta = np.dot(delta, net.weights[i].T, out=ws.delta[i - 1])
         elif input_grad:
-            delta = delta @ net.weights[0].T
+            delta = np.dot(delta, net.weights[0].T)
     grad = ws.grad if param_grads else None
     if not input_grad:
         return grad, None

@@ -3,6 +3,9 @@
 A block-prefix store keeps per-slot priorities already raised to the
 alpha exponent, so the probability of slot i is leaf(i) / total and a
 draw is one search over block sums plus one within a block of 64.
+Both searches, and the upkeep of the block prefix, stop at the highest
+block ever written, so a large store that holds few rows costs what a
+small one does.
 Importance weights correct the induced bias and are normalized by the
 batch maximum so the largest weight in every batch is exactly 1.
 """
@@ -27,9 +30,12 @@ class SumTree:
     keeps the inclusive prefix sums of its leaves, recomputed from the
     leaves whenever one of them is written, so no sum drifts. A
     sequential prefix over the block totals ends in ``total``; it is
-    recomputed from the first changed block before the next read.
-    Every offset in [0, total) therefore falls in a block with positive
-    mass, and within it on a leaf with positive value.
+    recomputed from the first changed block before the next read, up to
+    the highest block ever written, and the block search stops there
+    too: past it every block is zero, so neither the work nor the result
+    depends on the capacity. Every offset in [0, total) therefore falls
+    in a block with positive mass, and within it on a leaf with positive
+    value.
     """
 
     def __init__(self, leaf_capacity: int) -> None:
@@ -46,8 +52,10 @@ class SumTree:
         # so keys block + 1j * (in-block inclusive prefix) are sorted and
         # one search finds a leaf from (block, offset within the block).
         self._keys = np.repeat(np.arange(blocks, dtype=np.complex128), BLOCK)
-        # First block whose entry in the block prefix is out of date.
+        # First block whose entry in the block prefix is out of date, and
+        # the number of blocks up to the highest one written.
         self._stale = blocks
+        self._written = 0
         self._bind_views()
 
     def _bind_views(self) -> None:
@@ -66,7 +74,7 @@ class SumTree:
     # so writes through _leaves and _inner would no longer reach the
     # sums and keys that reads use.
     def __getstate__(self) -> dict:
-        names = ("leaf_capacity", "_nodes", "_keys", "_stale")
+        names = ("leaf_capacity", "_nodes", "_keys", "_stale", "_written")
         return {name: self.__dict__[name] for name in names}
 
     def __setstate__(self, state: dict) -> None:
@@ -85,6 +93,8 @@ class SumTree:
         the block prefix, zeros, and the padded leaves as the second
         half."""
         self._refresh()
+        # Past the written blocks the prefix is the total; fill it in.
+        self._prefix[self._written + 1 :] = self._nodes[0]
         view = self._nodes.view()
         view.flags.writeable = False
         return view
@@ -110,7 +120,10 @@ class SumTree:
         row = self._inner[block]
         np.add.accumulate(self._rows[block], out=row)
         self._totals[block] = row[-1]
-        self._stale = min(self._stale, block)
+        # The prefix past the written blocks is never kept up to date, so
+        # a write beyond them refreshes from the first of them.
+        self._stale = min(self._stale, block, self._written)
+        self._written = max(self._written, block + 1)
 
     def set_many(self, indices, values) -> None:
         """Apply ``set(i, v)`` for each pair in order, in one pass.
@@ -145,7 +158,8 @@ class SumTree:
         sums = np.add.accumulate(self._rows[touched], axis=1)
         self._inner[touched] = sums
         self._totals[touched] = sums[:, -1]
-        self._stale = min(self._stale, int(touched[0]))
+        self._stale = min(self._stale, int(touched[0]), self._written)
+        self._written = max(self._written, int(touched[-1]) + 1)
 
     def sample(self, u: float) -> int:
         """Leaf index whose prefix-sum interval contains ``u``.
@@ -163,23 +177,31 @@ class SumTree:
         us = np.asarray(us, dtype=np.float64)
         if us.size and not (us.min() >= 0.0 and us.max() < total):
             raise ValueError("all offsets must lie in [0, total)")
+        return self._search(us)
+
+    def _search(self, us: np.ndarray) -> np.ndarray:
+        """The leaves of offsets ``us`` in [0, total), unchecked, with the
+        prefix up to date. Both searches are monotone in the offset, so
+        non-decreasing offsets give non-decreasing leaves."""
+        written = self._written
         # The last block whose prefix is <= u; it has positive mass.
-        blocks = self._prefix[1:].searchsorted(us, side="right")
+        blocks = self._prefix[1 : written + 1].searchsorted(us, side="right")
         queries = np.empty(us.shape, dtype=np.complex128)
         queries.real = blocks
         # Rounding can carry the offset within the block up to the block
         # total; stop it just below, on the block's last positive leaf.
         below_total = np.nextafter(self._totals[blocks], 0.0)
         np.minimum(us - self._prefix[blocks], below_total, out=queries.imag)
-        return self._keys.searchsorted(queries, side="right")
+        return self._keys[: written * BLOCK].searchsorted(queries, side="right")
 
     def _refresh(self) -> None:
-        """Bring the block prefix and the total up to date."""
-        block = self._stale
-        if block == len(self._totals):
+        """Bring the total, and the block prefix up to the highest
+        written block, up to date."""
+        block, end = self._stale, self._written
+        if block >= end:
             return
-        prefix = self._prefix[block:]
-        prefix[1:] = self._totals[block:]
+        prefix = self._prefix[block : end + 1]
+        prefix[1:] = self._totals[block:end]
         np.add.accumulate(prefix, out=prefix)
         self._nodes[0] = prefix[-1]
         self._stale = len(self._totals)
@@ -247,6 +269,11 @@ class PrioritizedSampler:
         """
         self.tree.set(index, self._max_raw ** self.config.alpha)
 
+    def insert_many(self, indices) -> None:
+        """:meth:`insert` of every slot in ``indices``, in one write."""
+        indices = np.asarray(indices)
+        self.tree.set_many(indices, np.full(indices.size, self._max_raw ** self.config.alpha))
+
     def update_priorities(self, indices, td_errors) -> None:
         """Refresh priorities from TD errors: raw priority |delta| + epsilon."""
         td_errors = np.asarray(td_errors, dtype=np.float64)
@@ -272,14 +299,26 @@ class PrioritizedSampler:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if len(buffer) == 0:
             raise NotReadyError("cannot sample from an empty buffer")
-        # sample_batch raises NotReadyError when the total is zero.
-        total = self.tree.total
+        tree = self.tree
+        total = tree.total
+        if total <= 0.0:
+            raise NotReadyError("cannot sample from a tree with zero total mass")
         segment = total / batch_size
-        offsets = (np.arange(batch_size) + rng.random(batch_size)) * segment
+        offsets = rng.random(batch_size)
+        offsets += np.arange(batch_size)
+        offsets *= segment
         # Guard the upper edge: floating roundup may land exactly on total.
-        offsets = np.minimum(offsets, math.nextafter(total, 0.0))
-        indices = self.tree.sample_batch(offsets)
-        probs = self.tree.leaves(indices) / total
-        weights = (len(buffer) * probs) ** -self.config.beta
+        np.minimum(offsets, math.nextafter(total, 0.0), out=offsets)
+        # The offsets rise with their segment and the leaves found for
+        # them with the offsets, so each range check reads the two ends.
+        if not (offsets[0] >= 0.0 and offsets[-1] < total):
+            raise ValueError("all offsets must lie in [0, total)")
+        indices = tree._search(offsets)
+        if not (indices[0] >= 0 and indices[-1] < tree.leaf_capacity):
+            raise IndexError(f"leaves {indices[0]}..{indices[-1]} out of range")
+        weights = tree._leaves[indices]
+        weights /= total
+        weights *= len(buffer)
+        weights **= -self.config.beta
         weights /= weights.max()
         return indices, weights

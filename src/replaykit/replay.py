@@ -9,7 +9,10 @@ them as any other state vector. Samplers are free functions returning
 ``(indices, weights)`` arrays, so strategies can be stacked: combined
 sampling wraps any inner sampler and forces the newest slot into
 position 0 of every batch. :meth:`ReplayBuffer.gather` turns sampled
-slots into one :class:`Batch` of arrays for the learner.
+slots into one :class:`Batch` of arrays for the learner. Rows arrive
+one at a time through :meth:`ReplayBuffer.append`, or as columns through
+:meth:`ReplayBuffer.extend`, one checked write with the result of one
+append per row; the harness stores a relabeled episode that way.
 """
 
 from __future__ import annotations
@@ -98,13 +101,7 @@ class ReplayBuffer:
             raise ValueError("state components must be finite")
         if not np.isfinite(reward):
             raise ValueError(f"reward must be finite, got {reward!r}")
-        shapes = (state.shape, action.shape)
-        if self._shapes is None:
-            self._allocate(shapes)
-        elif shapes != self._shapes:
-            raise ValueError(
-                f"(state, action) shapes {shapes} != the buffer's {self._shapes}"
-            )
+        self._fit((state.shape, action.shape))
         index = self._cursor
         self._states[index] = state
         self._actions[index] = action
@@ -114,6 +111,57 @@ class ReplayBuffer:
         self._cursor = (self._cursor + 1) % self.capacity
         self._count = min(self._count + 1, self.capacity)
         return index
+
+    def extend(self, states, actions, rewards, next_states, dones) -> np.ndarray:
+        """Store n transitions given as columns, one row per transition,
+        with the result of n :meth:`append` calls in row order.
+
+        Every row is checked as ``append`` checks it before anything is
+        written. Returns the slots written, in row order; when n exceeds
+        the capacity only the last ``capacity`` rows are kept, as
+        appends would leave them, and only their slots are returned.
+        """
+        states = np.asarray(states, dtype=np.float64)
+        next_states = np.asarray(next_states, dtype=np.float64)
+        actions = np.asarray(actions, dtype=np.float64)
+        rewards = np.asarray(rewards, dtype=np.float64)
+        dones = np.asarray(dones)
+        if states.ndim != 2 or states.shape != next_states.shape:
+            raise ValueError(
+                f"states and next_states must be (n, dim) of one shape, got "
+                f"{states.shape} and {next_states.shape}"
+            )
+        n = len(states)
+        if rewards.shape != (n,) or dones.shape != (n,) or actions.shape[:1] != (n,):
+            raise ValueError(f"every column must have {n} rows")
+        if not (np.isfinite(states).all() and np.isfinite(next_states).all()):
+            raise ValueError("state components must be finite")
+        if not np.isfinite(rewards).all():
+            raise ValueError("rewards must be finite")
+        self._fit((states.shape[1:], actions.shape[1:]))
+        # A slot written twice keeps its later row, but numpy leaves
+        # open which value a repeated fancy index stores: write only the
+        # rows that the appends would leave, at distinct slots.
+        keep = slice(max(n - self.capacity, 0), n)
+        slots = (self._cursor + np.arange(n)[keep]) % self.capacity
+        self._states[slots] = states[keep]
+        self._actions[slots] = actions[keep]
+        self._rewards[slots] = rewards[keep]
+        self._next_states[slots] = next_states[keep]
+        self._dones[slots] = dones[keep]
+        self._cursor = (self._cursor + n) % self.capacity
+        self._count = min(self._count + n, self.capacity)
+        return slots
+
+    def _fit(self, shapes: tuple) -> None:
+        """Check the (state, action) shapes of a row against the
+        buffer's; the first row allocates the columns."""
+        if self._shapes is None:
+            self._allocate(shapes)
+        elif shapes != self._shapes:
+            raise ValueError(
+                f"(state, action) shapes {shapes} != the buffer's {self._shapes}"
+            )
 
     def _allocate(self, shapes: tuple) -> None:
         state_shape, action_shape = shapes

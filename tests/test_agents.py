@@ -331,6 +331,30 @@ def test_ddpg_action_clipped_to_bounds() -> None:
         assert agent.act(np.zeros(3), rng) == pytest.approx([bound])
 
 
+def test_in_place_clip_gives_np_clip_bits() -> None:
+    # DdpgAgent.act and greedy_policy clip with np.maximum then
+    # np.minimum in place; on finite values that is np.clip's result.
+    low, high = -2.0, 2.0
+    edges = [low, high, 0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308]
+    edges += [np.nextafter(b, d) for b in (low, high) for d in (-np.inf, np.inf)]
+    values = np.concatenate((edges, np.random.default_rng(23).normal(scale=3.0, size=500)))
+    clipped = values.copy()
+    np.maximum(clipped, low, out=clipped)
+    np.minimum(clipped, high, out=clipped)
+    assert clipped.tobytes() == np.clip(values, low, high).tobytes()
+
+
+def test_ddpg_act_is_np_clip_of_actor_plus_noise() -> None:
+    # A wide noise pushes most actions past the bounds.
+    agent = make_ddpg(ou_sigma=3.0)
+    twin = copy.deepcopy(agent)
+    rng, twin_rng = np.random.default_rng(29), np.random.default_rng(29)
+    for obs in np.random.default_rng(31).normal(size=(200, 3)):
+        out, _ = forward(twin.actor, twin.scaler(obs))
+        want = np.clip(out + twin.noise.sample(twin_rng), -2.0, 2.0)
+        assert agent.act(obs, rng).tobytes() == want.tobytes()
+
+
 def test_ddpg_begin_episode_resets_its_noise() -> None:
     agent = make_ddpg(ou_mu=0.5)
     rng = np.random.default_rng(9)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import io
 import math
+import warnings
 from dataclasses import fields
 
 import pytest
@@ -175,12 +176,16 @@ def check_train(out, env: str, agent: str, pairs, seed: int = 0) -> None:
 
 def test_train_takes_every_edge_value_of_every_key(tmp_path) -> None:
     # An agent's own keys on the env it trains fastest on; the rest on
-    # every (env, agent).
+    # every (env, agent). A value that overflows the run must end it with
+    # the typed error alone, without a numpy warning printed ahead of it.
     fastest = {"dqn": [("cartpole", "dqn")], "ddpg": [("pendulum", "ddpg")]}
     for i, key in enumerate(KEYS):
         for env, agent in fastest.get(key.split("_")[0], PAIRS):
             for j, value in enumerate(EDGES):
-                check_train(tmp_path / f"{i}-{env}-{j}", env, agent, [(key, value)])
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    check_train(tmp_path / f"{i}-{env}-{j}", env, agent, [(key, value)])
+                assert [str(w.message) for w in caught] == [], (env, agent, key, value)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

@@ -41,7 +41,7 @@ from replaykit.harness import (
     validate_config,
     write_manifest,
 )
-from replaykit.hindsight import augment_observation
+from replaykit.hindsight import Columns, augment_observation
 from replaykit.nn import Mlp, forward, init_mlp
 from replaykit.prioritized import PerConfig
 
@@ -296,6 +296,83 @@ def test_stack_update_priorities_without_per_is_noop() -> None:
                         rng=np.random.default_rng(4))
     stack.append(*dummy_row(0.0))
     stack.update_priorities(np.array([0]), np.array([3.0]))  # must not raise
+
+
+def random_columns(rng: np.random.Generator, n: int, dim: int = 3) -> Columns:
+    """n transitions as columns, shaped like Pendulum's relabeled rows."""
+    return Columns(
+        states=rng.normal(size=(n, dim)),
+        actions=rng.uniform(-2.0, 2.0, size=(n, 1)),
+        rewards=rng.normal(size=n),
+        next_states=rng.normal(size=(n, dim)),
+        dones=rng.random(n) < 0.3,
+    )
+
+
+def stack_state(stack: ReplayStack) -> dict[str, object]:
+    """Every column of the buffer, its cursor, count and newest slot,
+    and the PER store's bytes and running max priority."""
+    buf = stack.buffer
+    state = {name: getattr(buf, name).tobytes() for name in
+             ("_states", "_actions", "_rewards", "_next_states", "_dones")}
+    state.update(cursor=buf._cursor, count=len(buf), newest=buf.newest,
+                 nodes=stack.per.tree.nodes.tobytes(), max_raw=repr(stack.per._max_raw))
+    return state
+
+
+def per_stack_holding(rng: np.random.Generator, capacity: int, rows: int) -> ReplayStack:
+    """A PER stack holding ``rows`` appended rows, with refined
+    priorities that raise the running max above its initial value."""
+    stack = ReplayStack(capacity, combined=False, per_config=PerConfig(),
+                        rng=np.random.default_rng(0))
+    for row in zip(*random_columns(rng, rows)):
+        stack.append(*row)
+    stack.update_priorities(np.arange(5), [3.0, 0.5, 7.0, 0.0, 1.0])
+    return stack
+
+
+@pytest.mark.parametrize(
+    "capacity, before, n",
+    [(100, 10, 40), (100, 70, 50), (64, 30, 150)],
+    ids=["no-wrap", "wrap", "longer-than-capacity"],
+)
+def test_stack_extend_equals_one_append_per_row(capacity, before, n) -> None:
+    seed = capacity * 1000 + n
+    by_rows = per_stack_holding(np.random.default_rng(seed), capacity, before)
+    by_columns = per_stack_holding(np.random.default_rng(seed), capacity, before)
+    columns = random_columns(np.random.default_rng(seed + 1), n)
+    slots = [by_rows.append(*row) for row in zip(*columns)]
+    written = by_columns.extend(*columns)
+    # Appends leave the last ``capacity`` rows; only their slots count.
+    assert written.tolist() == slots[-capacity:]
+    assert stack_state(by_columns) == stack_state(by_rows)
+
+
+@pytest.mark.parametrize(
+    "fault", ["nan-state", "inf-next-state", "nan-reward", "wide-states", "action-shape",
+              "short-rewards"],
+)
+def test_stack_extend_rejects_bad_columns_and_writes_nothing(fault) -> None:
+    rng = np.random.default_rng(17)
+    stack = per_stack_holding(rng, 16, 10)
+    before = stack_state(stack)
+    columns = random_columns(rng, 8)._asdict()
+    if fault == "nan-state":
+        columns["states"][3, 1] = np.nan
+    elif fault == "inf-next-state":
+        columns["next_states"][6, 0] = np.inf
+    elif fault == "nan-reward":
+        columns["rewards"][2] = np.nan
+    elif fault == "wide-states":
+        columns["states"] = np.zeros((8, 4))
+        columns["next_states"] = np.zeros((8, 4))
+    elif fault == "action-shape":
+        columns["actions"] = np.zeros((8, 2))
+    else:
+        columns["rewards"] = columns["rewards"][:7]
+    with pytest.raises(ValueError):
+        stack.extend(**columns)
+    assert stack_state(stack) == before
 
 
 # --- training loop ---

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from replaykit.agents import AGENTS, scaler_for
+from replaykit.config import RunConfig
+from replaykit.envs import env_names, env_spec
 from replaykit.errors import CheckpointError, IntegrityError, NumericalError
 from replaykit.nn import (
     HIDDEN_ACTIVATIONS,
@@ -899,3 +903,51 @@ def test_deep_copies_of_a_pair_share_no_memory() -> None:
         assert same_bits(got, want)
     twin.online.params[...] = 0.0
     assert not np.any(pair.online.params == 0.0)
+
+
+def agent_product_shapes() -> set[tuple[str, tuple[int, int], tuple[int, int]]]:
+    """(kind, left shape, right shape) of every 2-D product that a
+    forward or backward of an agent's network makes, at one row (``act``)
+    and at the agent's default batch size, with and without a goal.
+    Backward's left operand of the weight gradient and right operand of
+    the input gradient are transposed views."""
+    shapes = set()
+    for env in env_names():
+        spec = env_spec(env)
+        for kind, cls in AGENTS.items():
+            if not isinstance(spec.actions, cls.ACTIONS):
+                continue
+            config = getattr(RunConfig(), kind)
+            for with_goal in (False, True):
+                agent = cls(spec.actions, config, scaler_for(spec, with_goal),
+                            np.random.default_rng(0))
+                for net in agent.networks().values():
+                    layers = zip(net.layer_sizes[:-1], net.layer_sizes[1:])
+                    for (fan_in, fan_out), n in itertools.product(layers, (1, config.batch_size)):
+                        shapes.add(("forward", (n, fan_in), (fan_in, fan_out)))
+                        shapes.add(("weight-grad", (fan_in, n), (n, fan_out)))
+                        shapes.add(("input-grad", (n, fan_out), (fan_out, fan_in)))
+    return shapes
+
+
+def test_dot_equals_matmul_on_every_agent_product() -> None:
+    # nn sends 2-D products through np.dot and stacks through
+    # np.matmul, and forward_pair's stacked slices must give the bits of
+    # a matrix forward. A failure here means this numpy or BLAS build
+    # rounds the two differently; see the BLAS caveat in test_golden.py.
+    shapes = agent_product_shapes()
+    rows = {left[0] for kind, left, _ in shapes if kind == "forward"}
+    assert rows == {1, 32, 64}
+    assert ("input-grad", (64, 1), (1, 64)) in shapes  # the K=1 outer product
+    rng = np.random.default_rng(19)
+    for kind, left, right in sorted(shapes):
+        for _ in range(10):
+            # Backward's transposed operands are views, as there.
+            a = rng.normal(size=left[::-1]).T if kind == "weight-grad" else rng.normal(size=left)
+            b = rng.normal(size=right[::-1]).T if kind == "input-grad" else rng.normal(size=right)
+            a[rng.random(a.shape) < 0.3] = 0.0  # relu zeros
+            want = np.matmul(a, b)
+            out = np.empty_like(want)
+            np.dot(a, b, out=out)
+            assert same_bits(np.dot(a, b), want), (kind, left, right)
+            assert same_bits(out, want), (kind, left, right)

@@ -453,3 +453,145 @@ def test_deep_copied_tree_tracks_its_own_writes() -> None:
 
 def test_pickled_tree_tracks_its_own_writes() -> None:
     check_copied_tree_tracks_its_own_writes(lambda tree: pickle.loads(pickle.dumps(tree)))
+
+
+class FullRefreshTree(SumTree):
+    """The store as it was before its work was bounded by the written
+    blocks: the block prefix is re-accumulated from the first changed
+    block to the end of the store, and the block search runs over all of
+    it. The reference for the bounded store."""
+
+    @property
+    def nodes(self) -> np.ndarray:
+        self._refresh()
+        view = self._nodes.view()
+        view.flags.writeable = False
+        return view
+
+    def _refresh(self) -> None:
+        block = self._stale
+        if block == len(self._totals):
+            return
+        prefix = self._prefix[block:]
+        prefix[1:] = self._totals[block:]
+        np.add.accumulate(prefix, out=prefix)
+        self._nodes[0] = prefix[-1]
+        self._stale = len(self._totals)
+
+    def _search(self, us: np.ndarray) -> np.ndarray:
+        blocks = self._prefix[1:].searchsorted(us, side="right")
+        queries = np.empty(us.shape, dtype=np.complex128)
+        queries.real = blocks
+        below_total = np.nextafter(self._totals[blocks], 0.0)
+        np.minimum(us - self._prefix[blocks], below_total, out=queries.imag)
+        return self._keys.searchsorted(queries, side="right")
+
+
+def reference_per_sample(sampler, buffer, batch_size, rng):
+    """``PrioritizedSampler.sample`` as first written, through the
+    store's fully checked ``sample_batch`` and ``leaves``."""
+    total = sampler.tree.total
+    segment = total / batch_size
+    offsets = (np.arange(batch_size) + rng.random(batch_size)) * segment
+    offsets = np.minimum(offsets, np.nextafter(total, 0.0))
+    indices = sampler.tree.sample_batch(offsets)
+    probs = sampler.tree.leaves(indices) / total
+    weights = (len(buffer) * probs) ** -sampler.config.beta
+    weights /= weights.max()
+    return indices, weights
+
+
+# Pendulum's store: 100,000 slots of which at most 3,200 are written.
+PENDULUM_SLOTS, PENDULUM_ROWS = 100_000, 3_200
+_BOUNDED_OPS = st.lists(
+    st.tuples(st.sampled_from(["insert", "insert_many", "update", "scatter"]),
+              st.integers(1, 400), st.booleans()),
+    min_size=1, max_size=25,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ops=_BOUNDED_OPS, seed=st.integers(0, 2**32 - 1))
+def test_store_bounded_by_written_blocks_matches_full_refresh(ops, seed) -> None:
+    rng = np.random.default_rng(seed)
+    config = PerConfig()
+    bounded = PrioritizedSampler(PENDULUM_SLOTS, config)
+    full = PrioritizedSampler(PENDULUM_SLOTS, config)
+    full.tree = FullRefreshTree(PENDULUM_SLOTS)
+    buffer = filled_buffer(1)  # only its length enters the weights
+    cursor = 0  # next slot to write, in ring order over the written rows
+    for op, size, read_nodes in ops:
+        if op in ("insert", "insert_many"):
+            slots = (cursor + np.arange(size)) % PENDULUM_ROWS
+            cursor = (cursor + size) % PENDULUM_ROWS
+            for sampler in (bounded, full):
+                if op == "insert":
+                    for slot in slots.tolist():
+                        sampler.insert(slot)
+                else:
+                    sampler.insert_many(slots)
+        else:
+            # Updates refine written slots; a scatter writes a few slots
+            # anywhere above a random one, often past the written blocks.
+            if op == "update":
+                slots = rng.integers(0, max(cursor, 1), size=min(size, 64))
+            else:
+                slots = rng.integers(rng.integers(PENDULUM_ROWS), PENDULUM_ROWS, size=size % 3 + 1)
+            errors = rng.exponential(size=slots.size)
+            errors[rng.random(slots.size) < 0.2] = 0.0
+            for sampler in (bounded, full):
+                if op == "scatter" and size % 2:
+                    for slot in slots.tolist():  # one SumTree.set each
+                        sampler.insert(slot)
+                else:
+                    sampler.update_priorities(slots, errors)
+        assert bounded.tree.total == full.tree.total
+        offsets = rng.uniform(0.0, bounded.tree.total, size=200)
+        drawn = bounded.tree.sample_batch(offsets)
+        assert np.array_equal(drawn, full.tree.sample_batch(offsets))
+        # The search never leaves the written blocks or lands on a zero leaf.
+        assert drawn.max() < bounded.tree._written * 64
+        assert np.all(bounded.tree.leaves(drawn) > 0.0)
+        draw_seed = int(rng.integers(2**32))
+        indices, weights = bounded.sample(buffer, 64, np.random.default_rng(draw_seed))
+        want_indices, want_weights = reference_per_sample(
+            full, buffer, 64, np.random.default_rng(draw_seed)
+        )
+        assert np.array_equal(indices, want_indices)
+        assert weights.tobytes() == want_weights.tobytes()
+        # Reading nodes completes the prefix tail; reads in between must
+        # not depend on whether it was.
+        if read_nodes:
+            assert bounded.tree.nodes.tobytes() == full.tree.nodes.tobytes()
+    assert bounded.tree.nodes.tobytes() == full.tree.nodes.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    priorities=st.lists(st.just(0.0) | st.floats(1e-6, 1e6), min_size=1, max_size=300),
+    batch_size=st.integers(1, 128),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sample_offsets_and_found_leaves_are_non_decreasing(priorities, batch_size, seed) -> None:
+    # PrioritizedSampler.sample range-checks only the two ends of its
+    # offsets and of the leaves found for them, which covers every entry
+    # only because both arrays are non-decreasing.
+    priorities = [*priorities, 1.0]
+    sampler = PrioritizedSampler(len(priorities), PerConfig(alpha=1.0))
+    sampler.tree.set_many(range(len(priorities)), priorities)
+    searched = []
+    search = sampler.tree._search
+
+    def recorded(us):
+        found = search(us)
+        searched.append((us.copy(), found))
+        return found
+
+    sampler.tree._search = recorded
+    indices, _ = sampler.sample(filled_buffer(3), batch_size, np.random.default_rng(seed))
+    [(offsets, found)] = searched
+    assert np.array_equal(found, indices)
+    assert np.all(np.diff(offsets) >= 0.0)
+    assert np.all(np.diff(found) >= 0)
+    assert 0.0 <= offsets[0] and offsets[-1] < sampler.tree.total
+    assert np.all(np.asarray(priorities)[found] > 0.0)
