@@ -21,6 +21,7 @@ runtime is always reported in the run manifest.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import time
@@ -40,7 +41,7 @@ from .config import (
 )
 from .envs import EnvSpec, env_class, env_names, make_env
 from .errors import CheckpointError, ConfigurationError, IntegrityError
-from .files import write_text_atomic
+from .files import write_atomic
 from .hindsight import Episode, augment_observation, relabeled_transitions
 from .nn import load_checkpoint, save_checkpoint
 from .prioritized import PerConfig, PrioritizedSampler
@@ -285,20 +286,18 @@ def check_convergence(records: list[TrainRecord], spec: EnvSpec) -> int | None:
 def emit_csv(records: list[TrainRecord], path) -> None:
     """Write records with a fixed header and fixed decimal formatting,
     so identical records always produce identical bytes."""
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append(
-            f"{r.episode},{r.train_reward:.6f},{r.eval_mean:.6f},"
-            f"{r.eval_std:.6f},{r.steps},{r.wallclock_ms}"
-        )
-    write_text_atomic(path, "\n".join(lines) + "\n", "ascii")
+    rows = (
+        f"{r.episode},{r.train_reward:.6f},{r.eval_mean:.6f},"
+        f"{r.eval_std:.6f},{r.steps},{r.wallclock_ms}\n"
+        for r in records
+    )
+    write_atomic(path, itertools.chain([CSV_HEADER + "\n"], rows), "ascii")
 
 
 def write_manifest(path, cfg: RunConfig, extra: dict[str, str] | None = None) -> None:
     mapping = dict(effective_mapping(cfg))
     mapping.update(extra or {})
-    text = "".join(f"{key}={mapping[key]}\n" for key in sorted(mapping))
-    write_text_atomic(path, text, "utf-8")
+    write_atomic(path, (f"{key}={mapping[key]}\n" for key in sorted(mapping)), "utf-8")
 
 
 # Config keys a checkpoint carries as meta lines, enough to rebuild its
@@ -426,10 +425,13 @@ def sweep(cfg: RunConfig, out_dir) -> list[tuple[str, str, int | None]]:
             rows.append((name, NO_CONVERGENCE, None))
         else:
             rows.append((name, CONVERGED, converged))
-    lines = ["strategy,status,episodes_to_convergence"]
-    for name, status, episode in rows:
-        lines.append(f"{name},{status},{'' if episode is None else episode}")
-    write_text_atomic(
-        os.path.join(out_dir, "summary.csv"), "\n".join(lines) + "\n", "ascii"
+    lines = (
+        f"{name},{status},{'' if episode is None else episode}\n"
+        for name, status, episode in rows
+    )
+    write_atomic(
+        os.path.join(out_dir, "summary.csv"),
+        itertools.chain(["strategy,status,episodes_to_convergence\n"], lines),
+        "ascii",
     )
     return rows

@@ -47,6 +47,11 @@ outputs are fresh, and its cache is one of the online network that
 ``backward`` accepts, with the same lifetime as a matrix forward's: the
 pass counts as a forward through the online network's workspace for
 that row count.
+
+Checkpoints are text with repr floats, so a load gives back every bit.
+``save_checkpoint`` formats each weight and bias row in pieces of a few
+hundred floats as the file is written: a save never holds the text of
+the file, or of a whole row, at once.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CheckpointError, IntegrityError, NumericalError
-from .files import write_text_atomic
+from .files import write_atomic
 
 HIDDEN_ACTIVATIONS = ("tanh", "relu")
 OUTPUT_ACTIVATIONS = ("identity", "tanh")
@@ -575,35 +580,49 @@ def soft_update(pair: NetworkPair, tau: float) -> None:
 #   end
 
 _MAGIC = "mlp-checkpoint-v1"
-
-
-def _format_floats(a: np.ndarray) -> str:
-    return " ".join(map(repr, a.ravel().tolist()))
+# Floats per piece of a W/b row, so a row's text is never held whole.
+_CHUNK = 256
 
 
 def save_checkpoint(path, nets: dict[str, Mlp], meta: dict[str, str] | None = None) -> None:
     """Write named networks plus flat string metadata to ``path``,
-    atomically."""
-    lines = [_MAGIC]
-    for key, value in (meta or {}).items():
+    atomically, formatting each row as it is written."""
+    write_atomic(path, _checkpoint_pieces(nets, meta or {}), "ascii")
+
+
+def _checkpoint_pieces(nets: dict[str, Mlp], meta: dict[str, str]):
+    """The checkpoint text in pieces of at most a line or ``_CHUNK``
+    floats; raises ValueError, part way, on a key or name that the
+    format cannot hold."""
+    yield _MAGIC + "\n"
+    for key, value in meta.items():
         key, value = str(key), str(value)
         if " " in key or "\n" in key or "\n" in value:
             raise ValueError(f"metadata key/value must be single-line, got {key!r}")
-        lines.append(f"meta {key} {value}")
+        yield f"meta {key} {value}\n"
     for name, net in nets.items():
         if " " in name:
             raise ValueError(f"net name must not contain spaces: {name!r}")
-        lines.append(f"net {name}")
-        lines.append("layers " + " ".join(str(n) for n in net.layer_sizes))
-        lines.append(
+        yield f"net {name}\n"
+        yield "layers " + " ".join(str(n) for n in net.layer_sizes) + "\n"
+        yield (
             f"activation {net.hidden_activation} {net.output_activation} "
-            + repr(net.output_scale)
+            f"{net.output_scale!r}\n"
         )
         for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-            lines.append(f"W{i} " + _format_floats(w))
-            lines.append(f"b{i} " + _format_floats(b))
-        lines.append("end")
-    write_text_atomic(path, "\n".join(lines) + "\n", "ascii")
+            yield from _float_row(f"W{i}", w)
+            yield from _float_row(f"b{i}", b)
+        yield "end\n"
+
+
+def _float_row(label: str, a: np.ndarray):
+    """The line ``label`` followed by the repr of each of ``a``'s floats,
+    space separated, in pieces of ``_CHUNK`` floats."""
+    flat = a.ravel()
+    yield label
+    for start in range(0, max(flat.size, 1), _CHUNK):
+        yield " " + " ".join(map(repr, flat[start : start + _CHUNK].tolist()))
+    yield "\n"
 
 
 def load_checkpoint(path) -> tuple[dict[str, Mlp], dict[str, str]]:

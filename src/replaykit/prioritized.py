@@ -4,8 +4,9 @@ A block-prefix store keeps per-slot priorities already raised to the
 alpha exponent, so the probability of slot i is leaf(i) / total and a
 draw is one search over block sums plus one within a block of 64.
 Both searches, and the upkeep of the block prefix, stop at the highest
-block ever written, so a large store that holds few rows costs what a
-small one does.
+block ever written, and the search keys grow with the written blocks,
+so a large store that holds few rows costs, in time and in resident
+memory, what a small one does.
 Importance weights correct the induced bias and are normalized by the
 batch maximum so the largest weight in every batch is exactly 1.
 """
@@ -35,7 +36,8 @@ class SumTree:
     too: past it every block is zero, so neither the work nor the result
     depends on the capacity. Every offset in [0, total) therefore falls
     in a block with positive mass, and within it on a leaf with positive
-    value.
+    value. The search keys cover the written blocks and at most as many
+    again, so they grow with the rows held, not with the capacity.
     """
 
     def __init__(self, leaf_capacity: int) -> None:
@@ -45,13 +47,13 @@ class SumTree:
             )
         self.leaf_capacity = leaf_capacity
         blocks = -(-leaf_capacity // BLOCK)
-        size = blocks * BLOCK
         # total, block totals, block prefix (from 0), zeros, then leaves.
-        self._nodes = np.zeros(2 * size)
+        self._nodes = np.zeros(2 * blocks * BLOCK)
         # NumPy orders complex numbers by real part, then imaginary part,
         # so keys block + 1j * (in-block inclusive prefix) are sorted and
         # one search finds a leaf from (block, offset within the block).
-        self._keys = np.repeat(np.arange(blocks, dtype=np.complex128), BLOCK)
+        # They cover the written blocks and grow with them (_grow_keys).
+        self._keys = np.empty(0, dtype=np.complex128)
         # First block whose entry in the block prefix is out of date, and
         # the number of blocks up to the highest one written.
         self._stale = blocks
@@ -61,13 +63,26 @@ class SumTree:
     def _bind_views(self) -> None:
         """Name the parts of ``_nodes`` and ``_keys`` that the methods
         read and write through."""
-        blocks = self._keys.size // BLOCK
-        size = blocks * BLOCK
+        blocks = self._nodes.size // (2 * BLOCK)
         self._totals = self._nodes[1 : blocks + 1]
         self._prefix = self._nodes[blocks + 1 : 2 * blocks + 2]
-        self._leaves = self._nodes[size:]
+        self._leaves = self._nodes[blocks * BLOCK :]
         self._rows = self._leaves.reshape(blocks, BLOCK)
-        self._inner = self._keys.imag.reshape(blocks, BLOCK)
+        self._inner = self._keys.imag.reshape(-1, BLOCK)
+
+    def _grow_keys(self) -> None:
+        """Make the keys cover the written blocks, doubling their length
+        (up to the capacity) when they fall short. A block not yet
+        covered has never been written, so its leaves, and with them its
+        in-block prefix, are zero."""
+        have = self._keys.size // BLOCK
+        if self._written <= have:
+            return
+        grown = min(max(self._written, 2 * have), len(self._totals))
+        keys = np.repeat(np.arange(grown, dtype=np.complex128), BLOCK)
+        keys[: self._keys.size] = self._keys
+        self._keys = keys
+        self._inner = keys.imag.reshape(-1, BLOCK)
 
     # Copies and pickles carry only the two arrays and rebuild the views
     # on them; carried over, each view would become an array of its own,
@@ -117,13 +132,14 @@ class SumTree:
             raise ValueError(f"priority must be >= 0, got {value}")
         self._leaves[index] = value
         block = index // BLOCK
-        row = self._inner[block]
-        np.add.accumulate(self._rows[block], out=row)
-        self._totals[block] = row[-1]
         # The prefix past the written blocks is never kept up to date, so
         # a write beyond them refreshes from the first of them.
         self._stale = min(self._stale, block, self._written)
         self._written = max(self._written, block + 1)
+        self._grow_keys()
+        row = self._inner[block]
+        np.add.accumulate(self._rows[block], out=row)
+        self._totals[block] = row[-1]
 
     def set_many(self, indices, values) -> None:
         """Apply ``set(i, v)`` for each pair in order, in one pass.
@@ -155,11 +171,12 @@ class SumTree:
         blocks = grouped // BLOCK
         np.not_equal(blocks[1:], blocks[:-1], out=last[:-1])
         touched = blocks[last]
+        self._stale = min(self._stale, int(touched[0]), self._written)
+        self._written = max(self._written, int(touched[-1]) + 1)
+        self._grow_keys()
         sums = np.add.accumulate(self._rows[touched], axis=1)
         self._inner[touched] = sums
         self._totals[touched] = sums[:, -1]
-        self._stale = min(self._stale, int(touched[0]), self._written)
-        self._written = max(self._written, int(touched[-1]) + 1)
 
     def sample(self, u: float) -> int:
         """Leaf index whose prefix-sum interval contains ``u``.

@@ -17,6 +17,7 @@ append per row; the harness stores a relabeled episode that way.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,7 +98,8 @@ class ReplayBuffer:
             raise ValueError(
                 f"state shape {state.shape} != next_state shape {next_state.shape}"
             )
-        if not (np.isfinite(state).all() and np.isfinite(next_state).all()):
+        # Python floats check cheaper than a numpy call per short row.
+        if not all(map(math.isfinite, state.tolist() + next_state.tolist())):
             raise ValueError("state components must be finite")
         if not np.isfinite(reward):
             raise ValueError(f"reward must be finite, got {reward!r}")

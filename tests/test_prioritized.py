@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import copy
+import os
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +13,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from replaykit.errors import ConfigurationError, NotReadyError, NumericalError
-from replaykit.prioritized import PerConfig, PrioritizedSampler, SumTree
+from replaykit import prioritized
+from replaykit.prioritized import BLOCK, PerConfig, PrioritizedSampler, SumTree
 from replaykit.replay import ReplayBuffer
 
 
@@ -456,10 +460,17 @@ def test_pickled_tree_tracks_its_own_writes() -> None:
 
 
 class FullRefreshTree(SumTree):
-    """The store as it was before its work was bounded by the written
-    blocks: the block prefix is re-accumulated from the first changed
-    block to the end of the store, and the block search runs over all of
-    it. The reference for the bounded store."""
+    """The store as it was before its work and memory were bounded by the
+    written blocks: the search keys of every block are built up front,
+    the block prefix is re-accumulated from the first changed block to
+    the end of the store, and both searches run over all of it. The
+    reference for the bounded store."""
+
+    def __init__(self, leaf_capacity: int) -> None:
+        super().__init__(leaf_capacity)
+        blocks = len(self._totals)
+        self._keys = np.repeat(np.arange(blocks, dtype=np.complex128), BLOCK)
+        self._bind_views()
 
     @property
     def nodes(self) -> np.ndarray:
@@ -511,20 +522,29 @@ _BOUNDED_OPS = st.lists(
 
 
 @settings(max_examples=40, deadline=None)
-@given(ops=_BOUNDED_OPS, seed=st.integers(0, 2**32 - 1))
-def test_store_bounded_by_written_blocks_matches_full_refresh(ops, seed) -> None:
+@given(ops=_BOUNDED_OPS, seed=st.integers(0, 2**32 - 1), copy_at=st.integers(0, 30))
+def test_store_bounded_by_written_blocks_matches_full_refresh(ops, seed, copy_at) -> None:
     rng = np.random.default_rng(seed)
     config = PerConfig()
     bounded = PrioritizedSampler(PENDULUM_SLOTS, config)
     full = PrioritizedSampler(PENDULUM_SLOTS, config)
     full.tree = FullRefreshTree(PENDULUM_SLOTS)
+    samplers = [bounded, full]
+    twins = []  # a deep copy and a pickle round trip of bounded, once taken
     buffer = filled_buffer(1)  # only its length enters the weights
     cursor = 0  # next slot to write, in ring order over the written rows
-    for op, size, read_nodes in ops:
+    for step, (op, size, read_nodes) in enumerate(ops):
+        if step == copy_at:
+            twins = [copy.deepcopy(bounded), pickle.loads(pickle.dumps(bounded))]
+            samplers += twins
+            # A write far past the written blocks grows the keys at once.
+            far = int(rng.integers(PENDULUM_SLOTS - 8 * BLOCK, PENDULUM_SLOTS))
+            for sampler in samplers:
+                sampler.insert(far)
         if op in ("insert", "insert_many"):
             slots = (cursor + np.arange(size)) % PENDULUM_ROWS
             cursor = (cursor + size) % PENDULUM_ROWS
-            for sampler in (bounded, full):
+            for sampler in samplers:
                 if op == "insert":
                     for slot in slots.tolist():
                         sampler.insert(slot)
@@ -539,7 +559,7 @@ def test_store_bounded_by_written_blocks_matches_full_refresh(ops, seed) -> None
                 slots = rng.integers(rng.integers(PENDULUM_ROWS), PENDULUM_ROWS, size=size % 3 + 1)
             errors = rng.exponential(size=slots.size)
             errors[rng.random(slots.size) < 0.2] = 0.0
-            for sampler in (bounded, full):
+            for sampler in samplers:
                 if op == "scatter" and size % 2:
                     for slot in slots.tolist():  # one SumTree.set each
                         sampler.insert(slot)
@@ -559,11 +579,92 @@ def test_store_bounded_by_written_blocks_matches_full_refresh(ops, seed) -> None
         )
         assert np.array_equal(indices, want_indices)
         assert weights.tobytes() == want_weights.tobytes()
+        for twin in twins:
+            assert twin.tree.total == bounded.tree.total
+            assert np.array_equal(twin.tree.sample_batch(offsets), drawn)
+            twin_indices, twin_weights = twin.sample(buffer, 64, np.random.default_rng(draw_seed))
+            assert np.array_equal(twin_indices, indices)
+            assert twin_weights.tobytes() == weights.tobytes()
         # Reading nodes completes the prefix tail; reads in between must
         # not depend on whether it was.
         if read_nodes:
-            assert bounded.tree.nodes.tobytes() == full.tree.nodes.tobytes()
-    assert bounded.tree.nodes.tobytes() == full.tree.nodes.tobytes()
+            for sampler in samplers[1:]:
+                assert bounded.tree.nodes.tobytes() == sampler.tree.nodes.tobytes()
+    for sampler in samplers[1:]:
+        assert bounded.tree.nodes.tobytes() == sampler.tree.nodes.tobytes()
+        keys = bounded.tree._keys
+        assert keys.tobytes() == sampler.tree._keys[: keys.size].tobytes()
+
+
+# A store far larger than the rows it holds, as Pendulum's.
+GROWTH_SLOTS = 20_000
+_GROWTH_OPS = st.lists(
+    st.tuples(st.sampled_from(["set", "set_many", "insert_many"]),
+              st.integers(0, GROWTH_SLOTS - 1), st.integers(1, 300)),
+    min_size=1, max_size=30,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ops=_GROWTH_OPS)
+def test_keys_cover_at_most_twice_the_written_blocks(ops) -> None:
+    sampler = PrioritizedSampler(GROWTH_SLOTS)
+    tree = sampler.tree
+    assert tree._keys.size == 0
+    for op, start, size in ops:
+        slots = (start + np.arange(size)) % GROWTH_SLOTS
+        if op == "set":
+            tree.set(start, float(size))
+        elif op == "set_many":
+            tree.set_many(slots, np.linspace(0.0, 1.0, size))
+        else:
+            sampler.insert_many(slots)
+        keys = tree._keys
+        covered = keys.size // BLOCK
+        assert keys.size == covered * BLOCK
+        assert tree._written <= covered <= 2 * tree._written
+        assert np.array_equal(keys.real, np.repeat(np.arange(covered), BLOCK))
+        # Covered blocks past the written ones have zero leaves, so the
+        # imaginary parts are the in-block prefix sums throughout.
+        expected = np.add.accumulate(tree._rows[:covered], axis=1)
+        assert keys.imag.tobytes() == expected.tobytes()
+
+
+_RESIDENCY_SCRIPT = """
+import os
+import numpy as np
+from replaykit.prioritized import SumTree
+
+def resident():
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+def use(capacity):
+    tree = SumTree(capacity)
+    for i in range(10):
+        tree.set(7 * i, 1.0 + i)
+    tree.sample_batch(np.linspace(0.0, tree.total, 64, endpoint=False))
+    return tree
+
+use(1_000)  # the first calls load and warm numpy's code paths
+before = resident()
+tree = use(4_000_000)
+print(resident() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
+def test_large_store_holding_few_rows_stays_small_in_memory() -> None:
+    # The store reserves 64 MB of zeros for leaves and sums and, when its
+    # search keys covered every block, wrote 64 MB of keys up front.
+    src = os.path.dirname(os.path.dirname(prioritized.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run(
+        [sys.executable, "-c", _RESIDENCY_SCRIPT], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    grown = int(done.stdout)
+    assert grown < 16 * 2**20, f"resident memory grew {grown / 2**20:.1f} MiB"
 
 
 @settings(max_examples=200, deadline=None)
