@@ -60,7 +60,7 @@ DIVERGENCE_LIMIT = 1e6
 def check_divergence(td_errors: np.ndarray) -> None:
     """Raise NumericalError when any TD error is non-finite or beyond
     :data:`DIVERGENCE_LIMIT` in magnitude."""
-    worst = float(np.abs(td_errors).max())
+    worst = float(np.maximum.reduce(np.abs(td_errors)))
     if not math.isfinite(worst) or worst > DIVERGENCE_LIMIT:
         raise NumericalError(f"TD error magnitude {worst:.3g} exceeds divergence limit")
 
@@ -272,7 +272,8 @@ class DqnAgent:
         self.scaler(batch.states, out=states)
         self.scaler(batch.next_states, out=next_states)
         q_all, next_q, cache = forward_pair(self.pair, states, next_states)
-        targets = batch.rewards + self.config.gamma * (1.0 - batch.dones) * next_q.max(axis=1)
+        best_next = np.maximum.reduce(next_q, axis=1)
+        targets = batch.rewards + self.config.gamma * (1.0 - batch.dones) * best_next
         if self._rows.size != n:
             self._rows = np.arange(n)
             self._output_grad = np.zeros_like(q_all)

@@ -88,12 +88,14 @@ class ReplayStack:
         return slots
 
     def sample(self, batch_size: int) -> Batch:
+        """One batch from the configured samplers. Each sampler returns
+        filled slots only, so their rows are gathered unchecked."""
         inner = self.per.sample if self.per is not None else sample_uniform
         if self.combined:
             indices, weights = sample_combined(self.buffer, batch_size, inner, self.rng)
         else:
             indices, weights = inner(self.buffer, batch_size, self.rng)
-        return self.buffer.gather(indices, weights)
+        return self.buffer.gather_filled(indices, weights)
 
     def update_priorities(self, indices, td_errors) -> None:
         if self.per is not None:

@@ -475,7 +475,7 @@ def backward(
             delta *= temp
         if param_grads:
             np.dot(cache.inputs[i].T, delta, out=ws.grad_weights[i])
-            delta.sum(axis=0, out=ws.grad_biases[i])
+            np.add.reduce(delta, axis=0, out=ws.grad_biases[i])
         if i > 0:
             delta = np.dot(delta, net.weights[i].T, out=ws.delta[i - 1])
         elif input_grad:
@@ -515,19 +515,46 @@ def adam_init(net: Mlp, learning_rate: float) -> AdamState:
     )
 
 
+# Every MOMENT_FLUSH_PERIOD-th Adam step zeroes the first moments whose
+# magnitude is below MOMENT_FLOOR (see adam_step).
+MOMENT_FLOOR = 1e-200
+MOMENT_FLUSH_PERIOD = 100
+
+
 def adam_step(net: Mlp, grad: np.ndarray, state: AdamState) -> None:
     """Apply one Adam update in place and bump the parameter version.
 
-    ``grad`` is a flat gradient laid out like ``net.params``. The bias
-    corrections are folded into the step size and epsilon (Kingma & Ba,
-    end of section 2): p -= lr_t * m / (sqrt(v) + eps_t) with
+    ``grad`` is a flat gradient laid out like ``net.params``; a
+    non-finite entry raises NumericalError. The bias corrections are
+    folded into the step size and epsilon (Kingma & Ba, end of section
+    2): p -= lr_t * m / (sqrt(v) + eps_t) with
     lr_t = lr * sqrt(1 - beta2^t) / (1 - beta1^t) and
     eps_t = eps * sqrt(1 - beta2^t), which is the textbook update up to
     rounding, evaluated in that order over the whole vector.
+
+    A dead relu unit gets zero gradients, and its first moments decay
+    by beta1 every step. Left alone they would turn subnormal, and
+    every later step would pay for the slow arithmetic. So every
+    ``MOMENT_FLUSH_PERIOD``-th step zeroes each first moment below
+    ``MOMENT_FLOOR`` in magnitude, after the moments are updated and
+    before the parameters are. In the steps between two flushes a
+    moment at the floor shrinks by at most beta1^100, which keeps it
+    above the smallest normal double for any beta1 >= 0.1.
+
+    Why the flush moves no parameter: the step of an entry is at most
+    |m| * lr / ((1 - beta1^t) * eps) in magnitude, and 1 - beta1^t >=
+    1 - beta1. With beta1 = 0.9, eps = 1e-8 and a learning rate of at
+    most 1e-3, a moment below the floor makes a step below 1e-194,
+    which changes only a parameter smaller than about 1e-178 in
+    magnitude. The next moment, beta1 * m + (1 - beta1) * g, loses the
+    flushed part only when |g| is below about 1e-183. The bound grows
+    with the learning rate, so it covers the default configurations.
     """
     if grad.shape != net.params.shape:
         raise ValueError(f"gradient shape {grad.shape} != params shape {net.params.shape}")
-    if not np.isfinite(grad).all():
+    # A finite sum of squares means every entry is finite. Finite
+    # entries can still overflow it, so only then does the scan decide.
+    if not math.isfinite(grad.dot(grad)) and not np.isfinite(grad).all():
         raise NumericalError("non-finite gradient passed to adam_step")
     state.step += 1
     t = state.step
@@ -538,6 +565,8 @@ def adam_step(net: Mlp, grad: np.ndarray, state: AdamState) -> None:
     m *= state.beta1
     np.multiply(grad, 1.0 - state.beta1, out=num)
     m += num
+    if t % MOMENT_FLUSH_PERIOD == 0:
+        m[np.abs(m, out=num) < MOMENT_FLOOR] = 0.0
     v *= state.beta2
     np.square(grad, out=num)
     num *= 1.0 - state.beta2

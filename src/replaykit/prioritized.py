@@ -9,6 +9,14 @@ so a large store that holds few rows costs, in time and in resident
 memory, what a small one does.
 Importance weights correct the induced bias and are normalized by the
 batch maximum so the largest weight in every batch is exactly 1.
+
+Each fact is checked once, where it is established. ``SumTree.set`` and
+``set_many`` check what any caller writes, then write through an
+unchecked core, ``SumTree._write``. ``update_priorities`` checks its
+TD errors with the max that also updates the running max priority,
+range-checks the slots, and hands the core priorities that are finite
+and > 0 by construction. ``PrioritizedSampler.sample`` checks that its
+last slot, the largest, is filled, so every slot it returns is.
 """
 
 from __future__ import annotations
@@ -156,10 +164,16 @@ class SumTree:
             raise ValueError("indices and values must have equal length")
         if not np.isfinite(values).all():
             raise NumericalError("priorities must be finite")
+        if values.size and values.min() < 0.0:
+            raise ValueError(f"priorities must be >= 0, got {values.min()}")
+        self._write(indices, values)
+
+    def _write(self, indices: np.ndarray, values: np.ndarray) -> None:
+        """:meth:`set_many` of ``indices`` already range-checked by
+        :meth:`_checked` and of as many finite values >= 0; nothing is
+        checked here."""
         if values.size == 0:
             return
-        if values.min() < 0.0:
-            raise ValueError(f"priorities must be >= 0, got {values.min()}")
         # A stable sort groups repeats of a leaf in write order; the last
         # of each group is the write that stands.
         order = indices.argsort(kind="stable")
@@ -230,7 +244,7 @@ class SumTree:
             return indices.astype(np.int64)
         if indices.dtype.kind not in "iu":
             raise IndexError(f"leaf indices must be integers, got {indices.dtype}")
-        if indices.min() < 0 or indices.max() >= self.leaf_capacity:
+        if np.minimum.reduce(indices) < 0 or np.maximum.reduce(indices) >= self.leaf_capacity:
             raise IndexError(
                 f"leaves {indices.min()}..{indices.max()} out of range for "
                 f"capacity {self.leaf_capacity}"
@@ -277,6 +291,8 @@ class PrioritizedSampler:
         self.config = config or PerConfig()
         self.tree = SumTree(capacity)
         self._max_raw = self.config.max_priority
+        # 0.0, 1.0, ... up to the last batch size drawn: segment numbers.
+        self._ramp = np.arange(0.0)
 
     def insert(self, index: int) -> None:
         """Register slot ``index`` as freshly written.
@@ -292,15 +308,25 @@ class PrioritizedSampler:
         self.tree.set_many(indices, np.full(indices.size, self._max_raw ** self.config.alpha))
 
     def update_priorities(self, indices, td_errors) -> None:
-        """Refresh priorities from TD errors: raw priority |delta| + epsilon."""
+        """Refresh priorities from TD errors: raw priority |delta| + epsilon.
+
+        Raises NumericalError on a non-finite TD error, ValueError when
+        the lengths differ and IndexError on a slot out of range, and
+        then writes nothing. The running max of the raw priorities is
+        also the finite check: NaN and inf carry through a max. The
+        priorities, (|delta| + epsilon) ** alpha, are then finite and
+        > 0, so the store writes them unchecked.
+        """
         td_errors = np.asarray(td_errors, dtype=np.float64)
-        if not np.isfinite(td_errors).all():
+        raw = np.abs(td_errors.ravel())
+        raw += self.config.epsilon
+        top = float(np.maximum.reduce(raw, initial=self._max_raw))
+        if not math.isfinite(top):
             raise NumericalError("TD errors must be finite")
         if len(indices) != td_errors.size:
             raise ValueError("indices and td_errors must have equal length")
-        raw = np.abs(td_errors.ravel()) + self.config.epsilon
-        self.tree.set_many(indices, raw**self.config.alpha)
-        self._max_raw = float(raw.max(initial=self._max_raw))
+        self.tree._write(self.tree._checked(indices), raw**self.config.alpha)
+        self._max_raw = top
 
     def sample(
         self, buffer: ReplayBuffer, batch_size: int, rng: np.random.Generator
@@ -310,19 +336,24 @@ class PrioritizedSampler:
 
         The total mass is split into batch_size equal segments with one
         uniform draw per segment. Weights are (N * P(i)) ** -beta,
-        normalized by the batch maximum.
+        normalized by the batch maximum. Every slot returned is filled:
+        a slot given a priority before ``buffer`` filled it raises
+        IndexError when drawn.
         """
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        if len(buffer) == 0:
+        filled = len(buffer)
+        if filled == 0:
             raise NotReadyError("cannot sample from an empty buffer")
         tree = self.tree
         total = tree.total
         if total <= 0.0:
             raise NotReadyError("cannot sample from a tree with zero total mass")
+        if self._ramp.size != batch_size:
+            self._ramp = np.arange(float(batch_size))
         segment = total / batch_size
         offsets = rng.random(batch_size)
-        offsets += np.arange(batch_size)
+        offsets += self._ramp
         offsets *= segment
         # Guard the upper edge: floating roundup may land exactly on total.
         np.minimum(offsets, math.nextafter(total, 0.0), out=offsets)
@@ -331,11 +362,13 @@ class PrioritizedSampler:
         if not (offsets[0] >= 0.0 and offsets[-1] < total):
             raise ValueError("all offsets must lie in [0, total)")
         indices = tree._search(offsets)
-        if not (indices[0] >= 0 and indices[-1] < tree.leaf_capacity):
-            raise IndexError(f"leaves {indices[0]}..{indices[-1]} out of range")
+        if not (indices[0] >= 0 and indices[-1] < filled):
+            raise IndexError(
+                f"leaves {indices[0]}..{indices[-1]} are not among the {filled} filled"
+            )
         weights = tree._leaves[indices]
         weights /= total
-        weights *= len(buffer)
+        weights *= filled
         weights **= -self.config.beta
-        weights /= weights.max()
+        weights /= np.maximum.reduce(weights)
         return indices, weights

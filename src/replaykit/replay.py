@@ -13,6 +13,15 @@ slots into one :class:`Batch` of arrays for the learner. Rows arrive
 one at a time through :meth:`ReplayBuffer.append`, or as columns through
 :meth:`ReplayBuffer.extend`, one checked write with the result of one
 append per row; the harness stores a relabeled episode that way.
+
+Each fact about a sampled slot is checked once, at the hop that
+establishes it. A uniform draw lies in [0, len) because the generator
+draws it there; combined sampling's newest slot is filled once the
+buffer is not empty; prioritized sampling checks its last, largest
+slot against the fill. So the slots every sampler here returns are
+filled, and :meth:`ReplayBuffer.gather_filled` builds their batch with
+no check of its own, while :meth:`ReplayBuffer.gather` checks slots
+from anywhere else.
 """
 
 from __future__ import annotations
@@ -61,7 +70,9 @@ class ReplayBuffer:
 
     The columns are allocated by the first append, which fixes the
     state and action shapes. They are zero-filled, so pages of
-    slots never written are not resident in memory.
+    slots never written are not resident in memory. ``done`` is stored
+    as float64 0.0/1.0, the dtype a :class:`Batch` carries, so no batch
+    converts it.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -109,7 +120,7 @@ class ReplayBuffer:
         self._actions[index] = action
         self._rewards[index] = reward
         self._next_states[index] = next_state
-        self._dones[index] = done
+        self._dones[index] = bool(done)
         self._cursor = (self._cursor + 1) % self.capacity
         self._count = min(self._count + 1, self.capacity)
         return index
@@ -127,7 +138,7 @@ class ReplayBuffer:
         next_states = np.asarray(next_states, dtype=np.float64)
         actions = np.asarray(actions, dtype=np.float64)
         rewards = np.asarray(rewards, dtype=np.float64)
-        dones = np.asarray(dones)
+        dones = np.asarray(dones, dtype=bool)
         if states.ndim != 2 or states.shape != next_states.shape:
             raise ValueError(
                 f"states and next_states must be (n, dim) of one shape, got "
@@ -172,22 +183,31 @@ class ReplayBuffer:
         self._actions = np.zeros((self.capacity, *action_shape))
         self._rewards = np.zeros(self.capacity)
         self._next_states = np.zeros((self.capacity, *state_shape))
-        self._dones = np.zeros(self.capacity, dtype=bool)
+        self._dones = np.zeros(self.capacity)
 
     def gather(self, indices, weights=None) -> Batch:
         """The rows at slots ``indices`` as one :class:`Batch`;
-        ``weights`` default to 1.0."""
+        ``weights`` default to 1.0. Raises IndexError unless every slot
+        is filled."""
         indices = np.asarray(indices, dtype=np.int64)
         if not (indices.size and 0 <= indices.min() and indices.max() < self._count):
             raise IndexError(f"slots {indices} are not among the {self._count} filled")
+        return self.gather_filled(indices, np.ones(indices.size) if weights is None else weights)
+
+    def gather_filled(self, indices: np.ndarray, weights: np.ndarray) -> Batch:
+        """:meth:`gather` of int64 ``indices`` that the caller knows are
+        filled slots, as every sampler in this module returns them;
+        nothing is checked."""
+        # take copies whole rows of a 2-D column with less overhead than
+        # fancy indexing; both give the same bytes.
         return Batch(
             indices=indices,
-            states=self._states[indices],
+            states=self._states.take(indices, axis=0),
             actions=self._actions[indices],
             rewards=self._rewards[indices],
-            next_states=self._next_states[indices],
-            dones=self._dones[indices].astype(np.float64),
-            weights=np.ones(indices.size) if weights is None else weights,
+            next_states=self._next_states.take(indices, axis=0),
+            dones=self._dones[indices],
+            weights=weights,
         )
 
 

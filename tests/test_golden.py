@@ -13,10 +13,16 @@ change that alters results on purpose regenerates the table
 (``golden_run(name, out_dir)`` returns the new values) and says why in
 CHANGES.md.
 
-The hashes were generated with numpy 2.4.6 linked against OpenBLAS
-(x86-64, Python 3.11). Matrix products round differently under another
-numpy or BLAS build, so there the hashes can differ without any change
-to this code.
+The hashes were generated with numpy 2.4.6 linked against
+scipy-openblas 0.3.31 (x86-64, Python 3.11), on the SkylakeX kernel.
+Matrix products round differently under another numpy or BLAS build,
+and the same build is enough to change them on another CPU: OpenBLAS
+built with ``DYNAMIC_ARCH`` picks its kernel for the CPU when it loads,
+and under the Haswell kernel (an AVX2-only Intel or an AMD Zen CPU)
+none of the six entries matches. So there the hashes can differ
+without any change to this code. Every failure message names the
+numpy build, the BLAS build and the kernel loaded
+(``blas_kernel.blas_kernel()``).
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from blas_kernel import blas_kernel
 
 from replaykit.agents import AGENTS, scaler_for
 from replaykit.envs import DiscreteActions, env_spec
@@ -125,11 +132,12 @@ def test_golden_run_hashes(name, tmp_path) -> None:
     settings, csv_hash, checkpoint_hash, eval_repr = GOLDEN[name]
     steps, got_csv, got_checkpoint, got_eval = golden_run(name, tmp_path)
     stored = steps * (2 if settings.get("hindsight") == "true" else 1)
-    assert stored > CAPACITY, f"{name}: buffer never wrapped ({stored} rows)"
-    assert steps > WARMUP, f"{name}: no learning step after warm-up"
-    assert got_csv == csv_hash, f"{name}: run.csv changed"
-    assert got_checkpoint == checkpoint_hash, f"{name}: checkpoint.txt changed"
-    assert got_eval == eval_repr, f"{name}: checkpoint evaluation changed"
+    on = f"on {blas_kernel()}"
+    assert stored > CAPACITY, f"{name}: buffer never wrapped ({stored} rows) {on}"
+    assert steps > WARMUP, f"{name}: no learning step after warm-up {on}"
+    assert got_csv == csv_hash, f"{name}: run.csv changed {on}"
+    assert got_checkpoint == checkpoint_hash, f"{name}: checkpoint.txt changed {on}"
+    assert got_eval == eval_repr, f"{name}: checkpoint evaluation changed {on}"
 
 
 # name -> (env, agent, hindsight, network init seed, eval seed,
@@ -173,4 +181,5 @@ def test_tanh_checkpoints_keep_their_evaluation(name, tmp_path) -> None:
     *_, eval_seed, eval_repr = TANH_CHECKPOINTS[name]
     path = tmp_path / "checkpoint.txt"
     tanh_checkpoint(name, path)
-    assert repr(evaluate_checkpoint(path, EVAL_EPISODES, eval_seed)) == eval_repr
+    got = repr(evaluate_checkpoint(path, EVAL_EPISODES, eval_seed))
+    assert got == eval_repr, f"{name}: evaluation changed on {blas_kernel()}"

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from replaykit.agents import AGENTS, scaler_for
 from replaykit.config import RunConfig
 from replaykit.envs import env_names, env_spec
+from replaykit import nn
 from replaykit.errors import CheckpointError, IntegrityError, NumericalError
 from replaykit.nn import (
     HIDDEN_ACTIVATIONS,
@@ -313,6 +314,58 @@ def test_adam_rejects_nonfinite_gradients() -> None:
     bad[0] = np.nan  # W0[0, 0]
     with pytest.raises(NumericalError):
         adam_step(net, bad, state)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 1e200, -1e300])
+def test_adam_gate_raises_exactly_on_a_nonfinite_entry(value) -> None:
+    # The gate reads the sum of squares first; finite entries that
+    # overflow it must still pass, through the entry-wise scan.
+    net = init_mlp([2, 3], np.random.default_rng(51))
+    state = adam_init(net, 1e-3)
+    grad = np.full(net.params.size, 1e-3)
+    grad[4] = value
+    if math.isfinite(value):
+        # The entry's square overflows, in the gate and in v.
+        with np.errstate(over="ignore"):
+            adam_step(net, grad, state)
+        assert state.step == 1 and np.isfinite(net.params).all()
+    else:
+        with pytest.raises(NumericalError):
+            adam_step(net, grad, state)
+        assert state.step == 0
+
+
+def test_adam_flush_leaves_no_moment_below_the_floor_and_moves_no_parameter(
+    monkeypatch,
+) -> None:
+    # Moments on both sides of the floor, of both signs, next to ordinary
+    # ones, and one step with zero gradient, which shrinks each by beta1.
+    floor, period = nn.MOMENT_FLOOR, nn.MOMENT_FLUSH_PERIOD
+    rng = np.random.default_rng(52)
+    net = init_mlp([4, 16, 2], rng, hidden_activation="relu")
+    state = adam_init(net, 1e-3)
+    factors = np.array([1e-100, 1e-3, 0.5, 0.95, 1.0, 1.05, 1.2, 10.0, 1e100, 1e196])
+    signs = rng.choice([-1.0, 1.0], size=state.m.size)
+    state.m[:] = signs * floor * rng.choice(factors, size=state.m.size)
+    state.m[::7] = rng.normal(scale=1e-3, size=state.m[::7].size)
+    state.v[:] = rng.uniform(0.0, 1e-4, size=state.v.size)
+    state.v[::5] = 0.0
+    state.step = period - 1  # the next step flushes
+    plain_net, plain_state = copy.deepcopy(net), copy.deepcopy(state)
+    before = net.params.copy()
+    zeros = np.zeros_like(net.params)
+    adam_step(net, zeros, state)
+    # The same step with nothing below the floor: no flush.
+    monkeypatch.setattr(nn, "MOMENT_FLOOR", 0.0)
+    adam_step(plain_net, zeros, plain_state)
+    assert state.step == plain_state.step == period
+    below = (plain_state.m != 0.0) & (np.abs(plain_state.m) < floor)
+    assert below.sum() > state.m.size // 4
+    assert not np.any((state.m != 0.0) & (np.abs(state.m) < floor))
+    assert np.array_equal(state.m[~below], plain_state.m[~below])
+    assert state.v.tobytes() == plain_state.v.tobytes()
+    assert net.params.tobytes() == plain_net.params.tobytes()
+    assert not np.array_equal(net.params, before)  # the ordinary moments moved it
 
 
 def test_adam_descends_a_quadratic() -> None:

@@ -531,7 +531,11 @@ def test_store_bounded_by_written_blocks_matches_full_refresh(ops, seed, copy_at
     full.tree = FullRefreshTree(PENDULUM_SLOTS)
     samplers = [bounded, full]
     twins = []  # a deep copy and a pickle round trip of bounded, once taken
-    buffer = filled_buffer(1)  # only its length enters the weights
+    # Every slot may hold a priority, so the buffer fills them all; only
+    # its length enters the weights.
+    buffer = ReplayBuffer(PENDULUM_SLOTS)
+    column = np.zeros((PENDULUM_SLOTS, 1))
+    buffer.extend(column, column, column[:, 0], column, column[:, 0])
     cursor = 0  # next slot to write, in ring order over the written rows
     for step, (op, size, read_nodes) in enumerate(ops):
         if step == copy_at:
@@ -689,7 +693,8 @@ def test_sample_offsets_and_found_leaves_are_non_decreasing(priorities, batch_si
         return found
 
     sampler.tree._search = recorded
-    indices, _ = sampler.sample(filled_buffer(3), batch_size, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    indices, _ = sampler.sample(filled_buffer(len(priorities)), batch_size, rng)
     [(offsets, found)] = searched
     assert np.array_equal(found, indices)
     assert np.all(np.diff(offsets) >= 0.0)
