@@ -23,7 +23,7 @@ from .harness import (
     sweep,
     train,
 )
-from .hindsight import Episode, relabeled_transitions
+from .hindsight import relabeled_transitions
 from .prioritized import PerConfig, PrioritizedSampler, SumTree
 from .replay import Batch, ReplayBuffer, sample_combined, sample_uniform
 
@@ -38,7 +38,6 @@ __all__ = [
     "DdpgConfig",
     "DqnAgent",
     "DqnConfig",
-    "Episode",
     "Experiment",
     "IntegrityError",
     "NotReadyError",

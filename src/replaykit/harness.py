@@ -42,7 +42,7 @@ from .config import (
 from .envs import EnvSpec, env_class, env_names, make_env
 from .errors import CheckpointError, ConfigurationError, IntegrityError
 from .files import write_atomic
-from .hindsight import Episode, augment_observation, relabeled_transitions
+from .hindsight import augment_observation, relabeled_transitions
 from .nn import load_checkpoint, save_checkpoint
 from .prioritized import PerConfig, PrioritizedSampler
 from .replay import Batch, ReplayBuffer, sample_combined, sample_uniform
@@ -217,9 +217,10 @@ def train(exp: Experiment) -> list[TrainRecord]:
     once the warm-up count is met, draw one batch, apply one agent
     update, and feed the TD errors back to the priority sampler. Under
     hindsight every state is goal-augmented once, when the env returns
-    it, and the agent acts on the array the buffer stores. Goal
-    relabeling stores its extra transitions in one write when the
-    episode closes.
+    it, and the agent acts on the array the buffer stores. When the
+    episode closes, goal relabeling reads its steps back from the
+    buffer's newest rows (the newest ``capacity`` of them when the
+    episode is longer) and stores the relabeled copies in one write.
     Evaluation reads the agent's ``POLICY_NET`` network.
     """
     cfg = exp.config
@@ -233,31 +234,29 @@ def train(exp: Experiment) -> list[TrainRecord]:
     env_steps = 0
     eval_mean = eval_std = math.nan
     for episode in range(1, cfg.episodes + 1):
-        state = exp.env.reset(exp.env_rng)
-        obs = augment_observation(state, goal)
+        obs = augment_observation(exp.env.reset(exp.env_rng), goal)
         agent.begin_episode()
-        episode_log = Episode() if cfg.hindsight else None
+        episode_start = env_steps
         episode_reward = 0.0
         while True:
             action = agent.act(obs, exp.explore_rng)
             result = exp.env.step(action)
             next_obs = augment_observation(result.next_state, goal)
             exp.stack.append(obs, action, result.reward, next_obs, result.done)
-            if episode_log is not None:
-                episode_log.append(state, action, result.next_state, result.done)
             env_steps += 1
             episode_reward += result.reward
             if len(exp.stack) >= agent.config.warmup:
                 batch = exp.stack.sample(agent.config.batch_size)
                 td_errors = agent.update(batch)
                 exp.stack.update_priorities(batch.indices, td_errors)
-            state, obs = result.next_state, next_obs
+            obs = next_obs
             if result.done or result.truncated:
                 break
-        if episode_log is not None and len(episode_log) > 0:
-            exp.stack.extend(
-                *relabeled_transitions(episode_log, type(exp.env), exp.goal_tolerance)
-            )
+        if cfg.hindsight:
+            buffer = exp.stack.buffer
+            m = min(env_steps - episode_start, buffer.capacity)
+            rows = buffer.gather((buffer.newest + np.arange(1 - m, 1)) % buffer.capacity)
+            exp.stack.extend(*relabeled_transitions(rows, type(exp.env), exp.goal_tolerance))
         fresh_eval = episode % cfg.eval_interval == 0
         if fresh_eval:
             eval_mean, eval_std = evaluate_policy(

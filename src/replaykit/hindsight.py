@@ -7,14 +7,18 @@ acts on and stores, and the greedy policy on every stack of rows it
 scores. The replay buffer never sees a goal of its own; it stores the
 augmented rows as they are.
 
-An :class:`Episode` records the raw states, actions and next states of
-the steps taken so far. After the episode ends,
+Relabeling reads the rows the buffer already holds. After an episode
+ends, the harness gathers its newest stored rows, in step order, and
 :func:`relabeled_transitions` returns one copy of every step as
-columns, with the goal actually achieved at the episode's final state
-appended to both states and the reward recomputed under that
-substitute goal. The harness appends those rows to the replay buffer
-after the originals it stored step by step, so a relabeled episode
-contributes exactly twice its length in stored transitions.
+columns: the raw states are the stored states with their goal tails
+cut off, the goal actually achieved at the episode's final state is
+appended to both states instead, and the reward is recomputed under
+that substitute goal. The harness appends those rows to the replay
+buffer after the originals it stored step by step, so a relabeled
+episode contributes exactly twice its length in stored transitions.
+An episode longer than the buffer has only its newest ``capacity``
+steps still stored, and only those are relabeled: the same rows that
+relabeling every step would leave in the ring, in the same order.
 
 Every goal fact comes from the env class (see ``envs``): its
 ``goal_reward`` scores each step, and under the native goal it
@@ -43,39 +47,6 @@ from .envs import Env
 from .errors import IntegrityError
 
 
-class Episode:
-    """The steps of one episode, chained state to state: parallel lists
-    of state, action and next-state arrays."""
-
-    def __init__(self) -> None:
-        self.states: list[np.ndarray] = []
-        self.actions: list = []
-        self.next_states: list[np.ndarray] = []
-        self._ended = False
-
-    def append(self, state, action, next_state, done: bool) -> None:
-        if self.states:
-            if self._ended:
-                raise IntegrityError("cannot append past a terminal transition")
-            if not np.array_equal(self.next_states[-1], state):
-                raise IntegrityError(
-                    "transition does not chain: state differs from previous next_state"
-                )
-        self.states.append(state)
-        self.actions.append(action)
-        self.next_states.append(next_state)
-        self._ended = bool(done)
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-    @property
-    def final_state(self) -> np.ndarray:
-        if not self.states:
-            raise IntegrityError("episode is empty")
-        return self.next_states[-1]
-
-
 class Columns(NamedTuple):
     """Steps as parallel arrays, one row per step, in the order
     of ``ReplayBuffer.append``'s arguments; both states carry the goal."""
@@ -102,32 +73,37 @@ def augment_observation(state, goal: np.ndarray | None) -> np.ndarray:
     return out
 
 
-def relabeled_transitions(
-    episode: Episode, env: type[Env], tolerance: float, goal=None
-) -> Columns:
-    """The episode's steps relabeled with ``goal``, by default the goal
-    achieved at the final state, with rewards recomputed by
-    ``env.goal_reward`` at ``tolerance``, in episode order. The goal is
-    appended to every state and next state.
+def relabeled_transitions(rows, env: type[Env], tolerance: float, goal=None) -> Columns:
+    """The steps of ``rows`` relabeled with ``goal``, by default the goal
+    achieved at the final next state, with rewards recomputed by
+    ``env.goal_reward`` at ``tolerance``, in row order.
+
+    ``rows`` has ``states``, ``actions`` and ``next_states`` columns of
+    goal-augmented rows in step order, as a ``Batch`` that
+    ``ReplayBuffer.gather`` returns or :class:`Columns`; it is left as
+    it is. The new
+    goal replaces the goal tail of every state and next state.
 
     A relabeled step is terminal exactly when it succeeds under the
     goal and ``env.spec.success_ends_episode`` holds.
     """
-    n = len(episode)
+    n = len(rows.states)
     if n == 0:
         raise IntegrityError("cannot relabel an empty episode")
+    width = rows.states.shape[1] - env.spec.goal_dim
+    states, next_states = rows.states[:, :width], rows.next_states[:, :width]
     if goal is None:
-        goal = env.achieved_goal(episode.final_state)
+        goal = env.achieved_goal(next_states[-1])
     terminal = env.spec.success_ends_episode
     rewards = np.empty(n)
     dones = np.empty(n, dtype=bool)
-    for i, step in enumerate(zip(episode.states, episode.actions, episode.next_states)):
+    for i, step in enumerate(zip(states, rows.actions, next_states)):
         rewards[i], success = env.goal_reward(*step, goal, tolerance)
         dones[i] = success and terminal
     return Columns(
-        states=augment_observation(episode.states, goal),
-        actions=np.array(episode.actions),
+        states=augment_observation(states, goal),
+        actions=rows.actions,
         rewards=rewards,
-        next_states=augment_observation(episode.next_states, goal),
+        next_states=augment_observation(next_states, goal),
         dones=dones,
     )

@@ -29,7 +29,7 @@ from replaykit.harness import (
     run_to_dir,
     train,
 )
-from replaykit.hindsight import Episode, relabeled_transitions
+from replaykit.hindsight import Columns, augment_observation, relabeled_transitions
 from replaykit.nn import NetworkPair, backward, clone_mlp, forward, init_mlp, soft_update
 from replaykit.prioritized import BLOCK, PerConfig, PrioritizedSampler, SumTree
 from replaykit.replay import ReplayBuffer
@@ -344,27 +344,33 @@ def test_her_accounting_and_native_restriction() -> None:
     accounting_ok = True
     for _ in range(20):
         obs = env.reset(rng)
-        episode = Episode()
         steps = []
         for _ in range(int(rng.integers(5, 60))):
             action = int(rng.integers(3))
             result = env.step(action)
-            episode.append(obs, action, result.next_state, result.done)
             steps.append((obs, action, result.next_state))
             obs = result.next_state
             if result.done or result.truncated:
                 break
+        # the episode's rows as the buffer stores them, under the native goal
+        states, actions, next_states = zip(*steps)
+        goal = MountainCar.native_goal(tolerance)
+        episode = Columns(
+            augment_observation(states, goal),
+            np.array(actions, dtype=np.float64),
+            np.zeros(len(steps)),
+            augment_observation(next_states, goal),
+            np.zeros(len(steps), dtype=bool),
+        )
+        before = [column.copy() for column in episode]
         relabeled = relabeled_transitions(episode, MountainCar, tolerance)
-        accounting_ok &= all(len(column) == len(episode) for column in relabeled)
-        accounting_ok &= len(episode) == len(steps) and all(
-            s is step[0] and a == step[1] and n is step[2]
-            for s, a, n, step in zip(
-                episode.states, episode.actions, episode.next_states, steps
-            )
+        accounting_ok &= all(len(column) == len(steps) for column in relabeled)
+        accounting_ok &= all(
+            np.array_equal(column, old) for column, old in zip(episode, before)
         )
         accounting_ok &= bool(relabeled.dones[-1]) and relabeled.rewards[-1] == 0.0
-        accounting_ok &= relabeled.states[-1, 2:] == pytest.approx([episode.final_state[0]])
-        accounting_ok &= relabeled.next_states[-1, 2:] == pytest.approx([episode.final_state[0]])
+        accounting_ok &= relabeled.states[-1, 2:] == pytest.approx([next_states[-1][0]])
+        accounting_ok &= relabeled.next_states[-1, 2:] == pytest.approx([next_states[-1][0]])
 
     # a training run stores originals plus relabeled copies: exactly 2x
     cfg = RunConfig(

@@ -35,7 +35,13 @@ from blas_kernel import blas_kernel
 
 from replaykit.agents import AGENTS, scaler_for
 from replaykit.envs import DiscreteActions, env_spec
-from replaykit.harness import config_from_mapping, evaluate_checkpoint, run_to_dir
+from replaykit.harness import (
+    build_run,
+    config_from_mapping,
+    evaluate_checkpoint,
+    run_to_dir,
+    train,
+)
 from replaykit.nn import init_mlp, save_checkpoint
 
 CAPACITY = 300
@@ -108,22 +114,29 @@ def _sha256(path) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def golden_config(name: str):
+    """The RunConfig of the named golden run."""
+    settings = GOLDEN[name][0]
+    return config_from_mapping(
+        {
+            **settings,
+            "seed": "0",
+            "eval_interval": "3",
+            "eval_episodes": "2",
+            "buffer_capacity": str(CAPACITY),
+            f"{settings['agent']}_warmup": str(WARMUP),
+        }
+    )
+
+
 def golden_run(name: str, out_dir) -> tuple[int, str, str, str]:
     """Train the named golden run into ``out_dir``; returns its env
     step count, the sha256 of run.csv and checkpoint.txt, and the repr
     of the checkpoint's EVAL_EPISODES-episode evaluation."""
-    settings = GOLDEN[name][0]
-    mapping = {
-        **settings,
-        "seed": "0",
-        "eval_interval": "3",
-        "eval_episodes": "2",
-        "buffer_capacity": str(CAPACITY),
-        f"{settings['agent']}_warmup": str(WARMUP),
-    }
-    result = run_to_dir(config_from_mapping(mapping), out_dir)
+    cfg = golden_config(name)
+    result = run_to_dir(cfg, out_dir)
     steps = result["records"][-1].steps
-    evaluation = evaluate_checkpoint(result["checkpoint"], EVAL_EPISODES, int(mapping["seed"]))
+    evaluation = evaluate_checkpoint(result["checkpoint"], EVAL_EPISODES, cfg.seed)
     return steps, _sha256(result["csv"]), _sha256(result["checkpoint"]), repr(evaluation)
 
 
@@ -138,6 +151,75 @@ def test_golden_run_hashes(name, tmp_path) -> None:
     assert got_csv == csv_hash, f"{name}: run.csv changed {on}"
     assert got_checkpoint == checkpoint_hash, f"{name}: checkpoint.txt changed {on}"
     assert got_eval == eval_repr, f"{name}: checkpoint evaluation changed {on}"
+
+
+RELABELED = -1  # the step recorded for a slot that relabeling wrote last
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_run_rows_are_consistent(name) -> None:
+    """Trajectory-level invariant of every row a golden run leaves in
+    its buffer, bit for bit. The raw transition of every row
+    re-simulates through the env's ``dynamics``, which also gives an
+    original row its reward and done. A row with a goal re-scores
+    through ``goal_reward`` under the goal in its states' tails, and its
+    done is that success when the env's task ends on success: original
+    rows carry the native goal, under which ``goal_reward`` gives the
+    env's own rewards, and relabeled rows the goal their episode
+    achieved. Stored originals of consecutive steps of one episode
+    chain, next state to state."""
+    exp = build_run(golden_config(name))
+    env, width, tolerance = type(exp.env), exp.spec.obs_dim, exp.goal_tolerance
+    step_of: dict[int, int] = {}  # slot -> env step of the row last written there
+    starts: list[int] = []  # env steps that begin an episode
+    steps = 0
+    append, extend, begin = exp.stack.append, exp.stack.extend, exp.agent.begin_episode
+
+    def spy_append(*row):
+        nonlocal steps
+        slot = append(*row)
+        step_of[slot] = steps
+        steps += 1
+        return slot
+
+    def spy_extend(*columns):
+        slots = extend(*columns)
+        step_of.update(dict.fromkeys(slots.tolist(), RELABELED))
+        return slots
+
+    def spy_begin():
+        starts.append(steps)
+        begin()
+
+    exp.stack.append, exp.stack.extend, exp.agent.begin_episode = spy_append, spy_extend, spy_begin
+    train(exp)
+    assert sorted(step_of) == list(range(len(exp.stack)))
+    rows = exp.stack.buffer.gather(np.arange(len(exp.stack)))
+    for slot, step in step_of.items():
+        state, next_state = rows.states[slot, :width], rows.next_states[slot, :width]
+        action, reward, done = rows.actions[slot], rows.rewards[slot], rows.dones[slot]
+        where = f"{name}: slot {slot}, step {step}"
+        sim_next, sim_reward, sim_done = env.dynamics(state, action)
+        assert sim_next.tobytes() == next_state.tobytes(), f"{where}: does not re-simulate"
+        if step != RELABELED:
+            assert np.float64(sim_reward).tobytes() == reward.tobytes(), f"{where}: reward"
+            assert float(sim_done) == done, f"{where}: done"
+        if exp.native_goal is None:
+            continue
+        goal = rows.states[slot, width:]
+        assert goal.tobytes() == rows.next_states[slot, width:].tobytes(), f"{where}: two goals"
+        if step != RELABELED:
+            assert goal.tobytes() == exp.native_goal.tobytes(), f"{where}: not the native goal"
+        goal_reward, success = env.goal_reward(state, action, next_state, goal, tolerance)
+        assert np.float64(goal_reward).tobytes() == reward.tobytes(), f"{where}: goal reward"
+        assert float(success and env.spec.success_ends_episode) == done, f"{where}: goal done"
+    slot_of = {step: slot for slot, step in step_of.items() if step != RELABELED}
+    assert slot_of and (len(slot_of) < len(step_of)) == (exp.native_goal is not None)
+    pairs = [step for step in slot_of if step + 1 in slot_of and step + 1 not in starts]
+    assert pairs, f"{name}: no stored pair of consecutive steps"
+    for step in pairs:
+        chained = rows.states[slot_of[step + 1]].tobytes() == rows.next_states[slot_of[step]].tobytes()
+        assert chained, f"{name}: steps {step} and {step + 1} do not chain"
 
 
 # name -> (env, agent, hindsight, network init seed, eval seed,

@@ -544,6 +544,54 @@ def test_train_pendulum_hindsight_stores_no_terminal_rows() -> None:
         assert rows.rewards[i] == expected
 
 
+@pytest.mark.parametrize("capacity", [64, 199, 200, 399, 1_000])
+def test_train_hindsight_relabels_the_newest_rows_of_any_buffer(capacity) -> None:
+    """Pendulum episodes run n = 200 steps. Whatever the buffer's
+    capacity C, after two episodes its rows in FIFO order are the last C
+    of: each episode's originals, then the relabels of all its steps.
+    So the newest min(n, C) rows are the relabels of the newest
+    min(n, C) originals, in step order, as when every step is relabeled
+    and the ring keeps the last C; when C < n only their slots differ."""
+    ddpg = DdpgConfig(warmup=capacity, batch_size=4, hidden_sizes=(8,))
+    cfg = tiny_config(
+        env="pendulum", agent="ddpg", hindsight=True, episodes=2, buffer_capacity=capacity,
+        ddpg=ddpg,
+    )
+    exp = build_run(cfg)
+    originals: list[tuple] = []
+    original_append = exp.stack.append
+
+    def recording_append(*row):
+        originals.append(tuple(np.array(value, copy=True) for value in row))
+        return original_append(*row)
+
+    exp.stack.append = recording_append
+    train(exp)
+    n, width = exp.spec.max_episode_steps, exp.spec.obs_dim
+    assert len(originals) == 2 * n
+    model = []
+    for start in (0, n):
+        episode = originals[start:start + n]
+        model += episode
+        goal = Pendulum.achieved_goal(episode[-1][3][:width])
+        for state, action, _, next_state, _ in episode:
+            state, next_state = state[:width], next_state[:width]
+            reward, _ = Pendulum.goal_reward(state, action, next_state, goal, exp.goal_tolerance)
+            model.append(
+                (augment_observation(state, goal), action, reward,
+                 augment_observation(next_state, goal), False)
+            )
+    want = model[-capacity:]
+    buffer = exp.stack.buffer
+    assert len(buffer) == len(want) == min(capacity, 4 * n)
+    # each episode writes n originals and min(n, C) relabels
+    assert buffer.newest == (2 * (n + min(n, capacity)) - 1) % capacity
+    rows = buffer.gather((buffer.newest + np.arange(1 - len(want), 1)) % capacity)
+    got = (rows.states, rows.actions, rows.rewards, rows.next_states, rows.dones)
+    for column, wanted in zip(got, zip(*want)):
+        assert column.tobytes() == np.array(wanted, dtype=np.float64).reshape(column.shape).tobytes()
+
+
 @pytest.mark.parametrize(
     "overrides",
     [

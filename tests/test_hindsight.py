@@ -7,17 +7,32 @@ import pytest
 
 from replaykit.envs import MountainCar, Pendulum, env_class, make_env, wrap_angle
 from replaykit.errors import IntegrityError
-from replaykit.hindsight import Episode, augment_observation, relabeled_transitions
+from replaykit.hindsight import Columns, augment_observation, relabeled_transitions
 
 MC_TOL = MountainCar.spec.goal_tolerance
 PENDULUM_TOL = Pendulum.spec.goal_tolerance
+# The goal tail the rows are stored with: no test relabels with it, so
+# each one sees it replaced.
+STORED_GOAL = np.array([-7.0])
 
 
-def chain(states: list[np.ndarray], done_last=False) -> Episode:
-    episode = Episode()
-    for i in range(len(states) - 1):
-        episode.append(states[i], i % 2, states[i + 1], done_last and i == len(states) - 2)
-    return episode
+def stored_rows(states, actions, next_states) -> Columns:
+    """Steps as the buffer stores them: goal-augmented states and
+    float64 actions. Relabeling reads neither rewards nor dones, so
+    both are zero."""
+    n = len(states)
+    return Columns(
+        states=augment_observation(states, STORED_GOAL),
+        actions=np.array(actions, dtype=np.float64),
+        rewards=np.zeros(n),
+        next_states=augment_observation(next_states, STORED_GOAL),
+        dones=np.zeros(n, dtype=bool),
+    )
+
+
+def chain(states: list[np.ndarray]) -> Columns:
+    """The steps between consecutive states, action i % 2 at step i."""
+    return stored_rows(states[:-1], [i % 2 for i in range(len(states) - 1)], states[1:])
 
 
 def goals_of(columns) -> np.ndarray:
@@ -37,24 +52,11 @@ def mountaincar_states(n: int, seed: int = 0) -> list[np.ndarray]:
     return states
 
 
-def test_episode_chaining_enforced() -> None:
-    episode = Episode()
-    a = np.array([0.0, 0.0])
-    b = np.array([1.0, 0.0])
-    episode.append(a, 0, b, False)
+def test_relabeling_empty_rows_raises() -> None:
     with pytest.raises(IntegrityError):
-        episode.append(a, 0, b, False)  # does not chain from b
-    episode.append(b, 0, a, True)
-    with pytest.raises(IntegrityError):
-        episode.append(a, 0, b, False)  # past terminal
-    assert len(episode) == 2
-
-
-def test_final_state_of_empty_episode() -> None:
-    with pytest.raises(IntegrityError):
-        Episode().final_state
-    with pytest.raises(IntegrityError):
-        relabeled_transitions(Episode(), MountainCar, MC_TOL)
+        relabeled_transitions(
+            stored_rows(np.empty((0, 2)), [], np.empty((0, 2))), MountainCar, MC_TOL
+        )
 
 
 def test_goal_spec_lookup() -> None:
@@ -170,12 +172,14 @@ def test_pendulum_native_goal_reproduces_native_rewards() -> None:
 def test_relabel_doubles_and_preserves_originals() -> None:
     states = mountaincar_states(6)
     episode = chain(states)
+    before = [column.copy() for column in episode]
     out = relabeled_transitions(episode, MountainCar, MC_TOL)
     # one relabeled copy per step: with the originals, twice the length
-    assert all(len(column) == len(episode) == 6 for column in out)
+    assert all(len(column) == len(episode.states) == 6 for column in out)
     # the episode's own steps are untouched, in order
-    assert all(s is t for s, t in zip(episode.states, states))
-    assert all(s is t for s, t in zip(episode.next_states, states[1:]))
+    assert all(np.array_equal(column, old) for column, old in zip(episode, before))
+    assert np.array_equal(episode.states[:, :2], np.array(states[:-1]))
+    assert np.array_equal(episode.next_states[:, :2], np.array(states[1:]))
     # relabeled copies keep order, actions, and states (ahead of the goal)
     assert np.array_equal(out.states[:, :2], np.array(states[:-1]))
     assert np.array_equal(out.next_states[:, :2], np.array(states[1:]))
@@ -186,8 +190,8 @@ def test_relabeled_goal_is_final_achieved_goal() -> None:
     states = mountaincar_states(5, seed=3)
     episode = chain(states)
     relabeled = relabeled_transitions(episode, MountainCar, MC_TOL)
-    expected_goal = np.array([episode.final_state[0]])
-    assert relabeled.states.shape == relabeled.next_states.shape == (len(episode), 3)
+    expected_goal = np.array([states[-1][0]])
+    assert relabeled.states.shape == relabeled.next_states.shape == (len(states) - 1, 3)
     for goal in goals_of(relabeled):
         assert np.array_equal(goal, expected_goal)
 
@@ -201,8 +205,9 @@ def test_relabeled_final_transition_succeeds() -> None:
 
 
 def test_relabeled_rewards_recomputed_per_transition() -> None:
-    episode = chain(mountaincar_states(8, seed=4))
-    new_goal = np.array([episode.final_state[0]])
+    states = mountaincar_states(8, seed=4)
+    episode = chain(states)
+    new_goal = np.array([states[-1][0]])
     relabeled = relabeled_transitions(episode, MountainCar, MC_TOL)
     for i, (action, next_state) in enumerate(zip(episode.actions, episode.next_states)):
         reward, success = mountaincar_goal_reward(next_state, new_goal)
@@ -214,8 +219,7 @@ def test_single_transition_episode() -> None:
     env = make_env("mountaincar")
     start = env.reset(np.random.default_rng(5))
     result = env.step(2)
-    episode = Episode()
-    episode.append(start, 2, result.next_state, result.done)
+    episode = stored_rows([start], [2], [result.next_state])
     out = relabeled_transitions(episode, MountainCar, MC_TOL)
     assert len(out.rewards) == 1
     assert out.dones[0]
@@ -227,18 +231,21 @@ def test_pendulum_relabel_success_flags() -> None:
     rng = np.random.default_rng(6)
     env = make_env("pendulum")
     obs = env.reset(rng)
-    episode = Episode()
+    states, actions, next_states = [], [], []
     for _ in range(10):
         action = rng.uniform(-2.0, 2.0, size=1)
         result = env.step(action)
-        episode.append(obs, action, result.next_state, result.done)
+        states.append(obs)
+        actions.append(action)
+        next_states.append(result.next_state)
         obs = result.next_state
+    episode = stored_rows(states, actions, next_states)
     # Pendulum's task never ends, so no relabeled step is terminal, even
     # where it succeeds: with a tolerance of 2 pi every step does.
     for tolerance in (PENDULUM_TOL, 2.0 * math.pi):
         relabeled = relabeled_transitions(episode, Pendulum, tolerance)
         assert not relabeled.dones.any()
-    goal = np.array([math.atan2(episode.final_state[1], episode.final_state[0])])
+    goal = np.array([math.atan2(next_states[-1][1], next_states[-1][0])])
     for got in goals_of(relabeled):
         assert np.array_equal(got, goal)
 
@@ -289,19 +296,23 @@ def pumping_policy(env, rng):
 
 
 def play(env, policy, rng):
-    """One real episode: its log, and the rewards and dones the env gave."""
+    """One real episode: its states, actions and next states, and the
+    rewards and dones the env gave."""
     instance = env()
     obs = instance.reset(rng)
-    episode, rewards, dones = Episode(), [], []
+    states, actions, next_states, rewards, dones = [], [], [], [], []
     while True:
         action = policy(obs)
         result = instance.step(action)
-        episode.append(obs, action, result.next_state, result.done)
+        states.append(obs)
+        actions.append(action)
+        next_states.append(result.next_state)
         rewards.append(result.reward)
         dones.append(result.done)
         obs = result.next_state
         if result.done or result.truncated:
-            return episode, np.array(rewards, dtype=np.float64), dones
+            steps = (states, actions, next_states)
+            return steps, np.array(rewards, dtype=np.float64), dones
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -315,18 +326,15 @@ def test_native_goal_relabel_reproduces_episode(env, make_policy, seed) -> None:
     achieved one gives back the env's own rewards and done flags, bit for
     bit, and those rewards are each env's native reward."""
     rng = np.random.default_rng(100 + seed)
-    episode, rewards, dones = play(env, make_policy(env, rng), rng)
+    steps, rewards, dones = play(env, make_policy(env, rng), rng)
     if make_policy is pumping_policy:
         assert dones[-1], "the episode never reached the flag"
     tolerance = env.spec.goal_tolerance
     relabeled = relabeled_transitions(
-        episode, env, tolerance, goal=env.native_goal(tolerance)
+        stored_rows(*steps), env, tolerance, goal=env.native_goal(tolerance)
     )
     assert relabeled.rewards.tobytes() == rewards.tobytes()
     assert relabeled.dones.tolist() == dones
-    assert goals_of(relabeled).tolist() == [env.native_goal(tolerance).tolist()] * len(episode)
-    reference = [
-        reference_step_reward(env, *step)
-        for step in zip(episode.states, episode.actions, episode.next_states)
-    ]
+    assert goals_of(relabeled).tolist() == [env.native_goal(tolerance).tolist()] * len(rewards)
+    reference = [reference_step_reward(env, *step) for step in zip(*steps)]
     assert np.array(reference).tobytes() == rewards.tobytes()
