@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .agents import AGENTS
-from .config import RunConfig, config_from_mapping, parse_config_file, validate_config
+from .config import RunConfig, config_from_mapping, parse_config_file
 from .envs import env_names
 from .errors import ConfigurationError, ReplayKitError
 from .harness import evaluate_checkpoint, run_to_dir, sweep
@@ -95,7 +95,6 @@ def _run(args: argparse.Namespace) -> int:
     try:
         if args.command == "train":
             cfg = _config_from_args(args)
-            validate_config(cfg)
             result = run_to_dir(cfg, args.out)
             records = result["records"]
             converged = result["converged_at"]

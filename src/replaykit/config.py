@@ -45,7 +45,6 @@ class RunConfig:
     eval_episodes: int = 100
     buffer_capacity: int | None = None
     goal_tolerance: float | None = None
-    timing: bool = False
     dqn: DqnConfig = field(default_factory=DqnConfig)
     ddpg: DdpgConfig = field(default_factory=DdpgConfig)
     per: PerConfig = field(default_factory=PerConfig)

@@ -12,11 +12,6 @@ Agents are reached only through the interface that
 exploration happens inside ``act``, evaluation and checkpoints use
 ``networks()`` and ``POLICY_NET``. Nothing here branches on the agent
 kind.
-
-Per-record wall-clock capture is off by default for exactly that
-reason, mirroring how reproducible builds zero their timestamps; flip
-``timing`` on to profile at the cost of CSV reproducibility. Total
-runtime is always reported in the run manifest.
 """
 
 from __future__ import annotations
@@ -47,7 +42,7 @@ from .nn import load_checkpoint, save_checkpoint
 from .prioritized import PerConfig, PrioritizedSampler
 from .replay import Batch, ReplayBuffer, sample_combined, sample_uniform
 
-CSV_HEADER = "episode,train_reward,eval_mean,eval_std,steps,wallclock_ms"
+CSV_HEADER = "episode,train_reward,eval_mean,eval_std,steps"
 
 # Stream indices for seed splitting.
 _STREAMS = ("env", "init", "explore", "sample")
@@ -112,7 +107,6 @@ class TrainRecord:
     eval_mean: float
     eval_std: float
     steps: int
-    wallclock_ms: int
 
 
 @dataclass
@@ -230,7 +224,6 @@ def train(exp: Experiment) -> list[TrainRecord]:
         agent.networks()[agent.POLICY_NET], agent.scaler, goal, exp.spec.actions
     )
     records: list[TrainRecord] = []
-    started = time.monotonic()
     env_steps = 0
     eval_mean = eval_std = math.nan
     for episode in range(1, cfg.episodes + 1):
@@ -262,11 +255,8 @@ def train(exp: Experiment) -> list[TrainRecord]:
             eval_mean, eval_std = evaluate_policy(
                 exp.env, policy, cfg.eval_episodes, _eval_rng(cfg.seed)
             )
-        wallclock = int((time.monotonic() - started) * 1000) if cfg.timing else 0
         records.append(
-            TrainRecord(
-                episode, float(episode_reward), eval_mean, eval_std, env_steps, wallclock
-            )
+            TrainRecord(episode, float(episode_reward), eval_mean, eval_std, env_steps)
         )
         if fresh_eval and _solved(exp.spec, eval_mean):
             break
@@ -289,7 +279,7 @@ def emit_csv(records: list[TrainRecord], path) -> None:
     so identical records always produce identical bytes."""
     rows = (
         f"{r.episode},{r.train_reward:.6f},{r.eval_mean:.6f},"
-        f"{r.eval_std:.6f},{r.steps},{r.wallclock_ms}\n"
+        f"{r.eval_std:.6f},{r.steps}\n"
         for r in records
     )
     write_atomic(path, itertools.chain([CSV_HEADER + "\n"], rows), "ascii")
@@ -351,10 +341,11 @@ def run_to_dir(cfg: RunConfig, out_dir) -> dict[str, object]:
     """Train one run and write run.csv, manifest.txt, checkpoint.txt.
 
     Returns a small result summary (records, convergence episode,
-    file paths).
+    file paths). A config that ``build_run`` rejects raises
+    ConfigurationError before ``out_dir`` is created.
     """
-    os.makedirs(out_dir, exist_ok=True)
     exp = build_run(cfg)
+    os.makedirs(out_dir, exist_ok=True)
     started = time.monotonic()
     records = train(exp)
     total_ms = int((time.monotonic() - started) * 1000)

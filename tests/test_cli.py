@@ -37,7 +37,7 @@ def test_train_writes_artifacts(tmp_path, capsys) -> None:
     captured = capsys.readouterr()
     assert "run.csv" in captured.out
     csv = (out / "run.csv").read_text().splitlines()
-    assert csv[0] == "episode,train_reward,eval_mean,eval_std,steps,wallclock_ms"
+    assert csv[0] == "episode,train_reward,eval_mean,eval_std,steps"
     assert len(csv) == 3
 
 

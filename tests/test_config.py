@@ -61,7 +61,6 @@ run_configs = st.builds(
     eval_episodes=count,
     buffer_capacity=st.none() | count,
     goal_tolerance=st.none() | positive,
-    timing=st.booleans(),
     dqn=dqn_configs,
     ddpg=ddpg_configs,
     per=per_configs,

@@ -27,7 +27,7 @@ def joined_csv(records) -> str:
     for r in records:
         lines.append(
             f"{r.episode},{r.train_reward:.6f},{r.eval_mean:.6f},"
-            f"{r.eval_std:.6f},{r.steps},{r.wallclock_ms}"
+            f"{r.eval_std:.6f},{r.steps}"
         )
     return "\n".join(lines) + "\n"
 
@@ -65,9 +65,9 @@ def joined_checkpoint(nets, meta) -> str:
 
 def test_run_csv_bytes_match_joined_text(tmp_path) -> None:
     records = [
-        TrainRecord(1, 21.0, math.nan, math.nan, 21, 0),
-        TrainRecord(2, -1234.5678912, 195.25, 3.125, 4_000, 17),
-        TrainRecord(3, 1e-9, -0.0, 1e12, 4_200, 123_456),
+        TrainRecord(1, 21.0, math.nan, math.nan, 21),
+        TrainRecord(2, -1234.5678912, 195.25, 3.125, 4_000),
+        TrainRecord(3, 1e-9, -0.0, 1e12, 4_200),
     ]
     path = tmp_path / "run.csv"
     for rows in ([], records[:1], records):

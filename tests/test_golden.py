@@ -9,9 +9,10 @@ committed below, with the full-precision ``repr`` of a 20-episode
 prints 6 decimals of a 2-episode evaluation, so a last-bit change to
 the evaluation path can leave both hashes as they are. A refactor that
 does not mean to change the maths must leave every entry as it is; a
-change that alters results on purpose regenerates the table
-(``golden_run(name, out_dir)`` returns the new values) and says why in
-CHANGES.md.
+change that alters results on purpose regenerates the table with
+``python tests/test_golden.py`` (it prints the table this host
+computes, in the layout below, and marks each value that differs from
+the committed one) and says why in CHANGES.md.
 
 The hashes were generated with numpy 2.4.6 linked against
 scipy-openblas 0.3.31 (x86-64, Python 3.11), on the SkylakeX kernel.
@@ -20,14 +21,17 @@ and the same build is enough to change them on another CPU: OpenBLAS
 built with ``DYNAMIC_ARCH`` picks its kernel for the CPU when it loads,
 and under the Haswell kernel (an AVX2-only Intel or an AMD Zen CPU)
 none of the six entries matches. So there the hashes can differ
-without any change to this code. Every failure message names the
-numpy build, the BLAS build and the kernel loaded
-(``blas_kernel.blas_kernel()``).
+without any change to this code. The contract is (config, seed, numpy
+build, BLAS kernel) -> bytes of run.csv and checkpoint.txt. Every
+failure message names the numpy build, the BLAS build and the kernel
+loaded (``blas_kernel.blas_kernel()``).
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+import tempfile
 
 import numpy as np
 import pytest
@@ -53,19 +57,19 @@ EVAL_EPISODES = 20
 GOLDEN = {
     "cartpole-dqn-baseline": (
         {"env": "cartpole", "agent": "dqn", "episodes": "30"},
-        "748f4aa4c039efdf1d23d25e584c8bf21c72d4860b47076c25befe687584ecd9",
+        "d600f6921feebcc2760a1526fe3b8d899a9107ebe80218a57ce0e8c1aa2a2c83",
         "93d843d2a8892220da37de693beff0c1c0e37be823a86adb6d70a2a3868b6983",
         "(9.2, 0.7483314773547881)",
     ),
     "cartpole-dqn-cer": (
         {"env": "cartpole", "agent": "dqn", "episodes": "30", "combined": "true"},
-        "fdf6aefa809d10e1d1b995acbd6e9022865c434d3531ca143057fd1a18109265",
+        "be3f6e7ae84c8cb2a1e4fa92f6d7365ead340ddb5da365196136b2013b2e570c",
         "a5a825733a957341fea2c4c207bec7cd539887e12fcf35f9c278860f1554f476",
         "(9.2, 0.7483314773547881)",
     ),
     "cartpole-dqn-per": (
         {"env": "cartpole", "agent": "dqn", "episodes": "30", "prioritized": "true"},
-        "a0c5b11c3343b9512cb39ad7b46bfecddc985a9bc03dea75b457a1063bfb5d4f",
+        "8120ce6a2a7aa0b052e80c44b639eeaaabd78f9ef943b6cf6832063316ddc341",
         "0afdc7eb4b3cab325f8cc42b3f086dcf49760d49dfebde0e5ba5acea52d40b49",
         "(10.55, 0.8046738469715539)",
     ),
@@ -77,7 +81,7 @@ GOLDEN = {
             "combined": "true",
             "prioritized": "true",
         },
-        "19b38782bd11c6cbe308c83ed6775b482bd6e1ca4afe64be4f6941b97d95fbf1",
+        "1f8ee1265666b5877fb128e8d36bb808950e7422a057ced98c6a565a398a2845",
         "7eaac6b422cc233d70a5fb522583673b23c6f1682d5ef7c7bd0427cfc3a85659",
         "(23.8, 10.557461816175325)",
     ),
@@ -90,7 +94,7 @@ GOLDEN = {
             "hindsight": "true",
             "prioritized": "true",
         },
-        "c9fa5e835cf04046b17adc6ec4e59829fdb9fad539bbd937536be948e1c9de7d",
+        "8cb803dc27e81aaeae6d5be514eed46c83d46eabfd4f7e26bd9b8cc53e57f9cf",
         "b15a5e7ed32c759a8a70af4fba5b5157fcec5d88cf074fe24bc9bb21a15bcc4a",
         "(-200.0, 0.0)",
     ),
@@ -102,7 +106,7 @@ GOLDEN = {
             "hindsight": "true",
             "prioritized": "true",
         },
-        "9e7d3319131d6e448d4227e359ae413cbc8ff85d271e76d79d7a504a26fc535f",
+        "092034942248a5fc513035554aeb860dee6e808ca4c9fcf7dfa569c7247c2bd9",
         "a03dae6e13d4e6d2781dd049508b9f97ed473fb522f13bd24d0210d97803cc72",
         "(-1334.9545673963748, 261.17970371852107)",
     ),
@@ -140,12 +144,45 @@ def golden_run(name: str, out_dir) -> tuple[int, str, str, str]:
     return steps, _sha256(result["csv"]), _sha256(result["checkpoint"]), repr(evaluation)
 
 
+REBASELINE = "python tests/test_golden.py prints the table this host computes"
+
+
+def golden_table(values: dict[str, tuple[str, str, str]]) -> str:
+    """The ``GOLDEN = {...}`` source text with ``values[name]`` (run.csv
+    hash, checkpoint hash, eval repr) as each entry's values, and
+    ``# changed`` after each one that differs from the committed table."""
+    lines = ["GOLDEN = {"]
+    for name, (settings, *committed) in GOLDEN.items():
+        lines.append(f'    "{name}": (')
+        one_line = f"        {json.dumps(settings)},"
+        if len(one_line) <= 88:  # wider settings go one key a line
+            lines.append(one_line)
+        else:
+            lines.append("        {")
+            lines += [f'            "{key}": "{value}",' for key, value in settings.items()]
+            lines.append("        },")
+        for got, old in zip(values[name], committed):
+            lines.append(f'        "{got}",' + ("" if got == old else "  # changed"))
+        lines.append("    ),")
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def test_golden_table_prints_the_committed_layout() -> None:
+    committed = {name: tuple(entry[1:]) for name, entry in GOLDEN.items()}
+    with open(__file__, encoding="utf-8") as fh:
+        assert golden_table(committed) in fh.read()
+    name = next(iter(GOLDEN))
+    changed = golden_table({**committed, name: ("0" * 64, *committed[name][1:])})
+    assert changed.count("# changed") == 1
+    assert f'        "{"0" * 64}",  # changed\n' in changed
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_run_hashes(name, tmp_path) -> None:
     settings, csv_hash, checkpoint_hash, eval_repr = GOLDEN[name]
     steps, got_csv, got_checkpoint, got_eval = golden_run(name, tmp_path)
     stored = steps * (2 if settings.get("hindsight") == "true" else 1)
-    on = f"on {blas_kernel()}"
+    on = f"on {blas_kernel()}; {REBASELINE}"
     assert stored > CAPACITY, f"{name}: buffer never wrapped ({stored} rows) {on}"
     assert steps > WARMUP, f"{name}: no learning step after warm-up {on}"
     assert got_csv == csv_hash, f"{name}: run.csv changed {on}"
@@ -265,3 +302,12 @@ def test_tanh_checkpoints_keep_their_evaluation(name, tmp_path) -> None:
     tanh_checkpoint(name, path)
     got = repr(evaluate_checkpoint(path, EVAL_EPISODES, eval_seed))
     assert got == eval_repr, f"{name}: evaluation changed on {blas_kernel()}"
+
+
+if __name__ == "__main__":
+    print(f"# {blas_kernel()}")
+    computed = {}
+    for name in GOLDEN:
+        with tempfile.TemporaryDirectory() as out:
+            computed[name] = golden_run(name, out)[1:]
+    print(golden_table(computed), end="")

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import itertools
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -102,7 +104,7 @@ def test_strategy_name() -> None:
 
 
 def test_config_mapping_round_trip() -> None:
-    cfg = tiny_config(seed=42, prioritized=True, timing=True)
+    cfg = tiny_config(seed=42, prioritized=True)
     mapping = config_to_mapping(cfg)
     rebuilt = config_from_mapping(mapping)
     assert rebuilt == cfg
@@ -393,12 +395,6 @@ def test_train_records_shape_and_nan_before_first_eval() -> None:
     assert records[2].eval_mean == records[1].eval_mean
     assert records[0].steps >= 1
     assert records[-1].steps >= records[0].steps
-    assert all(r.wallclock_ms == 0 for r in records)
-
-
-def test_train_timing_enabled_reports_elapsed() -> None:
-    records = train(build_run(tiny_config(episodes=2, timing=True)))
-    assert records[-1].wallclock_ms >= records[0].wallclock_ms >= 0
 
 
 def test_train_is_deterministic() -> None:
@@ -706,7 +702,7 @@ def test_train_ou_noise_starts_every_episode_at_mu() -> None:
 
 
 def record(episode, eval_mean) -> TrainRecord:
-    return TrainRecord(episode, 0.0, eval_mean, 0.0, episode * 10, 0)
+    return TrainRecord(episode, 0.0, eval_mean, 0.0, episode * 10)
 
 
 def test_check_convergence_first_hit() -> None:
@@ -730,9 +726,9 @@ def test_check_convergence_pendulum_has_no_threshold() -> None:
 
 def test_emit_csv_formatting(tmp_path) -> None:
     path = tmp_path / "run.csv"
-    emit_csv([TrainRecord(1, 21.0, math.nan, math.nan, 21, 0)], path)
+    emit_csv([TrainRecord(1, 21.0, math.nan, math.nan, 21)], path)
     text = path.read_text()
-    assert text == CSV_HEADER + "\n1,21.000000,nan,nan,21,0\n"
+    assert text == CSV_HEADER + "\n1,21.000000,nan,nan,21\n"
 
 
 def test_emit_csv_empty_records_header_only(tmp_path) -> None:
@@ -809,8 +805,7 @@ _DEFAULT_HYPERPARAMETER_LINES = {
             "per_epsilon=0.01\n"
             "per_max_priority=1.0\n"
             "prioritized=false\n"
-            "seed=0\n"
-            "timing=false\n",
+            "seed=0\n",
         ),
         (
             RunConfig(
@@ -852,8 +847,7 @@ _DEFAULT_HYPERPARAMETER_LINES = {
             "per_epsilon=0.01\n"
             "per_max_priority=2.5\n"
             "prioritized=true\n"
-            "seed=11\n"
-            "timing=false\n",
+            "seed=11\n",
         ),
     ],
     ids=["dqn-defaults", "ddpg-hindsight-prioritized-overrides"],
@@ -881,14 +875,49 @@ def test_run_to_dir_writes_artifacts(tmp_path) -> None:
     assert len(result["records"]) == 2
 
 
-def test_run_to_dir_byte_identical_reruns(tmp_path) -> None:
-    cfg = tiny_config(episodes=3, seed=5)
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        tiny_config(episodes=3, seed=5),
+        RunConfig(
+            env="pendulum",
+            agent="ddpg",
+            hindsight=True,
+            prioritized=True,
+            seed=5,
+            episodes=2,
+            eval_interval=2,
+            eval_episodes=1,
+            buffer_capacity=256,
+            ddpg=DdpgConfig(warmup=8, batch_size=4, hidden_sizes=(8,)),
+        ),
+    ],
+    ids=["dqn", "ddpg-hindsight-prioritized"],
+)
+def test_run_to_dir_byte_identical_reruns(tmp_path, monkeypatch, cfg) -> None:
+    """No setting lets the clock reach run.csv, checkpoint.txt or any
+    manifest line but total_wallclock_ms: the second run sees
+    ``time.monotonic`` jump an hour on every call."""
     run_to_dir(cfg, tmp_path / "a")
-    run_to_dir(cfg, tmp_path / "b")
-    a = (tmp_path / "a" / "run.csv").read_bytes()
-    b = (tmp_path / "b" / "run.csv").read_bytes()
-    assert a == b
-    assert len(a) > len(CSV_HEADER)
+    real, calls = time.monotonic, itertools.count(1)
+    with monkeypatch.context() as patch:
+        patch.setattr(time, "monotonic", lambda: real() + 3600.0 * next(calls))
+        run_to_dir(cfg, tmp_path / "b")
+
+    def read(run, name):
+        return (tmp_path / run / name).read_bytes()
+
+    for name in ("run.csv", "checkpoint.txt"):
+        assert read("a", name) == read("b", name), name
+    assert len(read("a", "run.csv")) > len(CSV_HEADER)
+    manifests = [read(run, "manifest.txt").decode("utf-8").splitlines() for run in "ab"]
+    clock = [line for line in manifests[1] if line.startswith("total_wallclock_ms=")]
+    assert clock and int(clock[0].partition("=")[2]) >= 3_600_000
+    kept = [
+        [line for line in lines if not line.startswith("total_wallclock_ms=")]
+        for lines in manifests
+    ]
+    assert kept[0] == kept[1]
 
 
 def test_sweep_reports_unsupported_and_statuses(tmp_path) -> None:
