@@ -83,8 +83,9 @@ class ObservationScaler:
         return self.center.shape[0]
 
     def __call__(self, obs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The scaled observations, in ``out`` when given."""
-        scaled = np.subtract(obs, self.center, out=out, dtype=np.float64)
+        """The scaled observations, in ``out`` when given. The float64
+        center makes the result float64 for any real ``obs``."""
+        scaled = np.subtract(obs, self.center, out=out)
         scaled /= self.halfwidth
         return scaled
 
@@ -129,7 +130,7 @@ def greedy_policy(
         x = augment_observation(observations, goal)
         out, _ = forward(net, scaler(x)[:, None, :])
         if discrete:
-            return np.argmax(out[:, 0], axis=1).tolist()
+            return out[:, 0].argmax(axis=1).tolist()
         # Clip the fresh output in place: np.clip's bits on the finite
         # values forward guarantees, one (dim,) float64 row per episode.
         rows = out[:, 0]
@@ -150,6 +151,17 @@ def epsilon_schedule(start: float, end: float, decay_steps: int, step: int) -> f
         raise ValueError(f"step must be >= 0, got {step}")
     fraction = min(step / decay_steps, 1.0)
     return start + (end - start) * fraction
+
+
+def _td_targets(batch: Batch, gamma: float, next_values: np.ndarray) -> np.ndarray:
+    """r + gamma * (1 - d) * next_values as one fresh array: the bits of
+    that expression, with the product formed left to right and the
+    reward added last."""
+    targets = np.subtract(1.0, batch.dones)
+    targets *= gamma
+    targets *= next_values
+    targets += batch.rewards
+    return targets
 
 
 def _squared_loss_grad(weights: np.ndarray, td_errors: np.ndarray) -> np.ndarray:
@@ -234,9 +246,10 @@ class DqnAgent:
         self.updates = 0
         # The epsilon clock: act calls so far, across episodes.
         self.acts = 0
-        # Reused by update for batches of one size: row numbers and the
-        # loss gradient at the Q-network's output.
-        self._rows = np.arange(0)
+        # Reused by update for batches of one size: each row's offset in
+        # the flattened (n, actions) Q block, and the loss gradient at
+        # the Q-network's output.
+        self._row_starts = np.arange(0)
         self._output_grad = np.zeros((0, actions.n))
 
     def networks(self) -> dict[str, Mlp]:
@@ -261,35 +274,53 @@ class DqnAgent:
         if epsilon > 0.0 and rng.random() < epsilon:
             return int(rng.integers(self.actions.n))
         values, _ = forward(self.q, self.scaler(obs))
-        return int(np.argmax(values))
+        return int(values.argmax())
 
     def update(self, batch: Batch) -> np.ndarray:
         """One weighted TD regression step; returns per-sample TD errors.
-        States and next states are scaled straight into the pair's
-        input rows."""
+
+        The batch's state block is scaled in one call straight into the
+        pair's (2, n, input_dim) input, states into the online half and
+        next states into the target half. The max over next actions is
+        :func:`max_over_actions`."""
         n = len(batch)
-        states, next_states = self.pair.input_rows(n)
-        self.scaler(batch.states, out=states)
-        self.scaler(batch.next_states, out=next_states)
-        q_all, next_q, cache = forward_pair(self.pair, states, next_states)
-        best_next = np.maximum.reduce(next_q, axis=1)
-        targets = batch.rewards + self.config.gamma * (1.0 - batch.dones) * best_next
-        if self._rows.size != n:
-            self._rows = np.arange(n)
+        ws = self.pair.workspace(n)
+        self.scaler(batch.state_block, out=ws.x)
+        q_all, next_q, cache = forward_pair(self.pair, *ws.inputs)
+        targets = _td_targets(batch, self.config.gamma, max_over_actions(next_q))
+        if self._row_starts.size != n:
+            self._row_starts = np.arange(0, n * self.actions.n, self.actions.n)
             self._output_grad = np.zeros_like(q_all)
-        rows, output_grad = self._rows, self._output_grad
-        action_idx = batch.actions.astype(int)
-        td_errors = q_all[rows, action_idx] - targets
+        output_grad = self._output_grad
+        # Q(s_i, a_i) by flat index: one take and one put, where a 2-D
+        # fancy index costs twice as much each way.
+        taken = self._row_starts + batch.actions.astype(int)
+        td_errors = q_all.take(taken) - targets
         check_divergence(td_errors)
         # d/dQ(s_i, a_i) of mean_i w_i * delta_i^2
         output_grad.fill(0.0)
-        output_grad[rows, action_idx] = _squared_loss_grad(batch.weights, td_errors)
+        output_grad.put(taken, _squared_loss_grad(batch.weights, td_errors))
         grad, _ = backward(self.q, cache, output_grad, input_grad=False)
         adam_step(self.q, grad, self.adam)
         self.updates += 1
         if self.updates % self.config.target_update_period == 0:
             hard_copy(self.pair)
         return td_errors
+
+
+def max_over_actions(q: np.ndarray) -> np.ndarray:
+    """Each row's largest value of an (n, actions) array, as an
+    elementwise ``np.maximum`` fold over the columns, left to right.
+
+    It equals ``np.maximum.reduce(q, axis=1)`` in value, at a third of
+    the cost on two or three columns, but may differ from it in the
+    sign of a zero maximum. A TD target does not see that sign:
+    ``r + gamma * (1 - d) * (+-0.0)`` is ``r`` for every reward other
+    than -0.0, and no env pays -0.0."""
+    best = q[:, 0]
+    for k in range(1, q.shape[1]):
+        best = np.maximum(best, q[:, k])
+    return best
 
 
 @dataclass(frozen=True)
@@ -445,7 +476,7 @@ class DdpgAgent:
         ``next_inputs`` its (s', actor_target(s')) rows, both scaled;
         one stacked pass evaluates Q and Q_target on them."""
         q, next_q, cache = forward_pair(self.critic_pair, inputs, next_inputs)
-        targets = batch.rewards + self.config.gamma * (1.0 - batch.dones) * next_q[:, 0]
+        targets = _td_targets(batch, self.config.gamma, next_q[:, 0])
         td_errors = q[:, 0] - targets
         check_divergence(td_errors)
         output_grad = _squared_loss_grad(batch.weights, td_errors)[:, None]
@@ -478,20 +509,21 @@ class DdpgAgent:
         """Critic step, actor step, then target blend; returns the
         critic's TD errors.
 
-        States and next states are scaled straight into the actor
-        pair's input rows, and the critic pair's input rows take them
-        with the batch's actions and the target actor's actions. The
-        actor step reuses the actor's cache from the stacked pass,
-        which stays valid: the critic step changes no actor parameter.
+        The batch's state block is scaled in one call straight into the
+        actor pair's (2, n, dim) input. The critic pair's input takes
+        that scaled block in one copy, then the batch's actions and the
+        target actor's actions as its two action columns. The actor
+        step reuses the actor's cache from the stacked pass, which
+        stays valid: the critic step changes no actor parameter.
         """
         n, dim = len(batch), self.scaler.dim
-        states, next_states = self.actor_pair.input_rows(n)
-        self.scaler(batch.states, out=states)
-        self.scaler(batch.next_states, out=next_states)
-        actions, next_actions, actor_cache = forward_pair(self.actor_pair, states, next_states)
-        inputs, next_inputs = self.critic_pair.input_rows(n)
-        inputs[:, :dim], inputs[:, dim:] = states, batch.actions
-        next_inputs[:, :dim], next_inputs[:, dim:] = next_states, next_actions
+        actor_ws = self.actor_pair.workspace(n)
+        self.scaler(batch.state_block, out=actor_ws.x)
+        actions, next_actions, actor_cache = forward_pair(self.actor_pair, *actor_ws.inputs)
+        critic_ws = self.critic_pair.workspace(n)
+        critic_ws.x[:, :, :dim] = actor_ws.x
+        inputs, next_inputs = critic_ws.inputs
+        inputs[:, dim:], next_inputs[:, dim:] = batch.actions, next_actions
         td_errors = self.critic_update(batch, inputs, next_inputs)
         self.actor_update(inputs, actions, actor_cache)
         self.sync_targets()

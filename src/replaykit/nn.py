@@ -260,11 +260,6 @@ class NetworkPair:
             ws = self._workspaces[rows] = PairWorkspace(self.online, rows)
         return ws
 
-    def input_rows(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
-        """The (rows, input_dim) online and target inputs that
-        ``forward_pair`` reads in place; a caller may write into them."""
-        return self.workspace(rows).inputs
-
     # Copies and pickles carry the two networks alone and join them
     # again, so the halves view the copy's own rows.
     def __getstate__(self) -> dict:
@@ -287,15 +282,23 @@ class PairWorkspace:
         self.online_inputs = [self.x[0]] + [h[0] for h in self.hidden]
 
 
-@dataclass
 class ForwardCache:
-    inputs: list[np.ndarray]  # activation entering each layer
-    outputs: np.ndarray  # post-activation network output
-    version: int
-    layer_sizes: tuple[int, ...]
-    squeezed: bool
-    workspace: Workspace | None  # None for a stack of rows
-    generation: int  # the workspace's generation this forward wrote
+    """What ``backward`` needs from one forward pass: the activation
+    entering each layer (``inputs``), the post-activation network
+    ``outputs``, the parameter ``version`` and ``layer_sizes`` they came
+    from, whether a vector input was ``squeezed`` into a row, and the
+    ``workspace`` written (None for a stack of rows) with the
+    ``generation`` this forward gave it. A plain slotted class, since
+    every forward builds one."""
+
+    __slots__ = (
+        "inputs", "outputs", "version", "layer_sizes", "squeezed", "workspace", "generation"
+    )
+
+    def __init__(self, inputs, outputs, version, layer_sizes, squeezed, workspace, generation):
+        self.inputs, self.outputs, self.version = inputs, outputs, version
+        self.layer_sizes, self.squeezed = layer_sizes, squeezed
+        self.workspace, self.generation = workspace, generation
 
 
 def _as_rows(x: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
@@ -335,15 +338,8 @@ def forward(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
         ws = None
         hidden = [np.empty((a.shape[0], 1, n)) for n in net.layer_sizes[1:-1]]
     out = _layers(net, a, net.weights, net.biases, hidden)
-    cache = ForwardCache(
-        inputs=[a, *hidden],
-        outputs=out,
-        version=net.version,
-        layer_sizes=net.layer_sizes,
-        squeezed=squeezed,
-        workspace=ws,
-        generation=0 if ws is None else ws.generation,
-    )
+    generation = 0 if ws is None else ws.generation
+    cache = ForwardCache([a, *hidden], out, net.version, net.layer_sizes, squeezed, ws, generation)
     return (out[0] if squeezed else out), cache
 
 
@@ -361,8 +357,9 @@ def forward_pair(
     x_target)``. Returns both fresh outputs and the online network's
     cache, which ``backward(pair.online, ...)`` accepts.
 
-    The inputs are copied into ``pair.input_rows(n)`` unless they are
-    those arrays, which a caller may fill in place. Like a matrix
+    The inputs are copied into ``pair.workspace(n).inputs``, the two
+    halves of its (2, n, input_dim) block ``x``, unless they are those
+    arrays, which a caller may fill in place, whole or by halves. Like a matrix
     forward through the online network, the pass bumps the generation
     of its workspace for n rows, so it invalidates that workspace's
     earlier caches and a later forward invalidates its cache.
@@ -378,13 +375,8 @@ def forward_pair(
     online_ws.generation += 1
     out = _layers(online, ws.x, pair.weights, pair.biases, ws.hidden)
     cache = ForwardCache(
-        inputs=ws.online_inputs,
-        outputs=out[0],
-        version=online.version,
-        layer_sizes=online.layer_sizes,
-        squeezed=False,
-        workspace=online_ws,
-        generation=online_ws.generation,
+        ws.online_inputs, out[0], online.version, online.layer_sizes, False, online_ws,
+        online_ws.generation,
     )
     return out[0], out[1], cache
 
@@ -396,12 +388,13 @@ def _layers(net: Mlp, a: np.ndarray, weights, biases, hidden: list[np.ndarray]) 
     output once it is checked finite."""
     # np.dot goes straight to BLAS on a 2-D product; a stack needs matmul.
     product = np.dot if a.ndim == 2 else np.matmul
+    hidden_tanh = net.hidden_activation == "tanh"
     last = len(weights) - 1
     for i, (w, b) in enumerate(zip(weights, biases)):
         z = product(a, w, out=hidden[i] if i < last else None)
         z += b
         if i < last:
-            if net.hidden_activation == "tanh":
+            if hidden_tanh:
                 np.tanh(z, out=z)
             else:
                 np.maximum(z, 0.0, out=z)
@@ -409,7 +402,8 @@ def _layers(net: Mlp, a: np.ndarray, weights, biases, hidden: list[np.ndarray]) 
             np.tanh(z, out=z)
             z *= net.output_scale
         a = z
-    if not np.isfinite(a).all():
+    # One reduce call, where .all() goes through a Python wrapper.
+    if not np.logical_and.reduce(np.isfinite(a), axis=None):
         raise NumericalError("network produced a non-finite output")
     return a
 
@@ -452,6 +446,7 @@ def backward(
         raise ValueError(
             f"output_grad shape {gy.shape} != output shape {cache.outputs.shape}"
         )
+    hidden_tanh = net.hidden_activation == "tanh"
     last = len(net.weights) - 1
     delta = gy
     for i in range(last, -1, -1):
@@ -467,7 +462,7 @@ def backward(
         else:
             # delta is ws.delta[i] here, written by the layer above.
             a_out = cache.inputs[i + 1]
-            if net.hidden_activation == "tanh":
+            if hidden_tanh:
                 np.square(a_out, out=temp)
                 np.subtract(1.0, temp, out=temp)
             else:
@@ -691,8 +686,10 @@ def _parse_checkpoint(lines: list[str]) -> tuple[dict[str, Mlp], dict[str, str]]
         biases = []
         i += 3
         for j in range(len(sizes) - 1):
-            w_vals = np.array([float(v) for v in lines[i].split()[1:]])
-            b_vals = np.array([float(v) for v in lines[i + 1].split()[1:]])
+            # numpy parses a token exactly as float() does, and raises
+            # ValueError on every token that float() rejects.
+            w_vals = np.array(lines[i].split()[1:], dtype=np.float64)
+            b_vals = np.array(lines[i + 1].split()[1:], dtype=np.float64)
             weights.append(w_vals.reshape(sizes[j], sizes[j + 1]))
             biases.append(b_vals)
             i += 2

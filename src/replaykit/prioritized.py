@@ -178,7 +178,9 @@ class SumTree:
         # of each group is the write that stands.
         order = indices.argsort(kind="stable")
         grouped = indices[order]
-        last = np.ones(grouped.size, dtype=bool)
+        # Both comparisons below fill all but the last flag, which stays.
+        last = np.empty(grouped.size, dtype=bool)
+        last[-1] = True
         np.not_equal(grouped[1:], grouped[:-1], out=last[:-1])
         self._leaves[grouped[last]] = values[order[last]]
         # Sorted leaves keep a block's entries adjacent: one per run.

@@ -9,7 +9,8 @@ them as any other state vector. Samplers are free functions returning
 ``(indices, weights)`` arrays, so strategies can be stacked: combined
 sampling wraps any inner sampler and forces the newest slot into
 position 0 of every batch. :meth:`ReplayBuffer.gather` turns sampled
-slots into one :class:`Batch` of arrays for the learner. Rows arrive
+slots into one :class:`Batch` of arrays for the learner, whose states
+and next states are the two halves of one (2, n, dim) block. Rows arrive
 one at a time through :meth:`ReplayBuffer.append`, or as columns through
 :meth:`ReplayBuffer.extend`, one checked write with the result of one
 append per row; the harness stores a relabeled episode that way.
@@ -27,30 +28,39 @@ from anywhere else.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, NotReadyError
 
 
-@dataclass(frozen=True)
 class Batch:
     """Sampled rows as parallel arrays.
 
-    ``states`` and ``next_states`` are the stored rows, so on goal
-    tasks they carry the goal the row was stored with; ``dones`` is
-    0.0/1.0; ``weights`` are the per-sample loss weights (all 1.0 for
-    unweighted samplers).
+    ``state_block`` is one (2, n, dim) array: its halves ``states`` and
+    ``next_states`` are the stored rows, so on goal tasks they carry
+    the goal the row was stored with, and a learner scales both in one
+    call. ``dones`` is 0.0/1.0; ``weights`` are the per-sample loss
+    weights (all 1.0 for unweighted samplers, then read-only).
     """
 
-    indices: np.ndarray
-    states: np.ndarray
-    actions: np.ndarray
-    rewards: np.ndarray
-    next_states: np.ndarray
-    dones: np.ndarray
-    weights: np.ndarray
+    __slots__ = ("indices", "state_block", "actions", "rewards", "dones", "weights")
+
+    def __init__(self, indices, state_block, actions, rewards, dones, weights) -> None:
+        self.indices = indices
+        self.state_block = state_block
+        self.actions = actions
+        self.rewards = rewards
+        self.dones = dones
+        self.weights = weights
+
+    @property
+    def states(self) -> np.ndarray:
+        return self.state_block[0]
+
+    @property
+    def next_states(self) -> np.ndarray:
+        return self.state_block[1]
 
     def __len__(self) -> int:
         return self.indices.shape[0]
@@ -112,7 +122,7 @@ class ReplayBuffer:
         # Python floats check cheaper than a numpy call per short row.
         if not all(map(math.isfinite, state.tolist() + next_state.tolist())):
             raise ValueError("state components must be finite")
-        if not np.isfinite(reward):
+        if not math.isfinite(reward):
             raise ValueError(f"reward must be finite, got {reward!r}")
         self._fit((state.shape, action.shape))
         index = self._cursor
@@ -187,39 +197,55 @@ class ReplayBuffer:
 
     def gather(self, indices, weights=None) -> Batch:
         """The rows at slots ``indices`` as one :class:`Batch`;
-        ``weights`` default to 1.0. Raises IndexError unless every slot
-        is filled."""
+        ``weights`` default to the shared read-only unit weights.
+        Raises IndexError unless every slot is filled."""
         indices = np.asarray(indices, dtype=np.int64)
         if not (indices.size and 0 <= indices.min() and indices.max() < self._count):
             raise IndexError(f"slots {indices} are not among the {self._count} filled")
-        return self.gather_filled(indices, np.ones(indices.size) if weights is None else weights)
+        return self.gather_filled(indices, _unit_weights(indices.size) if weights is None else weights)
 
     def gather_filled(self, indices: np.ndarray, weights: np.ndarray) -> Batch:
         """:meth:`gather` of int64 ``indices`` that the caller knows are
         filled slots, as every sampler in this module returns them;
-        nothing is checked."""
+        nothing is checked. The states and next states are taken
+        straight into the two halves of the batch's ``state_block``."""
+        block = np.empty((2, indices.shape[0], *self._shapes[0]))
         # take copies whole rows of a 2-D column with less overhead than
-        # fancy indexing; both give the same bytes.
+        # fancy indexing. In mode "wrap" it writes into ``out`` with no
+        # buffer; a filled slot is in range, so nothing wraps.
+        self._states.take(indices, axis=0, out=block[0], mode="wrap")
+        self._next_states.take(indices, axis=0, out=block[1], mode="wrap")
         return Batch(
-            indices=indices,
-            states=self._states.take(indices, axis=0),
-            actions=self._actions[indices],
-            rewards=self._rewards[indices],
-            next_states=self._next_states.take(indices, axis=0),
-            dones=self._dones[indices],
-            weights=weights,
+            indices, block, self._actions[indices], self._rewards[indices],
+            self._dones[indices], weights,
         )
+
+
+# Read-only all-ones weight vectors by row count, shared by every
+# uniform batch and every gather with default weights. The counts are
+# batch sizes and episode lengths, so the table stays small.
+_UNIT_WEIGHTS: dict[int, np.ndarray] = {}
+
+
+def _unit_weights(n: int) -> np.ndarray:
+    """The shared read-only vector of n weights 1.0."""
+    weights = _UNIT_WEIGHTS.get(n)
+    if weights is None:
+        weights = _UNIT_WEIGHTS[n] = np.ones(n)
+        weights.flags.writeable = False
+    return weights
 
 
 def sample_uniform(
     buffer: ReplayBuffer, batch_size: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw ``batch_size`` slots uniformly with replacement; unit weights."""
+    """Draw ``batch_size`` slots uniformly with replacement; the unit
+    weights are shared and read-only."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if len(buffer) == 0:
         raise NotReadyError("cannot sample from an empty buffer")
-    return rng.integers(0, len(buffer), size=batch_size), np.ones(batch_size)
+    return rng.integers(0, len(buffer), size=batch_size), _unit_weights(batch_size)
 
 
 def sample_combined(

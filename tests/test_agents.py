@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 import tracemalloc
 
@@ -17,6 +18,7 @@ from replaykit.agents import (
     OUNoise,
     epsilon_schedule,
     greedy_policy,
+    max_over_actions,
     scaler_for,
 )
 from replaykit.envs import BoxAction, DiscreteActions, env_spec
@@ -29,9 +31,15 @@ def identity_scaler(dim: int) -> ObservationScaler:
     return ObservationScaler(np.zeros(dim), np.ones(dim))
 
 
-def make_dqn(obs_dim=3, n_actions=2, rng_seed=0, **config) -> DqnAgent:
+def offset_scaler(dim: int) -> ObservationScaler:
+    """A scaler far from the identity, so that scaling a state twice, or
+    not at all, changes its bits."""
+    return ObservationScaler(np.linspace(-0.7, 1.3, dim), np.linspace(0.4, 3.1, dim))
+
+
+def make_dqn(obs_dim=3, n_actions=2, rng_seed=0, scaler=identity_scaler, **config) -> DqnAgent:
     cfg = DqnConfig(**config)
-    return DqnAgent(DiscreteActions(n_actions), cfg, identity_scaler(obs_dim),
+    return DqnAgent(DiscreteActions(n_actions), cfg, scaler(obs_dim),
                     np.random.default_rng(rng_seed))
 
 
@@ -50,11 +58,11 @@ def make_batch(rows, weights=None) -> Batch:
     return buffer.gather(np.arange(len(rows)), weights)
 
 
-def random_rows(n, obs_dim=3, discrete=True, rng_seed=1, done_rate=0.2):
+def random_rows(n, obs_dim=3, discrete=True, rng_seed=1, done_rate=0.2, n_actions=2):
     rng = np.random.default_rng(rng_seed)
     out = []
     for _ in range(n):
-        action = int(rng.integers(2)) if discrete else rng.uniform(-2.0, 2.0, size=1)
+        action = int(rng.integers(n_actions)) if discrete else rng.uniform(-2.0, 2.0, size=1)
         state = rng.normal(size=obs_dim)
         reward = float(rng.normal())
         next_state = rng.normal(size=obs_dim)
@@ -175,29 +183,33 @@ def test_dqn_td_targets_gamma_zero() -> None:
 @pytest.mark.parametrize("batch_size", [1, 32, 33])
 def test_dqn_update_matches_plain_forward_reference(batch_size, hidden_sizes) -> None:
     # A twin agent takes each step through plain forward calls on its
-    # own q and q_target; both must agree bit for bit in TD errors and
-    # parameters, across target syncs.
-    config = dict(obs_dim=4, gamma=0.9, hidden_sizes=hidden_sizes, target_update_period=2)
-    agent, twin = make_dqn(**config), make_dqn(**config)
-    rng = np.random.default_rng(batch_size)
-    for step in range(5):
-        batch = make_batch(random_rows(batch_size, obs_dim=4, rng_seed=step),
-                           rng.uniform(0.1, 1.0, size=batch_size))
-        td_ref = reference_td_errors(twin, batch)
-        q, cache = forward(twin.q, twin.scaler(batch.states))
-        output_grad = np.zeros_like(q)
-        loss_grad = 2.0 * batch.weights
-        loss_grad *= td_ref
-        loss_grad /= batch_size
-        output_grad[np.arange(batch_size), batch.actions.astype(int)] = loss_grad
-        grad, _ = backward(twin.q, cache, output_grad, input_grad=False)
-        adam_step(twin.q, grad, twin.adam)
-        if step % 2 == 1:
-            hard_copy(twin.pair)
-        td = agent.update(batch)
-        assert td.tobytes() == td_ref.tobytes()
-        assert agent.q.params.tobytes() == twin.q.params.tobytes()
-        assert agent.q_target.params.tobytes() == twin.q_target.params.tobytes()
+    # own q and q_target, scaling states and next states apart; both
+    # must agree bit for bit in TD errors and parameters, across target
+    # syncs. Under the offset scaler, an update that scales a half of
+    # the batch's state block twice, or not at all, fails.
+    for scaler, n_actions in ((identity_scaler, 2), (offset_scaler, 3)):
+        config = dict(obs_dim=4, n_actions=n_actions, scaler=scaler, gamma=0.9,
+                      hidden_sizes=hidden_sizes, target_update_period=2)
+        agent, twin = make_dqn(**config), make_dqn(**config)
+        rng = np.random.default_rng(batch_size)
+        for step in range(5):
+            rows = random_rows(batch_size, obs_dim=4, rng_seed=step, n_actions=n_actions)
+            batch = make_batch(rows, rng.uniform(0.1, 1.0, size=batch_size))
+            td_ref = reference_td_errors(twin, batch)
+            q, cache = forward(twin.q, twin.scaler(batch.states))
+            output_grad = np.zeros_like(q)
+            loss_grad = 2.0 * batch.weights
+            loss_grad *= td_ref
+            loss_grad /= batch_size
+            output_grad[np.arange(batch_size), batch.actions.astype(int)] = loss_grad
+            grad, _ = backward(twin.q, cache, output_grad, input_grad=False)
+            adam_step(twin.q, grad, twin.adam)
+            if step % 2 == 1:
+                hard_copy(twin.pair)
+            td = agent.update(batch)
+            assert td.tobytes() == td_ref.tobytes()
+            assert agent.q.params.tobytes() == twin.q.params.tobytes()
+            assert agent.q_target.params.tobytes() == twin.q_target.params.tobytes()
 
 
 def test_dqn_update_returns_pre_update_td_errors() -> None:
@@ -587,3 +599,48 @@ def test_continuous_greedy_policy_clips_like_np_clip() -> None:
     clipped = np.clip(out[:, 0], -2.0, 2.0)
     assert np.stack(actions).tobytes() == clipped.tobytes()
     assert (clipped == 2.0).any() and (clipped == -2.0).any() and (np.abs(clipped) < 2.0).any()
+
+
+@pytest.mark.parametrize("batch_size", [1, 33, 64])
+def test_ddpg_update_scales_the_state_block_like_two_arrays(batch_size) -> None:
+    # The update scales the batch's block in one call and copies it into
+    # the critic's input in one block copy; a twin scales states and
+    # next states apart and builds the critic rows column by column.
+    def make() -> DdpgAgent:
+        return DdpgAgent(BoxAction(1, -2.0, 2.0), DdpgConfig(gamma=0.9, tau=0.1),
+                         offset_scaler(3), np.random.default_rng(0))
+
+    agent, twin = make(), make()
+    rng = np.random.default_rng(batch_size)
+    for step in range(3):
+        batch = make_batch(random_rows(batch_size, discrete=False, rng_seed=step),
+                           rng.uniform(0.1, 1.0, size=batch_size))
+        td_ref = twin.critic_update(batch, *critic_inputs(twin, batch))
+        actor_step(twin, twin.scaler(batch.states))
+        twin.sync_targets()
+        td = agent.update(batch)
+        assert td.tobytes() == td_ref.tobytes()
+        for name in ("actor", "actor_target", "critic", "critic_target"):
+            got, want = getattr(agent, name).params, getattr(twin, name).params
+            assert got.tobytes() == want.tobytes(), name
+
+
+# Every ordered pair and triple of these, so that +0.0 and -0.0 tie
+# with each other in every position.
+_FOLD_VALUES = (-1.5, -0.0, 0.0, 2.0, 5e-324, -5e-324)
+
+
+@pytest.mark.parametrize("n_actions", [2, 3])
+def test_max_over_actions_equals_the_reduce_and_keeps_td_targets(n_actions) -> None:
+    q = np.array(list(itertools.product(_FOLD_VALUES, repeat=n_actions)))
+    fold = max_over_actions(q)
+    reduced = np.maximum.reduce(q, axis=1)
+    assert np.array_equal(fold, reduced)
+    assert (fold == 0.0).any()
+    # The sign of a zero max never reaches a TD target.
+    n = len(q)
+    for reward, done, gamma in itertools.product((0.0, 1.0, -1.0), (0.0, 1.0), (0.0, 0.99, 1.0)):
+        rewards, dones = np.full(n, reward), np.full(n, done)
+        want = rewards + gamma * (1.0 - dones) * reduced
+        got = rewards + gamma * (1.0 - dones) * fold
+        assert got.tobytes() == want.tobytes(), (reward, done, gamma)

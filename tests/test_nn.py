@@ -574,6 +574,44 @@ def test_checkpoint_rejects_bad_network(tmp_path, edit) -> None:
         load_checkpoint(path)
 
 
+def _with_token(text: str, label: str, token: str) -> str:
+    """``text`` with the second value of row ``label`` replaced."""
+    lines = text.splitlines(keepends=True)
+    row = next(i for i, line in enumerate(lines) if line.startswith(label + " "))
+    values = lines[row].split()
+    values[2] = token
+    lines[row] = " ".join(values) + "\n"
+    return "".join(lines)
+
+
+# Tokens that float() rejects, and tokens it reads as nan or inf, which a
+# network rejects.
+_BAD_TOKENS = ["1.5e", "0x1p3", "abc", "--1", "1,0", "1..0", "_1", "1__0", "1e", "nan",
+               "-inf", "Infinity", "1e400"]
+# Tokens float() reads as finite values.
+_GOOD_TOKENS = ["1_0", "+1.5", "-0.0", "1e-320", "5e-324", ".5", "5.", "1E5", "0001.25",
+                "2.4703282292062328e-324", "1.7976931348623157e308"]
+
+
+@pytest.mark.parametrize("label", ["W0", "b1"])
+@pytest.mark.parametrize("token", _BAD_TOKENS)
+def test_checkpoint_rejects_every_bad_value_token(tmp_path, token, label) -> None:
+    path = tmp_path / "ckpt.txt"
+    save_checkpoint(path, {"q": init_mlp([3, 4, 2], np.random.default_rng(58))})
+    path.write_text(_with_token(path.read_text(), label, token))
+    with pytest.raises(CheckpointError, match="malformed checkpoint"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("token", _GOOD_TOKENS)
+def test_checkpoint_reads_a_value_token_as_float_does(tmp_path, token) -> None:
+    path = tmp_path / "ckpt.txt"
+    save_checkpoint(path, {"q": init_mlp([3, 4, 2], np.random.default_rng(58))})
+    path.write_text(_with_token(path.read_text(), "W0", token))
+    nets, _ = load_checkpoint(path)
+    assert nets["q"].weights[0][0, 1].tobytes() == np.float64(float(token)).tobytes()
+
+
 # Per-array reference updates: the loops the flat-vector updates replaced.
 # The flat versions must agree with them bit for bit.
 
@@ -871,7 +909,7 @@ def test_forward_pair_matches_two_plain_forwards(name, rows) -> None:
     want_grad, want_dx = backward(pair.online, plain, gy)
     assert same_bits(grad, want_grad) and same_bits(dx, want_dx)
     # Inputs written in place into the pair's rows give the same bits.
-    rows_online, rows_target = pair.input_rows(rows)
+    rows_online, rows_target = pair.workspace(rows).inputs
     rows_online[...], rows_target[...] = x_online, x_target
     again_online, again_target, _ = forward_pair(pair, rows_online, rows_target)
     assert same_bits(again_online, y_online) and same_bits(again_target, y_target)

@@ -224,3 +224,85 @@ def test_sample_combined_propagates_inner_errors() -> None:
 
     with pytest.raises(RuntimeError, match="inner failure"):
         sample_combined(buf, 3, broken, np.random.default_rng(0))
+
+
+def test_state_block_halves_are_the_stored_rows() -> None:
+    # A wrapped buffer: slots 0..4 hold rows 5, 6, 2, 3, 4. Both a
+    # sampled and a checked gather put the states and next states at
+    # the drawn slots, byte for byte, into the two halves of one
+    # C-ordered (2, n, dim) block, and states/next_states view them.
+    rng = np.random.default_rng(5)
+    rows = [(rng.normal(size=3), 0, 0.0, rng.normal(size=3), False) for _ in range(7)]
+    buf = ReplayBuffer(5)
+    for row in rows:
+        buf.append(*row)
+    held = dict(zip(range(5), (rows[i] for i in (5, 6, 2, 3, 4))))
+    indices, weights = sample_uniform(buf, 16, rng)
+    for batch in (buf.gather_filled(indices, weights), buf.gather([4, 0, 0, 1])):
+        slots = batch.indices.tolist()
+        want = np.stack([[held[s][0] for s in slots], [held[s][3] for s in slots]])
+        block = batch.state_block
+        assert block.shape == (2, len(slots), 3) and block.flags.c_contiguous
+        assert block.tobytes() == want.tobytes()
+        assert batch.states.tobytes() == want[0].tobytes()
+        assert batch.next_states.tobytes() == want[1].tobytes()
+        assert np.shares_memory(batch.states, block) and np.shares_memory(batch.next_states, block)
+        assert not np.shares_memory(batch.states, batch.next_states)
+
+
+def test_uniform_weights_are_shared_and_read_only() -> None:
+    buf = filled_buffer(6)
+    rng = np.random.default_rng(6)
+    _, weights = sample_uniform(buf, 4, rng)
+    _, again = sample_uniform(buf, 4, rng)
+    assert weights is again and weights.tobytes() == np.ones(4).tobytes()
+    batch = buf.gather_filled(*sample_uniform(buf, 4, rng))
+    assert buf.gather([0, 1, 2, 3]).weights is weights
+    for target in (weights, batch.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            target[0] = 2.0
+    assert weights.tobytes() == np.ones(4).tobytes()
+    # Combined sampling copies them into weights of its own.
+    _, combined = sample_combined(buf, 5, sample_uniform, rng)
+    combined[0] = 2.0
+    assert weights.tobytes() == np.ones(4).tobytes()
+
+
+@pytest.mark.parametrize(
+    "reward, stored",
+    [
+        (1.5, 1.5),
+        (-0.0, -0.0),
+        (np.float64(2.5), 2.5),
+        (np.float32(0.25), 0.25),
+        (np.int64(-3), -3.0),
+        (np.array(4.0), 4.0),
+        (np.array(7), 7.0),
+        (True, 1.0),
+        (5, 5.0),
+    ],
+)
+def test_append_stores_every_finite_reward(reward, stored) -> None:
+    buf = ReplayBuffer(2)
+    buf.append(np.zeros(2), 0, reward, np.zeros(2), False)
+    assert buf.gather([0]).rewards.tobytes() == np.array([stored]).tobytes()
+
+
+@pytest.mark.parametrize(
+    "reward",
+    [
+        float("nan"),
+        float("inf"),
+        -float("inf"),
+        np.float64("nan"),
+        np.float32("inf"),
+        np.longdouble("-inf"),
+        np.array(np.nan),
+        np.array(-np.inf),
+    ],
+)
+def test_append_rejects_a_non_finite_reward(reward) -> None:
+    buf = ReplayBuffer(2)
+    with pytest.raises(ValueError, match="reward must be finite"):
+        buf.append(np.zeros(2), 0, reward, np.zeros(2), False)
+    assert len(buf) == 0
