@@ -20,7 +20,8 @@ an update evaluates both in one stacked ``forward_pair`` pass, and
 target sync acts on the pair: DQN refreshes its target by
 ``hard_copy`` on a fixed period, DDPG blends both of its targets with
 ``soft_update`` and a small Polyak factor after every update. ``act``
-and evaluation use plain ``forward``. Observations are scaled by a
+forwards its observation as a one-row matrix, and evaluation as a stack
+of rows, both through plain ``forward``. Observations are scaled by a
 fixed per-environment affine map before they reach any network.
 
 Every network an agent builds has rectifier (relu) hidden layers, as in
@@ -273,20 +274,19 @@ class DqnAgent:
         self.acts += 1
         if epsilon > 0.0 and rng.random() < epsilon:
             return int(rng.integers(self.actions.n))
-        values, _ = forward(self.q, self.scaler(obs))
+        values, _ = forward(self.q, self.scaler(obs)[None])
         return int(values.argmax())
 
     def update(self, batch: Batch) -> np.ndarray:
         """One weighted TD regression step; returns per-sample TD errors.
 
         The batch's state block is scaled in one call straight into the
-        pair's (2, n, input_dim) input, states into the online half and
-        next states into the target half. The max over next actions is
-        :func:`max_over_actions`."""
+        pair's (2, n, input_dim) input ``q.workspace(n).x``, states into
+        the online half and next states into the target half. The max
+        over next actions is :func:`max_over_actions`."""
         n = len(batch)
-        ws = self.pair.workspace(n)
-        self.scaler(batch.state_block, out=ws.x)
-        q_all, next_q, cache = forward_pair(self.pair, *ws.inputs)
+        self.scaler(batch.state_block, out=self.q.workspace(n).x)
+        q_all, next_q, cache = forward_pair(self.pair, n)
         targets = _td_targets(batch, self.config.gamma, max_over_actions(next_q))
         if self._row_starts.size != n:
             self._row_starts = np.arange(0, n * self.actions.n, self.actions.n)
@@ -461,21 +461,19 @@ class DdpgAgent:
 
     def act(self, obs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Actor output plus exploration noise, clipped to bounds."""
-        action, _ = forward(self.actor, self.scaler(obs))
+        action = forward(self.actor, self.scaler(obs)[None])[0][0]
         action += self.noise.sample(rng)
         # np.clip's bits on finite values, in place on the fresh output.
         np.maximum(action, self.actions.low, out=action)
         np.minimum(action, self.actions.high, out=action)
         return action
 
-    def critic_update(
-        self, batch: Batch, inputs: np.ndarray, next_inputs: np.ndarray
-    ) -> np.ndarray:
+    def critic_update(self, batch: Batch) -> np.ndarray:
         """Weighted TD regression on the critic; returns TD errors.
-        ``inputs`` are the critic's (s, a) rows of ``batch`` and
-        ``next_inputs`` its (s', actor_target(s')) rows, both scaled;
-        one stacked pass evaluates Q and Q_target on them."""
-        q, next_q, cache = forward_pair(self.critic_pair, inputs, next_inputs)
+        The two halves of ``critic.workspace(len(batch)).x`` hold the
+        critic's scaled (s, a) and (s', actor_target(s')) rows of
+        ``batch``; one stacked pass evaluates Q and Q_target on them."""
+        q, next_q, cache = forward_pair(self.critic_pair, len(batch))
         targets = _td_targets(batch, self.config.gamma, next_q[:, 0])
         td_errors = q[:, 0] - targets
         check_divergence(td_errors)
@@ -510,22 +508,24 @@ class DdpgAgent:
         critic's TD errors.
 
         The batch's state block is scaled in one call straight into the
-        actor pair's (2, n, dim) input. The critic pair's input takes
-        that scaled block in one copy, then the batch's actions and the
-        target actor's actions as its two action columns. The actor
-        step reuses the actor's cache from the stacked pass, which
-        stays valid: the critic step changes no actor parameter.
+        actor pair's (2, n, dim) input ``actor.workspace(n).x``. The
+        critic pair's input ``critic.workspace(n).x`` takes that scaled
+        block in one copy, then the batch's actions and the target
+        actor's actions as its two action columns. The actor step
+        reuses the actor's cache from the stacked pass, which stays
+        valid: the critic step changes no actor parameter. Its forward
+        of the critic on the online half comes after the critic step has
+        used the critic pair's cache.
         """
         n, dim = len(batch), self.scaler.dim
-        actor_ws = self.actor_pair.workspace(n)
-        self.scaler(batch.state_block, out=actor_ws.x)
-        actions, next_actions, actor_cache = forward_pair(self.actor_pair, *actor_ws.inputs)
-        critic_ws = self.critic_pair.workspace(n)
-        critic_ws.x[:, :, :dim] = actor_ws.x
-        inputs, next_inputs = critic_ws.inputs
-        inputs[:, dim:], next_inputs[:, dim:] = batch.actions, next_actions
-        td_errors = self.critic_update(batch, inputs, next_inputs)
-        self.actor_update(inputs, actions, actor_cache)
+        actor_x = self.actor.workspace(n).x
+        self.scaler(batch.state_block, out=actor_x)
+        actions, next_actions, actor_cache = forward_pair(self.actor_pair, n)
+        critic_x = self.critic.workspace(n).x
+        critic_x[:, :, :dim] = actor_x
+        critic_x[0, :, dim:], critic_x[1, :, dim:] = batch.actions, next_actions
+        td_errors = self.critic_update(batch)
+        self.actor_update(critic_x[0], actions, actor_cache)
         self.sync_targets()
         return td_errors
 

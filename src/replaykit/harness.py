@@ -396,9 +396,10 @@ def sweep(cfg: RunConfig, out_dir) -> list[tuple[str, str, int | None]]:
     Combinations the environment cannot support are reported as
     ``unsupported`` rather than silently skipped; runs that finish the
     episode budget without meeting the solve threshold (or whose env
-    has none) report ``no-convergence-within-limit``.
+    has none) report ``no-convergence-within-limit``. The base config is
+    checked without its strategy flags, which each combination sets.
     """
-    validate_config(cfg)
+    validate_config(replace(cfg, combined=False, hindsight=False, prioritized=False))
     os.makedirs(out_dir, exist_ok=True)
     rows: list[tuple[str, str, int | None]] = []
     for combined, hindsight, prioritized in SWEEP_STRATEGIES:

@@ -6,28 +6,33 @@ it, so Adam, hard copy and Polyak blending each run as a few whole-vector
 operations. ``forward`` returns a cache that ``backward`` consumes to
 produce the parameter gradient (a flat vector in the same layout) and the
 gradient with respect to the input, which actor-critic updates chain
-through; a caller computes only the one it uses. ``forward`` also takes a
-stack of single rows, which evaluates many inputs in one call with the
-bits of one call per row; frozen-policy evaluation uses it.
+through; a caller computes only the one it uses. ``forward`` takes a
+(rows, input_dim) matrix, or a stack of single rows, which evaluates
+many inputs in one call with the bits of a one-row matrix per row;
+frozen-policy evaluation uses it.
 
-The learner step allocates almost nothing: each network keeps a private
-workspace per row count of matrix (or vector) inputs, built on first use,
-holding the hidden activations, the backward deltas and the flat
-parameter gradient. Lifetimes follow from that:
+The learner step allocates almost nothing: each network keeps one
+private workspace per row count, built on first use. It holds the
+stacked input block and hidden activations of a ``forward_pair`` of the
+pair whose online half the network is, the online halves of which are
+also a matrix ``forward``'s hidden activations, plus the backward
+deltas and the flat parameter gradient. Only those two passes write it;
+a stack of rows does not. Lifetimes follow from that:
 
 * ``forward`` outputs and ``backward`` input gradients are always fresh
   arrays that the caller may keep;
-* a cache is valid until the next ``forward`` through the same network
-  with the same row count, or until the parameters change (each update
-  bumps a version counter); ``backward`` raises IntegrityError on a
-  cache that is no longer valid rather than read overwritten buffers;
+* a cache is valid until the next matrix ``forward`` or ``forward_pair``
+  through the same network with the same row count, or until the
+  parameters change (each update bumps a version counter); ``backward``
+  raises IntegrityError on a cache that is no longer valid, or that is
+  not of this network's workspace, rather than read the wrong buffers;
 * the parameter gradient ``backward`` returns is valid until the next
   ``backward`` through the same network with the same row count.
 
-Stacks of rows use no workspace. Copying a network (``clone_mlp``,
-``copy.deepcopy`` or a pickle round trip) never shares its workspaces.
+Copying a network (``copy.deepcopy`` or a pickle round trip) never
+shares its workspaces.
 
-A product of two 2-D operands (each layer of a vector or matrix forward,
+A product of two 2-D operands (each layer of a matrix forward,
 and both products of every backward layer) goes through ``np.dot``,
 which hands it to BLAS with less dispatch than ``np.matmul``; stacks
 (``forward_pair``'s (2, n, k) and evaluation's (n, 1, k) rows) need
@@ -42,11 +47,10 @@ pair: ``hard_copy`` copies the online row over the target row and
 one row count in one stacked pass: per layer, one (2, n, fan_in) @
 (2, fan_in, fan_out) matmul whose slices are each the product of a
 plain matrix forward, so the bits are those of two ``forward`` calls.
-The pair keeps its own input and hidden buffers per row count; its
-outputs are fresh, and its cache is one of the online network that
-``backward`` accepts, with the same lifetime as a matrix forward's: the
-pass counts as a forward through the online network's workspace for
-that row count.
+It reads its inputs from, and writes its hidden activations into, the
+online network's workspace for that row count; its outputs are fresh,
+and its cache is one of the online network that ``backward`` accepts,
+with the same lifetime as a matrix forward's.
 
 Checkpoints are text with repr floats, so a load gives back every bit.
 ``save_checkpoint`` formats each weight and bias row in pieces of a few
@@ -56,6 +60,7 @@ the file, or of a whole row, at once.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -159,19 +164,28 @@ class Mlp:
 
 
 class Workspace:
-    """One network's buffers for inputs of one row count.
+    """One network's buffers for inputs of one row count, the only ones
+    it has for that count.
 
-    ``hidden[i]`` holds layer i's activation, ``delta[i]`` and
-    ``temp[i]`` the loss gradient at layer i's output and its activation
-    derivative, and ``grad`` the flat parameter gradient with per-layer
-    views ``grad_weights`` and ``grad_biases``. ``generation`` counts
-    the forwards that wrote into it.
+    ``x`` (2, rows, input_dim) and ``pair_hidden[i]`` (2, rows, n) are a
+    ``forward_pair``'s input block and layer i's activations, row 0
+    online and row 1 target; ``online_inputs`` are the activations
+    entering each layer of the online half. ``hidden[i]``, layer i's
+    activation of a matrix ``forward``, is the online half
+    ``pair_hidden[i][0]``. ``delta[i]`` and ``temp[i]`` hold the loss
+    gradient at layer i's output and its activation derivative, and
+    ``grad`` the flat parameter gradient with per-layer views
+    ``grad_weights`` and ``grad_biases``. ``generation`` counts the
+    passes that wrote into it.
     """
 
     def __init__(self, net: Mlp, rows: int) -> None:
         sizes = net.layer_sizes
         self.generation = 0
-        self.hidden = [np.empty((rows, n)) for n in sizes[1:-1]]
+        self.x = np.empty((2, rows, sizes[0]))
+        self.pair_hidden = [np.empty((2, rows, n)) for n in sizes[1:-1]]
+        self.hidden = [h[0] for h in self.pair_hidden]
+        self.online_inputs = [self.x[0], *self.hidden]
         self.delta = [np.empty((rows, n)) for n in sizes[1:]]
         self.temp = [np.empty((rows, n)) for n in sizes[1:]]
         self.grad = np.empty_like(net.params)
@@ -211,17 +225,6 @@ def init_mlp(
     return net
 
 
-def clone_mlp(net: Mlp) -> Mlp:
-    return Mlp(
-        layer_sizes=net.layer_sizes,
-        hidden_activation=net.hidden_activation,
-        output_activation=net.output_activation,
-        output_scale=net.output_scale,
-        weights=net.weights,
-        biases=net.biases,
-    )
-
-
 class NetworkPair:
     """An online network and its target, held as the two rows of one
     (2, P) parameter array so that :func:`forward_pair` evaluates both
@@ -238,7 +241,7 @@ class NetworkPair:
     """
 
     def __init__(self, online: Mlp) -> None:
-        self._join(online, clone_mlp(online))
+        self._join(online, copy.deepcopy(online))
 
     def _join(self, online: Mlp, target: Mlp) -> None:
         self.params = np.stack([online.params, target.params])
@@ -248,17 +251,8 @@ class NetworkPair:
         self.online, self.target = online, target
         weights, biases = online.split(self.params)
         self.weights, self.biases = weights, [b[:, None, :] for b in biases]
-        self._workspaces: dict[int, PairWorkspace] = {}
         # soft_update forms tau * online here.
         self._blend = np.empty_like(online.params)
-
-    def workspace(self, rows: int) -> PairWorkspace:
-        """The pair's buffers for ``rows``-row inputs, built on first
-        use."""
-        ws = self._workspaces.get(rows)
-        if ws is None:
-            ws = self._workspaces[rows] = PairWorkspace(self.online, rows)
-        return ws
 
     # Copies and pickles carry the two networks alone and join them
     # again, so the halves view the copy's own rows.
@@ -269,67 +263,44 @@ class NetworkPair:
         self._join(state["online"], state["target"])
 
 
-class PairWorkspace:
-    """A pair's buffers for inputs of one row count: ``x`` (2, rows,
-    input_dim) and ``hidden[i]`` (2, rows, n), row 0 online and row 1
-    target. ``inputs`` are the two input rows and ``online_inputs`` the
-    activations entering each layer of the online network."""
-
-    def __init__(self, net: Mlp, rows: int) -> None:
-        self.x = np.empty((2, rows, net.input_dim))
-        self.hidden = [np.empty((2, rows, n)) for n in net.layer_sizes[1:-1]]
-        self.inputs = (self.x[0], self.x[1])
-        self.online_inputs = [self.x[0]] + [h[0] for h in self.hidden]
-
-
 class ForwardCache:
     """What ``backward`` needs from one forward pass: the activation
     entering each layer (``inputs``), the post-activation network
-    ``outputs``, the parameter ``version`` and ``layer_sizes`` they came
-    from, whether a vector input was ``squeezed`` into a row, and the
+    ``outputs``, the parameter ``version`` they came from, and the
     ``workspace`` written (None for a stack of rows) with the
-    ``generation`` this forward gave it. A plain slotted class, since
+    ``generation`` this pass gave it. A plain slotted class, since
     every forward builds one."""
 
-    __slots__ = (
-        "inputs", "outputs", "version", "layer_sizes", "squeezed", "workspace", "generation"
-    )
+    __slots__ = ("inputs", "outputs", "version", "workspace", "generation")
 
-    def __init__(self, inputs, outputs, version, layer_sizes, squeezed, workspace, generation):
+    def __init__(self, inputs, outputs, version, workspace, generation):
         self.inputs, self.outputs, self.version = inputs, outputs, version
-        self.layer_sizes, self.squeezed = layer_sizes, squeezed
         self.workspace, self.generation = workspace, generation
 
 
-def _as_rows(x: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=np.float64)
-    squeezed = x.ndim == 1
-    if squeezed:
-        x = x[None, :]
-    if not (x.ndim == 2 or (x.ndim == 3 and x.shape[1] == 1)) or x.shape[-1] != dim:
-        raise ValueError(
-            f"input must be a vector, a (batch, {dim}) matrix or an (n, 1, {dim}) "
-            f"stack of rows, got shape {x.shape}"
-        )
-    return x, squeezed
-
-
 def forward(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Evaluate the network on a vector, a (batch, input_dim) matrix or a
-    stack of single rows of shape (n, 1, input_dim).
+    """Evaluate the network on a (rows, input_dim) matrix or a stack of
+    single rows of shape (n, 1, input_dim).
 
     Returns a fresh output with matching rank plus the cache backward
     needs. A matrix goes through one matrix-matrix product per layer,
     whose rounding can differ in the last bits from evaluating its rows
     one at a time. A stack keeps the vector-matrix product of a single
-    row, so each of its rows gives exactly the bits of
-    ``forward(net, row)``; ``backward`` does not accept its cache.
+    row, so each of its rows gives exactly the bits of a one-row matrix
+    ``forward(net, row[None])``; ``backward`` does not accept its cache.
 
-    A vector or matrix forward writes its hidden activations into the
-    network's workspace for its row count, which invalidates every
-    earlier cache of that workspace, even when this forward raises.
+    A matrix forward writes its hidden activations into the online
+    halves of the network's workspace for its row count (see
+    :class:`Workspace`), which invalidates every earlier cache of that
+    workspace, even when this forward raises. A stack writes no
+    workspace.
     """
-    a, squeezed = _as_rows(x, net.input_dim)
+    a = np.asarray(x, dtype=np.float64)
+    if not (a.ndim == 2 or (a.ndim == 3 and a.shape[1] == 1)) or a.shape[-1] != net.input_dim:
+        raise ValueError(
+            f"input must be a (rows, {net.input_dim}) matrix or an (n, 1, {net.input_dim}) "
+            f"stack of rows, got shape {a.shape}"
+        )
     if a.ndim == 2:
         ws = net.workspace(a.shape[0])
         ws.generation += 1
@@ -339,45 +310,31 @@ def forward(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
         hidden = [np.empty((a.shape[0], 1, n)) for n in net.layer_sizes[1:-1]]
     out = _layers(net, a, net.weights, net.biases, hidden)
     generation = 0 if ws is None else ws.generation
-    cache = ForwardCache([a, *hidden], out, net.version, net.layer_sizes, squeezed, ws, generation)
-    return (out[0] if squeezed else out), cache
+    return out, ForwardCache([a, *hidden], out, net.version, ws, generation)
 
 
-def forward_pair(
-    pair: NetworkPair, x_online: np.ndarray, x_target: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, ForwardCache]:
-    """Evaluate ``pair.online`` on ``x_online`` and ``pair.target`` on
-    ``x_target``, two (n, input_dim) matrices, in one stacked pass.
+def forward_pair(pair: NetworkPair, rows: int) -> tuple[np.ndarray, np.ndarray, ForwardCache]:
+    """Evaluate ``pair.online`` and ``pair.target`` on the two halves of
+    ``pair.online.workspace(rows).x``, which the caller fills in place
+    (row 0 online, row 1 target), in one stacked pass.
 
-    Each layer is one (2, n, fan_in) @ (2, fan_in, fan_out) matmul, one
-    bias add and one activation, with one finite check over both
-    outputs. Each slice of the matmul is the matrix product a matrix
-    ``forward`` of one network runs, so the outputs have the bits of
-    ``forward(pair.online, x_online)`` and ``forward(pair.target,
-    x_target)``. Returns both fresh outputs and the online network's
-    cache, which ``backward(pair.online, ...)`` accepts.
-
-    The inputs are copied into ``pair.workspace(n).inputs``, the two
-    halves of its (2, n, input_dim) block ``x``, unless they are those
-    arrays, which a caller may fill in place, whole or by halves. Like a matrix
-    forward through the online network, the pass bumps the generation
-    of its workspace for n rows, so it invalidates that workspace's
-    earlier caches and a later forward invalidates its cache.
+    Each layer is one (2, rows, fan_in) @ (2, fan_in, fan_out) matmul,
+    one bias add and one activation, with one finite check over both
+    outputs; the hidden activations go into the workspace's
+    ``pair_hidden``. Each slice of the matmul is the matrix product a
+    matrix ``forward`` of one network runs, so the outputs have the bits
+    of ``forward(pair.online, x[0])`` and ``forward(pair.target,
+    x[1])``. Returns both fresh outputs and the online network's cache,
+    which ``backward(pair.online, ...)`` accepts. Like a matrix forward
+    through the online network, the pass bumps the workspace's
+    generation, so it invalidates the workspace's earlier caches and a
+    later matrix forward or pair pass invalidates its cache.
     """
     online = pair.online
-    ws = pair.workspace(len(x_online))
-    for given, row in zip((x_online, x_target), ws.inputs):
-        if given is not row:
-            if np.shape(given) != row.shape:
-                raise ValueError(f"inputs must both have shape {row.shape}")
-            row[...] = given
-    online_ws = online.workspace(ws.x.shape[1])
-    online_ws.generation += 1
-    out = _layers(online, ws.x, pair.weights, pair.biases, ws.hidden)
-    cache = ForwardCache(
-        ws.online_inputs, out[0], online.version, online.layer_sizes, False, online_ws,
-        online_ws.generation,
-    )
+    ws = online.workspace(rows)
+    ws.generation += 1
+    out = _layers(online, ws.x, pair.weights, pair.biases, ws.pair_hidden)
+    cache = ForwardCache(ws.online_inputs, out[0], online.version, ws, ws.generation)
     return out[0], out[1], cache
 
 
@@ -421,27 +378,27 @@ def backward(
 
     Returns the parameter gradient, a flat vector laid out like
     ``net.params``, and the loss gradient with respect to the forward
-    input, in the input's original rank. Either is None, and not
-    computed, when its flag is False. The input gradient is a fresh
-    array. The parameter gradient is the workspace's: it stays valid
-    until the next ``backward`` through this network with the same row
-    count, so copy it to keep it longer. Raises IntegrityError when the
-    parameters changed, or a later forward reused the workspace, since
-    ``cache`` was made.
+    input. Either is None, and not computed, when its flag is False.
+    The input gradient is a fresh array. The parameter gradient is the
+    workspace's: it stays valid until the next ``backward`` through this
+    network with the same row count, so copy it to keep it longer.
+    Raises IntegrityError when ``cache`` is not of this network's
+    workspace for its row count, or when the parameters changed, or a
+    later forward reused the workspace, since ``cache`` was made.
     """
-    if cache.version != net.version or cache.layer_sizes != net.layer_sizes:
-        raise IntegrityError("forward cache does not match current parameters")
     ws = cache.workspace
     if ws is None:
         raise ValueError(
-            "backward needs the cache of a vector or matrix forward, not of an "
+            "backward needs the cache of a matrix forward, not of an "
             "(n, 1, input_dim) stack of rows"
         )
+    if net._workspaces.get(len(cache.outputs)) is not ws:
+        raise IntegrityError("forward cache is of another network's workspace")
+    if cache.version != net.version:
+        raise IntegrityError("forward cache does not match current parameters")
     if cache.generation != ws.generation:
         raise IntegrityError("forward cache was overwritten by a later forward")
     gy = np.asarray(output_grad, dtype=np.float64)
-    if cache.squeezed:
-        gy = gy[None, :]
     if gy.shape != cache.outputs.shape:
         raise ValueError(
             f"output_grad shape {gy.shape} != output shape {cache.outputs.shape}"
@@ -475,10 +432,7 @@ def backward(
             delta = np.dot(delta, net.weights[i].T, out=ws.delta[i - 1])
         elif input_grad:
             delta = np.dot(delta, net.weights[0].T)
-    grad = ws.grad if param_grads else None
-    if not input_grad:
-        return grad, None
-    return grad, (delta[0] if cache.squeezed else delta)
+    return (ws.grad if param_grads else None), (delta if input_grad else None)
 
 
 @dataclass

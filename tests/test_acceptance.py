@@ -12,6 +12,7 @@ module stays within a few minutes of wall clock.
 
 from __future__ import annotations
 
+import copy
 import math
 import statistics
 
@@ -30,7 +31,7 @@ from replaykit.harness import (
     train,
 )
 from replaykit.hindsight import Columns, augment_observation, relabeled_transitions
-from replaykit.nn import NetworkPair, backward, clone_mlp, forward, init_mlp, soft_update
+from replaykit.nn import NetworkPair, backward, forward, init_mlp, soft_update
 from replaykit.prioritized import BLOCK, PerConfig, PrioritizedSampler, SumTree
 from replaykit.replay import ReplayBuffer
 
@@ -243,7 +244,7 @@ def test_gradient_check_100_networks() -> None:
             output_activation=output,
             output_scale=scale,
         )
-        x = rng.normal(size=sizes[0])
+        x = rng.normal(size=sizes[0])[None]
         out, cache = forward(net, x)
         out_grad = rng.normal(size=out.shape)
         flat_grad, _ = backward(net, cache, out_grad)
@@ -312,7 +313,7 @@ def test_dqn_learns_toy_mdp() -> None:
     for _ in range(20_000):
         agent.update(stack.sample(cfg.batch_size))
     learned = np.array(
-        [[forward(agent.q, one_hot(s))[0][a] for a in (0, 1)] for s in (0, 1)]
+        [[forward(agent.q, one_hot(s)[None])[0][0, a] for a in (0, 1)] for s in (0, 1)]
     )
     error = float(np.abs(learned - q_star).max())
     ok = error < 1e-2
@@ -448,7 +449,7 @@ def test_soft_update_algebra() -> None:
     online = init_mlp((3, 5, 2), rng)
     checks = []
     for tau in (0.0, 0.5, 1.0):
-        pair = NetworkPair(clone_mlp(online))
+        pair = NetworkPair(copy.deepcopy(online))
         target = pair.target
         target.params[...] = init_mlp((3, 5, 2), rng).params
         expected = [
@@ -459,7 +460,7 @@ def test_soft_update_algebra() -> None:
         checks.append(
             all(np.array_equal(e, w) for e, w in zip(expected, target.weights))
         )
-    pair = NetworkPair(clone_mlp(online))
+    pair = NetworkPair(copy.deepcopy(online))
     target = pair.target
     target.params[...] = init_mlp((3, 5, 2), rng).params
     for _ in range(400):

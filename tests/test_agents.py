@@ -362,8 +362,8 @@ def test_ddpg_act_is_np_clip_of_actor_plus_noise() -> None:
     twin = copy.deepcopy(agent)
     rng, twin_rng = np.random.default_rng(29), np.random.default_rng(29)
     for obs in np.random.default_rng(31).normal(size=(200, 3)):
-        out, _ = forward(twin.actor, twin.scaler(obs))
-        want = np.clip(out + twin.noise.sample(twin_rng), -2.0, 2.0)
+        out, _ = forward(twin.actor, twin.scaler(obs)[None])
+        want = np.clip(out[0] + twin.noise.sample(twin_rng), -2.0, 2.0)
         assert agent.act(obs, rng).tobytes() == want.tobytes()
 
 
@@ -381,16 +381,18 @@ def test_ddpg_greedy_within_bounds() -> None:
     agent = make_ddpg()
     rng = np.random.default_rng(8)
     for _ in range(20):
-        action, _ = forward(agent.actor, agent.scaler(rng.normal(size=3)))
-        assert -2.0 <= action[0] <= 2.0
+        action, _ = forward(agent.actor, agent.scaler(rng.normal(size=3))[None])
+        assert -2.0 <= action[0, 0] <= 2.0
 
 
-def critic_inputs(agent: DdpgAgent, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
-    """The critic's scaled (s, a) and (s', actor_target(s')) rows of
-    ``batch``, through plain forwards."""
+def fill_critic_inputs(agent: DdpgAgent, batch: Batch) -> None:
+    """Write the critic's scaled (s, a) and (s', actor_target(s')) rows
+    of ``batch``, made through plain forwards, into the halves of the
+    critic's input block, where ``critic_update`` reads them."""
     states, next_states = agent.scaler(batch.states), agent.scaler(batch.next_states)
     next_actions, _ = forward(agent.actor_target, next_states)
-    return np.hstack([states, batch.actions]), np.hstack([next_states, next_actions])
+    x = agent.critic.workspace(len(batch)).x
+    x[0], x[1] = np.hstack([states, batch.actions]), np.hstack([next_states, next_actions])
 
 
 def actor_step(agent: DdpgAgent, scaled: np.ndarray) -> None:
@@ -410,7 +412,8 @@ def test_ddpg_critic_target_hand_check() -> None:
     agent.critic_target.biases[-1][0] = 1.0
     batch = make_batch([(np.zeros(3), np.array([0.3]), 0.5, np.zeros(3), False)])
     q, _ = forward(agent.critic, np.concatenate([np.zeros(3), np.array([0.3])])[None, :])
-    td = agent.critic_update(batch, *critic_inputs(agent, batch))
+    fill_critic_inputs(agent, batch)
+    td = agent.critic_update(batch)
     assert td[0] == pytest.approx(float(q[0, 0]) - 1.4)
 
 
@@ -418,7 +421,8 @@ def test_ddpg_critic_terminal_ignores_bootstrap() -> None:
     agent = make_ddpg(gamma=0.9)
     batch = make_batch([(np.zeros(3), np.array([0.0]), 2.0, np.zeros(3), True)])
     q, _ = forward(agent.critic, np.zeros(4)[None, :])
-    td = agent.critic_update(batch, *critic_inputs(agent, batch))
+    fill_critic_inputs(agent, batch)
+    td = agent.critic_update(batch)
     assert td[0] == pytest.approx(float(q[0, 0]) - 2.0)
 
 
@@ -537,7 +541,7 @@ def overflow_outputs(net: Mlp) -> None:
 
 
 def test_non_finite_network_output_raises_on_every_path() -> None:
-    # A matrix forward, a vector forward (act), a stack of rows (the
+    # A matrix forward, a one-row forward (act), a stack of rows (the
     # eval policy) and both updates. Only the online networks overflow,
     # so each error comes from the output check of forward, not from
     # the targets or the TD errors.
@@ -615,7 +619,8 @@ def test_ddpg_update_scales_the_state_block_like_two_arrays(batch_size) -> None:
     for step in range(3):
         batch = make_batch(random_rows(batch_size, discrete=False, rng_seed=step),
                            rng.uniform(0.1, 1.0, size=batch_size))
-        td_ref = twin.critic_update(batch, *critic_inputs(twin, batch))
+        fill_critic_inputs(twin, batch)
+        td_ref = twin.critic_update(batch)
         actor_step(twin, twin.scaler(batch.states))
         twin.sync_targets()
         td = agent.update(batch)

@@ -165,6 +165,24 @@ def test_sweep_writes_summary(tmp_path, capsys) -> None:
     assert not (out / "her").exists()
 
 
+def test_sweep_ignores_the_strategy_flags_of_its_base_config(tmp_path, capsys) -> None:
+    # sweep sets all three strategy flags for each combination, so a
+    # hindsight flag on a goalless env only marks the HER runs unsupported.
+    out = tmp_path / "sweep"
+    code = run_cli(["sweep", "--env", "cartpole", "--agent", "dqn",
+                    "--out", out, *TINY, "--set", "episodes=1", "--set", "eval_interval=10",
+                    "--set", "hindsight=true", "--set", "combined=true"])
+    assert code == 0, capsys.readouterr().err
+    statuses = dict(line.split(",")[:2] for line in
+                    (out / "summary.csv").read_text().splitlines()[1:])
+    assert len(statuses) == 8
+    for name in ("her", "cher", "hper", "chper"):
+        assert statuses[name] == "unsupported"
+    for name in ("baseline", "cer", "per", "cper"):
+        assert statuses[name] != "unsupported"
+        assert (out / name / "run.csv").exists()
+
+
 def test_eval_reports_checkpoint_score(tmp_path, capsys) -> None:
     out = tmp_path / "run"
     assert run_cli(["train", "--env", "cartpole", "--agent", "dqn",

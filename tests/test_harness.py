@@ -964,7 +964,7 @@ def one_at_a_time_reference(env_name, net, hindsight, episodes, rng):
         starts.append(obs)
         total, steps = 0.0, 0
         while True:
-            out, _ = forward(net, scaler(augment_observation(obs, goal)))
+            out = forward(net, scaler(augment_observation(obs, goal))[None])[0][0]
             if isinstance(spec.actions, DiscreteActions):
                 action = int(np.argmax(out))
             else:

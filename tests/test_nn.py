@@ -22,7 +22,6 @@ from replaykit.nn import (
     adam_init,
     adam_step,
     backward,
-    clone_mlp,
     forward,
     forward_pair,
     hard_copy,
@@ -102,8 +101,8 @@ def test_init_bounds_and_final_layer_scale() -> None:
 
 def test_forward_single_affine_layer() -> None:
     net = Mlp((1, 1), "tanh", "identity", 1.0, [np.array([[2.0]])], [np.array([1.0])])
-    y, _ = forward(net, np.array([3.0]))
-    assert y == pytest.approx([7.0])
+    y, _ = forward(net, np.array([3.0])[None])
+    assert y[0] == pytest.approx([7.0])
 
 
 def test_forward_zero_parameters_zero_output() -> None:
@@ -113,8 +112,8 @@ def test_forward_zero_parameters_zero_output() -> None:
         w[...] = 0.0
     for b in net.biases:
         b[...] = 0.0
-    y, _ = forward(net, rng.normal(size=3))
-    assert y == pytest.approx([0.0, 0.0])
+    y, _ = forward(net, rng.normal(size=3)[None])
+    assert y[0] == pytest.approx([0.0, 0.0])
 
 
 def test_forward_batch_matches_per_row() -> None:
@@ -123,8 +122,8 @@ def test_forward_batch_matches_per_row() -> None:
     xs = rng.normal(size=(6, net.input_dim))
     batch_y, _ = forward(net, xs)
     for i in range(6):
-        row_y, _ = forward(net, xs[i])
-        assert row_y == pytest.approx(batch_y[i])
+        row_y, _ = forward(net, xs[i][None])
+        assert row_y[0] == pytest.approx(batch_y[i])
 
 
 def test_forward_shape_error() -> None:
@@ -138,19 +137,19 @@ def test_tanh_output_scaling() -> None:
     rng = np.random.default_rng(44)
     net = init_mlp([2, 4, 1], rng, output_activation="tanh", output_scale=2.0)
     for _ in range(50):
-        y, _ = forward(net, rng.normal(scale=10.0, size=2))
-        assert -2.0 <= y[0] <= 2.0
+        y, _ = forward(net, rng.normal(scale=10.0, size=2)[None])
+        assert -2.0 <= y[0, 0] <= 2.0
 
 
 def test_backward_linear_input_gradient() -> None:
     w = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
     net = Mlp((3, 2), "tanh", "identity", 1.0, [w], [np.zeros(2)])
     x = np.array([1.0, -1.0, 0.5])
-    _, cache = forward(net, x)
+    _, cache = forward(net, x[None])
     gy = np.array([1.0, 1.0])
-    grad, gx = backward(net, cache, gy)
+    grad, gx = backward(net, cache, gy[None])
     d_weights, d_biases = net.split(grad)
-    assert gx == pytest.approx(w @ gy)
+    assert gx[0] == pytest.approx(w @ gy)
     assert d_weights[0] == pytest.approx(np.outer(x, gy))
     assert d_biases[0] == pytest.approx(gy)
 
@@ -159,8 +158,8 @@ def test_gradients_match_finite_differences() -> None:
     rng = np.random.default_rng(45)
     for _ in range(10):
         net = random_net(rng)
-        x = rng.normal(size=net.input_dim)
-        coeffs = rng.normal(size=net.output_dim)
+        x = rng.normal(size=net.input_dim)[None]
+        coeffs = rng.normal(size=net.output_dim)[None]
 
         def loss(y):
             return np.sum(coeffs * y)
@@ -213,11 +212,11 @@ def test_backward_rejects_stale_cache() -> None:
     rng = np.random.default_rng(47)
     net = init_mlp([3, 4, 2], rng)
     x = rng.normal(size=3)
-    _, cache = forward(net, x)
+    _, cache = forward(net, x[None])
     state = adam_init(net, 1e-3)
     adam_step(net, np.ones_like(net.params), state)  # bumps the version
     with pytest.raises(IntegrityError):
-        backward(net, cache, np.ones(2))
+        backward(net, cache, np.ones(2)[None])
 
 
 def test_backward_rejects_stacked_rows_cache() -> None:
@@ -239,13 +238,13 @@ def test_backward_rejects_cache_overwritten_by_later_forward() -> None:
         backward(net, first, gy)
     # Another row count has a workspace of its own and leaves it valid.
     _, other = forward(net, rng.normal(size=(4, 3)))
-    _, vector = forward(net, rng.normal(size=3))
+    _, one_row = forward(net, rng.normal(size=3)[None])
     grad, dx = backward(net, second, gy)
     grad = grad.copy()  # the next backward rewrites the workspace gradient
     fresh_grad, fresh_dx = backward(net, forward(net, x)[1], gy)
     assert same_bits(grad, fresh_grad) and same_bits(dx, fresh_dx)
     backward(net, other, np.ones((4, 2)))
-    backward(net, vector, np.ones(2))
+    backward(net, one_row, np.ones(2)[None])
 
 
 def test_forward_that_raises_still_invalidates_older_caches() -> None:
@@ -263,7 +262,7 @@ def test_forward_that_raises_still_invalidates_older_caches() -> None:
 def test_outputs_and_input_gradients_are_fresh() -> None:
     rng = np.random.default_rng(64)
     net = init_mlp([3, 6, 2], rng, output_activation="tanh")
-    for x in (rng.normal(size=(5, 3)), rng.normal(size=3)):
+    for x in (rng.normal(size=(5, 3)), rng.normal(size=3)[None]):
         y1, c1 = forward(net, x)
         _, dx1 = backward(net, c1, np.ones_like(y1))
         y2, c2 = forward(net, x)
@@ -273,7 +272,7 @@ def test_outputs_and_input_gradients_are_fresh() -> None:
         assert not np.shares_memory(dx1, dx2)
 
 
-@pytest.mark.parametrize("shape", [(5, 2, 3), (5, 1, 4), (2, 5, 1, 3)])
+@pytest.mark.parametrize("shape", [(5, 2, 3), (5, 1, 4), (2, 5, 1, 3), (3,)])
 def test_forward_rejects_other_stacks(shape) -> None:
     net = init_mlp([3, 4, 2], np.random.default_rng(49))
     with pytest.raises(ValueError, match="stack of rows"):
@@ -411,7 +410,7 @@ def test_soft_update_extremes_and_blend() -> None:
     rng = np.random.default_rng(52)
     online = init_mlp([2, 3, 1], rng)
     target = init_mlp([2, 3, 1], rng)
-    frozen = clone_mlp(target)
+    frozen = copy.deepcopy(target)
 
     pair = paired(online, target)
     target = pair.target
@@ -419,13 +418,13 @@ def test_soft_update_extremes_and_blend() -> None:
     for t, f in zip(target.weights + target.biases, frozen.weights + frozen.biases):
         assert np.array_equal(t, f)
 
-    half_pair = paired(clone_mlp(online), frozen)
+    half_pair = paired(copy.deepcopy(online), frozen)
     half = half_pair.target
     soft_update(half_pair, 0.5)
     for h, f, o in zip(half.weights, frozen.weights, online.weights):
         assert h == pytest.approx(0.5 * f + 0.5 * o)
 
-    full_pair = paired(clone_mlp(online), frozen)
+    full_pair = paired(copy.deepcopy(online), frozen)
     full = full_pair.target
     soft_update(full_pair, 1.0)
     for f_, o in zip(full.weights, online.weights):
@@ -516,13 +515,13 @@ def test_weights_and_biases_are_views_of_params(tmp_path) -> None:
     initialized = init_mlp([4, 6, 5, 2], rng)
     save_checkpoint(tmp_path / "ckpt.txt", {"q": initialized})
     loaded = load_checkpoint(tmp_path / "ckpt.txt")[0]["q"]
-    for net in (built, initialized, clone_mlp(initialized), loaded):
+    for net in (built, initialized, copy.deepcopy(initialized), loaded):
         sizes = net.layer_sizes
         assert net.params.shape == (sum((a + 1) * b for a, b in zip(sizes, sizes[1:])),)
         for view in net.weights + net.biases:
             assert np.shares_memory(net.params, view)
-    # a clone owns its own vector
-    assert not np.shares_memory(clone_mlp(initialized).params, initialized.params)
+    # a copy owns its own vector
+    assert not np.shares_memory(copy.deepcopy(initialized).params, initialized.params)
     built.weights[0][2, 1] = -4.0
     assert built.params[5] == -4.0  # W0 is row-major at the front
 
@@ -619,8 +618,6 @@ def test_checkpoint_reads_a_value_token_as_float_does(tmp_path, token) -> None:
 def reference_backward(net: Mlp, cache, output_grad: np.ndarray):
     """(weight grads, bias grads, input grad) computed layer by layer."""
     delta = np.asarray(output_grad, dtype=np.float64)
-    if cache.squeezed:
-        delta = delta[None, :]
     d_weights, d_biases = [None] * len(net.weights), [None] * len(net.biases)
     for i in range(len(net.weights) - 1, -1, -1):
         if i == len(net.weights) - 1:
@@ -636,7 +633,7 @@ def reference_backward(net: Mlp, cache, output_grad: np.ndarray):
         d_weights[i] = cache.inputs[i].T @ delta
         d_biases[i] = delta.sum(axis=0)
         delta = delta @ net.weights[i].T
-    return d_weights, d_biases, (delta[0] if cache.squeezed else delta)
+    return d_weights, d_biases, delta
 
 
 def reference_adam(arrays, grads, ms, vs, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -670,9 +667,10 @@ def test_backward_flags_match_per_array_reference() -> None:
     rng = np.random.default_rng(59)
     for trial in range(12):
         net = random_net(rng)
-        x = rng.normal(size=(5, net.input_dim)) if trial % 2 else rng.normal(size=net.input_dim)
+        rows = 5 if trial % 2 else 1
+        x = rng.normal(size=(rows, net.input_dim))
         _, cache = forward(net, x)
-        gy = rng.normal(size=(5, net.output_dim)) if trial % 2 else rng.normal(size=net.output_dim)
+        gy = rng.normal(size=(rows, net.output_dim))
         ref_w, ref_b, ref_dx = reference_backward(net, cache, gy)
 
         def assert_matches_reference(flat) -> None:
@@ -844,7 +842,7 @@ def test_truncated_checkpoint_raises_or_loads_whole_nets(checkpoint_dir, nets, d
 
 def one_row_reference(net: Mlp, rows: np.ndarray) -> np.ndarray:
     """The network's output for each row, one forward call per row."""
-    return np.stack([forward(net, row)[0] for row in rows])
+    return np.concatenate([forward(net, row[None])[0] for row in rows])
 
 
 @settings(max_examples=80, deadline=None)
@@ -888,6 +886,15 @@ def make_pair(name: str, seed: int) -> NetworkPair:
     return pair
 
 
+def pair_pass(pair: NetworkPair, x_online: np.ndarray, x_target: np.ndarray):
+    """``forward_pair`` on the two inputs, written first into the halves
+    of the online network's input block."""
+    rows = len(x_online)
+    x = pair.online.workspace(rows).x
+    x[0], x[1] = x_online, x_target
+    return forward_pair(pair, rows)
+
+
 @pytest.mark.parametrize("rows", [1, 2, 16, 31, 32, 33, 64, 128])
 @pytest.mark.parametrize("name", sorted(PAIR_NETS))
 def test_forward_pair_matches_two_plain_forwards(name, rows) -> None:
@@ -896,7 +903,7 @@ def test_forward_pair_matches_two_plain_forwards(name, rows) -> None:
     x_online = rng.normal(size=(rows, pair.online.input_dim))
     x_target = rng.normal(size=(rows, pair.online.input_dim))
     gy = rng.normal(size=(rows, pair.online.output_dim))
-    y_online, y_target, cache = forward_pair(pair, x_online, x_target)
+    y_online, y_target, cache = pair_pass(pair, x_online, x_target)
     grad, dx = backward(pair.online, cache, gy)
     grad = grad.copy()
     cache_inputs = [a.copy() for a in cache.inputs]
@@ -908,10 +915,9 @@ def test_forward_pair_matches_two_plain_forwards(name, rows) -> None:
     assert all(same_bits(a, b) for a, b in zip(cache_inputs, plain.inputs))
     want_grad, want_dx = backward(pair.online, plain, gy)
     assert same_bits(grad, want_grad) and same_bits(dx, want_dx)
-    # Inputs written in place into the pair's rows give the same bits.
-    rows_online, rows_target = pair.workspace(rows).inputs
-    rows_online[...], rows_target[...] = x_online, x_target
-    again_online, again_target, _ = forward_pair(pair, rows_online, rows_target)
+    # The plain forwards left the input block alone: a second pass over
+    # it gives the same bits in fresh outputs.
+    again_online, again_target, _ = forward_pair(pair, rows)
     assert same_bits(again_online, y_online) and same_bits(again_target, y_target)
     assert not np.shares_memory(again_online, y_online)
 
@@ -921,12 +927,12 @@ def test_forward_pair_cache_goes_stale() -> None:
     rng = np.random.default_rng(3)
     x = rng.normal(size=(8, 4))
     gy = np.ones((8, 2))
-    _, _, cache = forward_pair(pair, x, x)
+    _, _, cache = pair_pass(pair, x, x)
     forward(pair.online, rng.normal(size=(8, 4)))  # same row count
     with pytest.raises(IntegrityError, match="later forward"):
         backward(pair.online, cache, gy)
-    _, _, first = forward_pair(pair, x, x)
-    _, _, second = forward_pair(pair, x, x)
+    _, _, first = pair_pass(pair, x, x)
+    _, _, second = forward_pair(pair, 8)
     with pytest.raises(IntegrityError, match="later forward"):
         backward(pair.online, first, gy)
     forward(pair.online, rng.normal(size=(4, 4)))  # another row count
@@ -934,8 +940,29 @@ def test_forward_pair_cache_goes_stale() -> None:
     adam_step(pair.online, grad, adam_init(pair.online, 1e-3))
     with pytest.raises(IntegrityError, match="current parameters"):
         backward(pair.online, second, gy)
-    with pytest.raises(ValueError, match="shape"):
-        forward_pair(pair, x, x[:, :3])
+
+
+def test_backward_rejects_another_networks_cache() -> None:
+    # The pair's target and a fresh network of the same sizes are at
+    # version 0 like the online network, and each has a workspace for
+    # the same row count.
+    pair = make_pair("4-64-64-2", 8)
+    stranger = init_mlp(pair.online.layer_sizes, np.random.default_rng(8),
+                        hidden_activation="tanh")
+    rng = np.random.default_rng(8)
+    x, gy = rng.normal(size=(8, 4)), np.ones((8, 2))
+    forward(pair.online, x)
+    for other in (pair.target, stranger):
+        assert other.version == pair.online.version == 0
+        _, cache = forward(other, x)
+        with pytest.raises(IntegrityError, match="another network"):
+            backward(pair.online, cache, gy)
+        backward(other, cache, gy)
+    _, _, online_cache = pair_pass(pair, x, x)
+    for other in (pair.target, stranger):
+        with pytest.raises(IntegrityError, match="another network"):
+            backward(other, online_cache, gy)
+    backward(pair.online, online_cache, gy)
 
 
 def test_pair_networks_are_row_views() -> None:
@@ -976,7 +1003,7 @@ def test_hard_copy_and_soft_update_on_pair_match_per_array_reference() -> None:
     hard_copy(pair)
     assert same_bits(pair.params[1], pair.params[0])
     x = rng.normal(size=(5, 2))
-    y_online, y_target, _ = forward_pair(pair, x, x)
+    y_online, y_target, _ = pair_pass(pair, x, x)
     assert same_bits(y_online, y_target)
 
 
@@ -990,7 +1017,7 @@ def test_deep_copies_of_a_pair_share_no_memory() -> None:
     assert not np.shares_memory(twin.params, pair.params)
     assert twin.online.params.base is twin.params and twin.target.params.base is twin.params
     x = np.random.default_rng(7).normal(size=(3, 4))
-    for got, want in zip(forward_pair(twin, x, x)[:2], forward_pair(pair, x, x)[:2]):
+    for got, want in zip(pair_pass(twin, x, x)[:2], pair_pass(pair, x, x)[:2]):
         assert same_bits(got, want)
     twin.online.params[...] = 0.0
     assert not np.any(pair.online.params == 0.0)
