@@ -6,10 +6,13 @@ A class carries ``ACTIONS``, the action-space type it drives;
 ``BUFFER_CAPACITY``, its default replay capacity; ``POLICY_NET``, the
 name of its policy network in ``networks()``, the dict a checkpoint
 writes; and one constructor ``(actions, config, scaler, init_rng)``
-whose input dim is ``scaler.dim``. ``begin_episode()`` is called after
-every env reset and ``act(obs, rng)`` owns exploration: DQN's epsilon
-is the linear schedule at its own count of ``act`` calls, DDPG adds
-its own Ornstein-Uhlenbeck noise, which ``begin_episode`` resets.
+whose input dim is ``scaler.dim``, so a goal-augmented scaler gives a
+goal-augmented network. ``begin_episode()`` is called after every env
+reset and ``act(obs, rng)`` owns exploration: DQN's epsilon is the
+linear schedule at its own count of ``act`` calls, DDPG adds its own
+Ornstein-Uhlenbeck noise, which ``begin_episode`` resets. Evaluation
+never calls ``act``, so after training a DQN agent's ``acts`` equals
+the run's env steps.
 
 Both agents train on a replay :class:`~replaykit.replay.Batch`, whose
 states already carry any goal and whose weights are the per-sample
@@ -21,13 +24,18 @@ target sync acts on the pair: DQN refreshes its target by
 ``hard_copy`` on a fixed period, DDPG blends both of its targets with
 ``soft_update`` and a small Polyak factor after every update. ``act``
 forwards its observation as a one-row matrix, and evaluation as a stack
-of rows, both through plain ``forward``. Observations are scaled by a
+of rows, both through plain ``forward``. The two give the same bits,
+but a one-row stack through ``greedy_policy`` cost more per call (best
+of 5 x 20,000 calls, 2-vCPU Xeon, single-threaded OpenBLAS: a greedy
+CartPole DQN act 15 against 16-17 us, a Pendulum DDPG act 22 against
+27 us), so ``act`` keeps the matrix. Observations are scaled by a
 fixed per-environment affine map before they reach any network.
 
 Every network an agent builds has rectifier (relu) hidden layers, as in
 both source algorithms (Mnih et al. 2015; Lillicrap et al. 2015, section
-7). A checkpoint stores each network's activations, so one written with
-tanh hidden layers still loads and evaluates as it was trained.
+7); the activation is not a config key. A checkpoint stores each
+network's activations, so one written with tanh hidden layers still
+loads and evaluates as it was trained.
 """
 
 from __future__ import annotations
@@ -402,8 +410,10 @@ class DdpgAgent:
     Actor and critic have relu hidden layers; the actor's output is
     tanh scaled to the action bound. ``actor``/``actor_target`` and
     ``critic``/``critic_target`` are the halves of ``actor_pair`` and
-    ``critic_pair``. An update makes two stacked passes: the actor on
-    the states and the target actor on the next states, then Q on
+    ``critic_pair``, built in that order; a pair's target is a copy,
+    so the init draws are those of two plain networks. An update makes
+    two stacked passes: the actor on the states and the target actor on
+    the next states, then Q on
     (s, a) and Q_target on (s', a'). Critic training is a weighted TD
     regression; the actor then ascends the updated critic by chaining
     the critic's action-input gradient into its own backward pass. Both

@@ -22,8 +22,10 @@ holds every goal fact of its task, namely the goal space on its
 next_state, goal, tolerance) -> (reward, success)``. Under the native
 goal ``goal_reward`` gives the env's own step rewards, so rows that
 hindsight relabels and the rows the env produced follow one reward
-function. On Pendulum, ``dynamics`` and ``goal_reward`` both score
-through one private float scorer, so a step takes its angle once.
+function; the one exception is a few ulps at MountainCar's flag (see
+``MountainCar.native_goal``). On Pendulum, ``dynamics`` and
+``goal_reward`` both score through one private float scorer, so a step
+takes its angle once.
 """
 
 from __future__ import annotations
@@ -246,14 +248,26 @@ class MountainCar(Env):
 
     @staticmethod
     def native_goal(tolerance: float) -> np.ndarray:
-        """The goal whose success band is the flag's success set.
+        """The goal whose success band is the flag's success set, up to
+        rounding at the flag.
 
         The task succeeds on [GOAL_POSITION, MAX_POSITION]. A band of
         ``tolerance`` centered one tolerance past the flag starts at the
         flag and, positions being capped at the wall, covers that set
-        exactly once it reaches the wall, i.e. for tolerances of at
-        least 0.05. A smaller band would score flag positions past it
-        as failures, so it raises ConfigurationError.
+        once it reaches the wall, i.e. for tolerances of at least 0.05.
+        A smaller band would score flag positions past it as failures,
+        so it raises ConfigurationError.
+
+        The band's edge at the flag is not exact in floating point. At
+        the default tolerance 0.05 the center is 0.55000000000000004,
+        so ``goal_reward`` at position exactly 0.5 computes
+        abs(0.5 - center) = 0.050000000000000044 > 0.05 and scores -1
+        where the env pays 0 and ends; at other tolerances a position
+        just short of the flag scores a success. For 1,523 of the 2,000
+        tolerances in np.linspace(0.05, 1, 2000), 0.05 among them, no
+        center within 4,096 ulps of 0.5 + tolerance scores all of
+        [0.5, 0.6] a success and nextafter(0.5, -inf) a failure, so
+        only a different success test can make the band exact.
         """
         center = MountainCar.GOAL_POSITION + tolerance
         if not abs(MountainCar.MAX_POSITION - center) <= tolerance:

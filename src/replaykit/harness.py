@@ -212,10 +212,9 @@ def train(exp: Experiment) -> list[TrainRecord]:
     update, and feed the TD errors back to the priority sampler. Under
     hindsight every state is goal-augmented once, when the env returns
     it, and the agent acts on the array the buffer stores. When the
-    episode closes, goal relabeling reads its steps back from the
-    buffer's newest rows (the newest ``capacity`` of them when the
-    episode is longer) and stores the relabeled copies in one write.
-    Evaluation reads the agent's ``POLICY_NET`` network.
+    episode closes, goal relabeling reads its steps back with
+    ``ReplayBuffer.newest_rows`` and stores the relabeled copies in one
+    write. Evaluation reads the agent's ``POLICY_NET`` network.
     """
     cfg = exp.config
     agent = exp.agent
@@ -246,9 +245,7 @@ def train(exp: Experiment) -> list[TrainRecord]:
             if result.done or result.truncated:
                 break
         if cfg.hindsight:
-            buffer = exp.stack.buffer
-            m = min(env_steps - episode_start, buffer.capacity)
-            rows = buffer.gather((buffer.newest + np.arange(1 - m, 1)) % buffer.capacity)
+            rows = exp.stack.buffer.newest_rows(env_steps - episode_start)
             exp.stack.extend(*relabeled_transitions(rows, type(exp.env), exp.goal_tolerance))
         fresh_eval = episode % cfg.eval_interval == 0
         if fresh_eval:

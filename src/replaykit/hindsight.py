@@ -8,22 +8,28 @@ scores. The replay buffer never sees a goal of its own; it stores the
 augmented rows as they are.
 
 Relabeling reads the rows the buffer already holds. After an episode
-ends, the harness gathers its newest stored rows, in step order, and
+ends, the harness reads its steps back with
+:meth:`~replaykit.replay.ReplayBuffer.newest_rows`, in step order, and
 :func:`relabeled_transitions` returns one copy of every step as
 columns: the raw states are the stored states with their goal tails
-cut off, the goal actually achieved at the episode's final state is
-appended to both states instead, and the reward is recomputed under
-that substitute goal. The harness appends those rows to the replay
-buffer after the originals it stored step by step, so a relabeled
-episode contributes exactly twice its length in stored transitions.
-An episode longer than the buffer has only its newest ``capacity``
-steps still stored, and only those are relabeled: the same rows that
-relabeling every step would leave in the ring, in the same order.
+cut off (an exact slice, so they keep their bits), the goal actually
+achieved at the episode's final state is appended to both states
+instead, and the reward is recomputed under that substitute goal. The
+harness appends those rows to the replay buffer after the originals it
+stored step by step, so a relabeled episode contributes exactly twice
+its length in stored transitions. An episode of n steps longer than
+the buffer has only its newest ``capacity`` steps still stored, and
+only those are relabeled: the ring then holds the same rows, in the
+same FIFO order, as when every step is relabeled and the appends keep
+the last ``capacity``, only at slots rotated by (n - capacity) mod
+capacity. ``tests/test_goal_append_guard.py`` fails on any other
+module that joins arrays, and on a goal name in ``replay``.
 
 Every goal fact comes from the env class (see ``envs``): its
 ``goal_reward`` scores each step, and under the native goal it
-reproduces the env's own rewards, so original and relabeled rows in
-one buffer follow one reward function.
+reproduces the env's own rewards (up to the few ulps at MountainCar's
+flag that ``MountainCar.native_goal`` describes), so original and
+relabeled rows in one buffer follow one reward function.
 
 - MountainCar scores the state a step arrives at, as its task does, so
   the final relabeled step always succeeds. Its native goal needs a

@@ -43,8 +43,10 @@ one architecture, as rows 0 and 1 of one (2, P) parameter array; each
 is an ordinary network whose ``params`` is its row, so every update
 above works on either unchanged. Target sync is an operation on the
 pair: ``hard_copy`` copies the online row over the target row and
-``soft_update`` blends it in. ``forward_pair`` evaluates both at
-one row count in one stacked pass: per layer, one (2, n, fan_in) @
+``soft_update`` blends it in. Each, like Adam's update, is one vector
+operation with the element-wise arithmetic of a per-array loop in the
+same order, so its bits are that loop's. ``forward_pair`` evaluates
+both at one row count in one stacked pass: per layer, one (2, n, fan_in) @
 (2, fan_in, fan_out) matmul whose slices are each the product of a
 plain matrix forward, so the bits are those of two ``forward`` calls.
 It reads its inputs from, and writes its hidden activations into, the
@@ -80,7 +82,11 @@ class Mlp:
 
     The given weights and biases are validated and copied into the flat
     vector ``params`` (W0, b0, W1, b1, ... in row-major order); afterwards
-    ``weights`` and ``biases`` are views into it.
+    ``weights`` and ``biases`` are views into it. This is the one check
+    of a network (at least two positive layer sizes, known activations,
+    a finite ``output_scale`` > 0, finite parameters), so ``init_mlp``
+    and ``load_checkpoint`` share it, and a bad network in a checkpoint
+    raises CheckpointError.
     """
 
     layer_sizes: tuple[int, ...]
@@ -349,6 +355,10 @@ def _layers(net: Mlp, a: np.ndarray, weights, biases, hidden: list[np.ndarray]) 
     last = len(weights) - 1
     for i, (w, b) in enumerate(zip(weights, biases)):
         z = product(a, w, out=hidden[i] if i < last else None)
+        # On a stack, this add goes through numpy's buffered iterator,
+        # whose buffer (up to 8,192 elements) is most of a learner
+        # step's transient memory; one add per half is still slower
+        # (4.4 against 3.3 us at 64 rows of 64).
         z += b
         if i < last:
             if hidden_tanh:
@@ -478,12 +488,17 @@ def adam_step(net: Mlp, grad: np.ndarray, state: AdamState) -> None:
     folded into the step size and epsilon (Kingma & Ba, end of section
     2): p -= lr_t * m / (sqrt(v) + eps_t) with
     lr_t = lr * sqrt(1 - beta2^t) / (1 - beta1^t) and
-    eps_t = eps * sqrt(1 - beta2^t), which is the textbook update up to
-    rounding, evaluated in that order over the whole vector.
+    eps_t = eps * sqrt(1 - beta2^t), which is the textbook update with
+    bias-corrected moments and ``epsilon`` added to sqrt(v_hat), so
+    ``epsilon`` keeps its usual meaning. Only the rounding differs (a
+    test holds one step to the textbook form within 1e-12 relative),
+    and two whole-vector divides go away. It is evaluated in that order
+    over the whole vector.
 
     A dead relu unit gets zero gradients, and its first moments decay
     by beta1 every step. Left alone they would turn subnormal, and
-    every later step would pay for the slow arithmetic. So every
+    every later step would pay for the slow arithmetic (a 20,000-step
+    MountainCar DQN run fell from about 5.8k to 2.5k steps/s). So every
     ``MOMENT_FLUSH_PERIOD``-th step zeroes each first moment below
     ``MOMENT_FLOOR`` in magnitude, after the moments are updated and
     before the parameters are. In the steps between two flushes a

@@ -6,7 +6,10 @@ draw is one search over block sums plus one within a block of 64.
 Both searches, and the upkeep of the block prefix, stop at the highest
 block ever written, and the search keys grow with the written blocks,
 so a large store that holds few rows costs, in time and in resident
-memory, what a small one does.
+memory, what a small one does. Pendulum's 100,000-slot store holds at
+most 3,200 rows, 50 of its 1,563 blocks, and its keys reach 64 blocks
+(64 KiB), where keys for every slot would write 1.6 MB before the
+first row.
 Importance weights correct the induced bias and are normalized by the
 batch maximum so the largest weight in every batch is exactly 1.
 

@@ -13,7 +13,10 @@ slots into one :class:`Batch` of arrays for the learner, whose states
 and next states are the two halves of one (2, n, dim) block. Rows arrive
 one at a time through :meth:`ReplayBuffer.append`, or as columns through
 :meth:`ReplayBuffer.extend`, one checked write with the result of one
-append per row; the harness stores a relabeled episode that way.
+append per row; the harness stores a relabeled episode that way, after
+reading the episode back in append order with
+:meth:`ReplayBuffer.newest_rows`, so no other module does ring
+arithmetic.
 
 Each fact about a sampled slot is checked once, at the hop that
 establishes it. A uniform draw lies in [0, len) because the generator
@@ -189,6 +192,10 @@ class ReplayBuffer:
     def _allocate(self, shapes: tuple) -> None:
         state_shape, action_shape = shapes
         self._shapes = shapes
+        # One array per column: Pendulum's two 100,000-slot state
+        # columns are 3.2 MB each, below the 4 MiB from which numpy
+        # advises huge pages, where one array holding both would map
+        # 2 MiB at the first append.
         self._states = np.zeros((self.capacity, *state_shape))
         self._actions = np.zeros((self.capacity, *action_shape))
         self._rewards = np.zeros(self.capacity)
@@ -203,6 +210,15 @@ class ReplayBuffer:
         if not (indices.size and 0 <= indices.min() and indices.max() < self._count):
             raise IndexError(f"slots {indices} are not among the {self._count} filled")
         return self.gather_filled(indices, _unit_weights(indices.size) if weights is None else weights)
+
+    def newest_rows(self, n: int) -> Batch:
+        """The newest ``min(n, capacity)`` rows as one :class:`Batch`, in
+        append order, through the checked :meth:`gather`. The harness
+        reads a finished episode of n steps back this way to relabel
+        it; of an episode longer than the buffer, only the newest
+        ``capacity`` steps are still stored."""
+        m = min(n, self.capacity)
+        return self.gather((self.newest + np.arange(1 - m, 1)) % self.capacity)
 
     def gather_filled(self, indices: np.ndarray, weights: np.ndarray) -> Batch:
         """:meth:`gather` of int64 ``indices`` that the caller knows are

@@ -90,6 +90,27 @@ def test_latest_tracks_most_recent_append() -> None:
     assert rewards_at(buf, [buf.newest]) == [2.0]
 
 
+@pytest.mark.parametrize(
+    "appended, n, want",
+    [
+        (3, 2, [1.0, 2.0]),  # inside the ring
+        (7, 3, [4.0, 5.0, 6.0]),  # across the ring's end: slots 3, 0, 1
+        (7, 9, [3.0, 4.0, 5.0, 6.0]),  # n above the capacity
+        (2, 4, None),  # more than the filled rows
+    ],
+)
+def test_newest_rows_are_in_append_order(appended, n, want) -> None:
+    buf = filled_buffer(appended, capacity=4)
+    if want is None:
+        with pytest.raises(IndexError):
+            buf.newest_rows(n)
+        return
+    rows = buf.newest_rows(n)
+    assert rows.rewards.tolist() == want
+    assert rows.states[:, 0].tolist() == want
+    assert rows.indices.tolist() == [(appended - len(want) + i) % 4 for i in range(len(want))]
+
+
 def test_state_dim_mismatch_rejected() -> None:
     buf = ReplayBuffer(4)
     buf.append(*make_row(0.0, dim=2))
