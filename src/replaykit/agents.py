@@ -150,18 +150,6 @@ def greedy_policy(
     return policy
 
 
-def epsilon_schedule(start: float, end: float, decay_steps: int, step: int) -> float:
-    """Linear decay from start to end over decay_steps, then flat."""
-    if end > start:
-        raise ConfigurationError(f"epsilon end {end} must not exceed start {start}")
-    if decay_steps < 1:
-        raise ConfigurationError(f"decay_steps must be >= 1, got {decay_steps}")
-    if step < 0:
-        raise ValueError(f"step must be >= 0, got {step}")
-    fraction = min(step / decay_steps, 1.0)
-    return start + (end - start) * fraction
-
-
 def _td_targets(batch: Batch, gamma: float, next_values: np.ndarray) -> np.ndarray:
     """r + gamma * (1 - d) * next_values as one fresh array: the bits of
     that expression, with the product formed left to right and the
@@ -182,14 +170,20 @@ def _squared_loss_grad(weights: np.ndarray, td_errors: np.ndarray) -> np.ndarray
     return grad
 
 
-def _check_learning_rate(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0.0):
-        raise ConfigurationError(f"{name} must be finite and > 0, got {value}")
-
-
-def _check_hidden_sizes(sizes: tuple[int, ...]) -> None:
-    if any(size < 1 for size in sizes):
-        raise ConfigurationError(f"hidden_sizes must all be >= 1, got {sizes}")
+def _check_learner(config, *rates: str) -> None:
+    """The checks both agents' configs make: gamma, ``batch_size`` and
+    ``warmup``, the learning-rate fields named by ``rates``, and
+    ``hidden_sizes``."""
+    if not 0.0 <= config.gamma <= 1.0:
+        raise ConfigurationError(f"gamma must be in [0, 1], got {config.gamma}")
+    if config.batch_size < 1 or config.warmup < 1:
+        raise ConfigurationError("batch_size and warmup must be >= 1")
+    for name in rates:
+        value = getattr(config, name)
+        if not (math.isfinite(value) and value > 0.0):
+            raise ConfigurationError(f"{name} must be finite and > 0, got {value}")
+    if any(size < 1 for size in config.hidden_sizes):
+        raise ConfigurationError(f"hidden_sizes must all be >= 1, got {config.hidden_sizes}")
 
 
 @dataclass(frozen=True)
@@ -205,8 +199,7 @@ class DqnConfig:
     hidden_sizes: tuple[int, ...] = (64, 64)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ConfigurationError(f"gamma must be in [0, 1], got {self.gamma}")
+        _check_learner(self, "learning_rate")
         if not 0.0 <= self.epsilon_end <= self.epsilon_start <= 1.0:
             raise ConfigurationError(
                 "need 0 <= epsilon_end <= epsilon_start <= 1, got "
@@ -216,10 +209,6 @@ class DqnConfig:
             raise ConfigurationError("epsilon_decay_steps must be >= 1")
         if self.target_update_period < 1:
             raise ConfigurationError("target_update_period must be >= 1")
-        if self.batch_size < 1 or self.warmup < 1:
-            raise ConfigurationError("batch_size and warmup must be >= 1")
-        _check_learning_rate("learning_rate", self.learning_rate)
-        _check_hidden_sizes(self.hidden_sizes)
 
 
 class DqnAgent:
@@ -270,11 +259,14 @@ class DqnAgent:
 
     @property
     def epsilon(self) -> float:
-        """The exploration rate of the next ``act`` call."""
+        """The exploration rate of the next ``act`` call: linear in
+        ``acts`` from ``epsilon_start`` at 0 to ``epsilon_end`` at
+        ``epsilon_decay_steps``, then flat at ``epsilon_end``. The
+        config has checked end <= start and the decay steps >= 1, and
+        ``acts`` never falls below 0."""
         cfg = self.config
-        return epsilon_schedule(
-            cfg.epsilon_start, cfg.epsilon_end, cfg.epsilon_decay_steps, self.acts
-        )
+        fraction = min(self.acts / cfg.epsilon_decay_steps, 1.0)
+        return cfg.epsilon_start + (cfg.epsilon_end - cfg.epsilon_start) * fraction
 
     def act(self, obs: np.ndarray, rng: np.random.Generator) -> int:
         """Epsilon-greedy action; ties resolve to the lowest index."""
@@ -345,12 +337,9 @@ class DdpgConfig:
     hidden_sizes: tuple[int, ...] = (64, 64)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ConfigurationError(f"gamma must be in [0, 1], got {self.gamma}")
+        _check_learner(self, "actor_lr", "critic_lr")
         if not 0.0 < self.tau <= 1.0:
             raise ConfigurationError(f"tau must be in (0, 1], got {self.tau}")
-        if self.batch_size < 1 or self.warmup < 1:
-            raise ConfigurationError("batch_size and warmup must be >= 1")
         ou = (self.ou_theta, self.ou_sigma, self.ou_mu)
         # The noise recurrence n <- (1 - theta) * n + ... is stable only
         # for 0 < theta < 2.
@@ -359,9 +348,6 @@ class DdpgConfig:
             raise ConfigurationError(
                 f"need ou_theta in (0, 2), finite ou_sigma >= 0 and finite ou_mu; got {ou}"
             )
-        _check_learning_rate("actor_lr", self.actor_lr)
-        _check_learning_rate("critic_lr", self.critic_lr)
-        _check_hidden_sizes(self.hidden_sizes)
 
 
 class OUNoise:

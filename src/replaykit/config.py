@@ -88,10 +88,7 @@ def validate_config(cfg: RunConfig) -> None:
     """Reject impossible (env, agent, strategy) combinations with the
     conflicting pair named, a goal tolerance the env's native goal
     cannot honor, and a buffer too small to reach the warm-up."""
-    try:
-        env = env_class(cfg.env)
-    except ValueError as exc:
-        raise ConfigurationError(str(exc)) from None
+    env = env_class(cfg.env)
     spec = env.spec
     if not isinstance(spec.actions, AGENTS[cfg.agent].ACTIONS):
         kind = "discrete" if isinstance(spec.actions, DiscreteActions) else "continuous"

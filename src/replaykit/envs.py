@@ -402,11 +402,12 @@ def env_names() -> list[str]:
 
 
 def env_class(name: str) -> type[Env]:
-    """The environment class registered under ``name``."""
+    """The environment class registered under ``name``; raises
+    ConfigurationError on any other name."""
     try:
         return _REGISTRY[name]
     except KeyError:
-        raise ValueError(
+        raise ConfigurationError(
             f"unknown environment {name!r}; choose from {env_names()}"
         ) from None
 

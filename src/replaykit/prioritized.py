@@ -13,13 +13,19 @@ first row.
 Importance weights correct the induced bias and are normalized by the
 batch maximum so the largest weight in every batch is exactly 1.
 
-Each fact is checked once, where it is established. ``SumTree.set`` and
-``set_many`` check what any caller writes, then write through an
-unchecked core, ``SumTree._write``. ``update_priorities`` checks its
-TD errors with the max that also updates the running max priority,
-range-checks the slots, and hands the core priorities that are finite
-and > 0 by construction. ``PrioritizedSampler.sample`` checks that its
-last slot, the largest, is filled, so every slot it returns is.
+Each fact is checked once, where it is established. ``SumTree.set_many``
+checks what any caller writes, then writes through an unchecked core,
+``SumTree._write``. ``PrioritizedSampler.insert`` and ``insert_many``
+range-check the slots they are given and write the priority
+``max_raw ** alpha`` unchecked, through ``SumTree._write_one`` and
+``_write``: ``PerConfig`` bounds max_priority and alpha, and the running
+max raw priority changes only behind the finite gate of
+``update_priorities``, so the priority is finite and > 0 by
+construction. ``update_priorities`` checks its TD errors with the max
+that also updates the running max priority, range-checks the slots,
+and hands the core priorities that are finite and > 0 by construction.
+``PrioritizedSampler.sample`` checks that its last slot, the largest,
+is filled, so every slot it returns is.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NotReadyError, NumericalError
-from .replay import ReplayBuffer
+from .replay import ReplayBuffer, _filled_for_sampling
 
 BLOCK = 64
 
@@ -63,7 +69,7 @@ class SumTree:
         # NumPy orders complex numbers by real part, then imaginary part,
         # so keys block + 1j * (in-block inclusive prefix) are sorted and
         # one search finds a leaf from (block, offset within the block).
-        # They cover the written blocks and grow with them (_grow_keys).
+        # They cover the written blocks and grow with them (_mark_written).
         self._keys = np.empty(0, dtype=np.complex128)
         # First block whose entry in the block prefix is out of date, and
         # the number of blocks up to the highest one written.
@@ -81,11 +87,17 @@ class SumTree:
         self._rows = self._leaves.reshape(blocks, BLOCK)
         self._inner = self._keys.imag.reshape(-1, BLOCK)
 
-    def _grow_keys(self) -> None:
-        """Make the keys cover the written blocks, doubling their length
-        (up to the capacity) when they fall short. A block not yet
-        covered has never been written, so its leaves, and with them its
-        in-block prefix, are zero."""
+    def _mark_written(self, first: int, last: int) -> None:
+        """Note a write to blocks ``first`` to ``last``: the block prefix
+        is stale from the first, the written blocks reach the last, and
+        the keys cover them, doubling their length (up to the capacity)
+        when they fall short. A block not yet covered has never been
+        written, so its leaves, and with them its in-block prefix, are
+        zero."""
+        # The prefix past the written blocks is never kept up to date, so
+        # a write beyond them refreshes from the first of them.
+        self._stale = min(self._stale, first, self._written)
+        self._written = max(self._written, last + 1)
         have = self._keys.size // BLOCK
         if self._written <= have:
             return
@@ -125,41 +137,20 @@ class SumTree:
         view.flags.writeable = False
         return view
 
-    def leaf(self, index: int) -> float:
-        return float(self.leaves([index])[0])
-
     def leaves(self, indices) -> np.ndarray:
         """Values of leaves ``indices``, as a new array."""
         return self._leaves[self._checked(indices)]
 
-    def set(self, index: int, value: float) -> None:
-        """Set leaf ``index`` to ``value`` and recompute its block."""
-        if not 0 <= index < self.leaf_capacity:
-            raise IndexError(f"leaf {index} out of range for capacity {self.leaf_capacity}")
-        value = float(value)
-        if not math.isfinite(value):
-            raise NumericalError(f"priority must be finite, got {value!r}")
-        if value < 0.0:
-            raise ValueError(f"priority must be >= 0, got {value}")
-        self._leaves[index] = value
-        block = index // BLOCK
-        # The prefix past the written blocks is never kept up to date, so
-        # a write beyond them refreshes from the first of them.
-        self._stale = min(self._stale, block, self._written)
-        self._written = max(self._written, block + 1)
-        self._grow_keys()
-        row = self._inner[block]
-        np.add.accumulate(self._rows[block], out=row)
-        self._totals[block] = row[-1]
-
     def set_many(self, indices, values) -> None:
-        """Apply ``set(i, v)`` for each pair in order, in one pass.
+        """Set leaf ``indices[k]`` to ``values[k]`` for each k in order,
+        in one pass.
 
         The whole batch is checked before anything is written, so a bad
-        index or value leaves the store untouched. A leaf written more
-        than once keeps its last value, and each touched block is
-        recomputed once, so the result is bitwise equal to the scalar
-        loop.
+        index (IndexError) or a value that is not finite
+        (NumericalError) or below 0 (ValueError) leaves the store
+        untouched. A leaf written more than once keeps its last value,
+        and each touched block is recomputed once, so the result is
+        bitwise equal to one write of each pair in turn.
         """
         indices = self._checked(indices)
         values = np.asarray(values, dtype=np.float64).ravel()
@@ -190,23 +181,28 @@ class SumTree:
         blocks = grouped // BLOCK
         np.not_equal(blocks[1:], blocks[:-1], out=last[:-1])
         touched = blocks[last]
-        self._stale = min(self._stale, int(touched[0]), self._written)
-        self._written = max(self._written, int(touched[-1]) + 1)
-        self._grow_keys()
+        self._mark_written(int(touched[0]), int(touched[-1]))
         sums = np.add.accumulate(self._rows[touched], axis=1)
         self._inner[touched] = sums
         self._totals[touched] = sums[:, -1]
 
-    def sample(self, u: float) -> int:
-        """Leaf index whose prefix-sum interval contains ``u``.
-
-        Returns the unique i with prefix(i) <= u < prefix(i + 1) where
-        prefix sums run over leaves in index order.
-        """
-        return int(self.sample_batch(np.array([u], dtype=np.float64))[0])
+    def _write_one(self, index: int, value: float) -> None:
+        """:meth:`_write` of one leaf ``index`` in range and one finite
+        ``value`` >= 0, with the bits of a one-pair write; nothing is
+        checked here."""
+        self._leaves[index] = value
+        block = index // BLOCK
+        self._mark_written(block, block)
+        row = self._inner[block]
+        np.add.accumulate(self._rows[block], out=row)
+        self._totals[block] = row[-1]
 
     def sample_batch(self, us: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`sample` over an array of offsets."""
+        """The leaf whose prefix-sum interval contains each offset in
+        ``us``: the unique i with prefix(i) <= u < prefix(i + 1), where
+        prefix sums run over leaves in index order. Raises NotReadyError
+        when the total is zero and ValueError unless every offset lies
+        in [0, total)."""
         total = self.total
         if total <= 0.0:
             raise NotReadyError("cannot sample from a tree with zero total mass")
@@ -300,17 +296,21 @@ class PrioritizedSampler:
         self._ramp = np.arange(0.0)
 
     def insert(self, index: int) -> None:
-        """Register slot ``index`` as freshly written.
+        """Register slot ``index`` as freshly written; raises IndexError,
+        and writes nothing, when it is out of range.
 
         Any priority of an evicted transition previously in the slot is
         fully replaced.
         """
-        self.tree.set(index, self._max_raw ** self.config.alpha)
+        tree = self.tree
+        if not 0 <= index < tree.leaf_capacity:
+            raise IndexError(f"leaf {index} out of range for capacity {tree.leaf_capacity}")
+        tree._write_one(index, self._max_raw ** self.config.alpha)
 
     def insert_many(self, indices) -> None:
         """:meth:`insert` of every slot in ``indices``, in one write."""
-        indices = np.asarray(indices)
-        self.tree.set_many(indices, np.full(indices.size, self._max_raw ** self.config.alpha))
+        indices = self.tree._checked(indices)
+        self.tree._write(indices, np.full(indices.size, self._max_raw ** self.config.alpha))
 
     def update_priorities(self, indices, td_errors) -> None:
         """Refresh priorities from TD errors: raw priority |delta| + epsilon.
@@ -345,11 +345,7 @@ class PrioritizedSampler:
         a slot given a priority before ``buffer`` filled it raises
         IndexError when drawn.
         """
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        filled = len(buffer)
-        if filled == 0:
-            raise NotReadyError("cannot sample from an empty buffer")
+        filled = _filled_for_sampling(buffer, batch_size)
         tree = self.tree
         total = tree.total
         if total <= 0.0:

@@ -19,7 +19,9 @@ reading the episode back in append order with
 arithmetic.
 
 Each fact about a sampled slot is checked once, at the hop that
-establishes it. A uniform draw lies in [0, len) because the generator
+establishes it. Every sampler here, the prioritized one included,
+first checks that the batch size is at least 1 and the buffer not
+empty, in one function. A uniform draw lies in [0, len) because the generator
 draws it there; combined sampling's newest slot is filled once the
 buffer is not empty; prioritized sampling checks its last, largest
 slot against the fill. So the slots every sampler here returns are
@@ -252,16 +254,25 @@ def _unit_weights(n: int) -> np.ndarray:
     return weights
 
 
+def _filled_for_sampling(buffer: ReplayBuffer, batch_size: int) -> int:
+    """The fill of ``buffer``, after the checks every sampler makes:
+    ValueError unless ``batch_size`` >= 1, then NotReadyError when the
+    buffer is empty."""
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    filled = len(buffer)
+    if filled == 0:
+        raise NotReadyError("cannot sample from an empty buffer")
+    return filled
+
+
 def sample_uniform(
     buffer: ReplayBuffer, batch_size: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``batch_size`` slots uniformly with replacement; the unit
     weights are shared and read-only."""
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if len(buffer) == 0:
-        raise NotReadyError("cannot sample from an empty buffer")
-    return rng.integers(0, len(buffer), size=batch_size), _unit_weights(batch_size)
+    filled = _filled_for_sampling(buffer, batch_size)
+    return rng.integers(0, filled, size=batch_size), _unit_weights(batch_size)
 
 
 def sample_combined(
@@ -276,10 +287,7 @@ def sample_combined(
     called as ``inner_sampler(buffer, n, rng)``; the forced slot gets
     weight 1.0.
     """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if len(buffer) == 0:
-        raise NotReadyError("cannot sample from an empty buffer")
+    _filled_for_sampling(buffer, batch_size)
     indices, weights = np.empty(batch_size, dtype=np.int64), np.empty(batch_size)
     indices[0], weights[0] = buffer.newest, 1.0
     if batch_size > 1:

@@ -3,7 +3,8 @@
 OpenBLAS built with ``DYNAMIC_ARCH`` picks a kernel for the CPU when it
 loads, and the kernels add up inner products in different orders, so
 the bits of a matrix product depend on the kernel as well as on the
-build. Tests that pin bits quote :func:`blas_kernel` when they fail.
+build. Tests that pin bits quote :func:`blas_kernel` when they fail,
+and the golden tables are keyed by :func:`blas_core`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ _CORENAME_SYMBOLS = ("scipy_openblas_get_corename64_", "scipy_openblas_get_coren
 def blas_kernel() -> str:
     """``"<numpy version>, <BLAS name> <BLAS version>, core <core>"``,
     where each part that cannot be read is ``"unknown"``."""
-    return f"numpy {np.__version__}, {_blas_build()}, core {_loaded_core()}"
+    return f"numpy {np.__version__}, {_blas_build()}, core {blas_core()}"
 
 
 def _blas_build() -> str:
@@ -34,10 +35,12 @@ def _blas_build() -> str:
         return "unknown"
 
 
-def _loaded_core() -> str:
-    """The kernel scipy-openblas chose at load time. Opening the library
-    numpy ships gives back the handle numpy already holds, so this reads
-    the core numpy uses."""
+@functools.cache
+def blas_core() -> str:
+    """The kernel scipy-openblas chose at load time, such as
+    ``"SkylakeX"``, or ``"unknown"``. Opening the library numpy ships
+    gives back the handle numpy already holds, so this reads the core
+    numpy uses."""
     package = Path(np.__file__).parent
     libraries = sorted(package.parent.glob("numpy.libs/*openblas*"))
     libraries += sorted(package.glob(".dylibs/*openblas*"))

@@ -200,7 +200,7 @@ def test_sum_tree_matches_linear_oracle() -> None:
         for _ in range(int(rng.integers(1, 12))):
             i = int(rng.integers(capacity))
             v = float(rng.uniform(0.0, 10.0))
-            tree.set(i, v)
+            tree.set_many([i], [v])
             values[i] = v
         nodes = tree.nodes
         n_leaves = len(nodes) // 2
@@ -213,9 +213,9 @@ def test_sum_tree_matches_linear_oracle() -> None:
         total_mismatches += not (prefix[0] == 0.0 and nodes[0] == prefix[-1] == tree.total)
         if tree.total <= 0.0:
             continue
-        for u in rng.uniform(0.0, tree.total, size=4):
-            if tree.sample(float(u)) != linear_scan_sample(values, float(u)):
-                mismatches += 1
+        us = rng.uniform(0.0, tree.total, size=4)
+        drawn = tree.sample_batch(us)
+        mismatches += sum(d != linear_scan_sample(values, u) for d, u in zip(drawn, us))
     ok = mismatches == 0 and worst_block_error <= 1e-9 and total_mismatches == 0
     assert _report(
         "sum-tree-oracle",

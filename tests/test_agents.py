@@ -16,7 +16,6 @@ from replaykit.agents import (
     DqnConfig,
     ObservationScaler,
     OUNoise,
-    epsilon_schedule,
     greedy_policy,
     max_over_actions,
     scaler_for,
@@ -70,17 +69,20 @@ def random_rows(n, obs_dim=3, discrete=True, rng_seed=1, done_rate=0.2, n_action
     return out
 
 
-def test_epsilon_schedule_linear_and_clamped() -> None:
-    assert epsilon_schedule(1.0, 0.05, 100, 0) == 1.0
-    assert epsilon_schedule(1.0, 0.05, 100, 50) == pytest.approx(0.525)
-    assert epsilon_schedule(1.0, 0.05, 100, 100) == pytest.approx(0.05)
-    assert epsilon_schedule(1.0, 0.05, 100, 10_000) == pytest.approx(0.05)
-    values = [epsilon_schedule(1.0, 0.05, 500, s) for s in range(0, 2000, 7)]
+def epsilon_at(agent: DqnAgent, acts: int) -> float:
+    agent.acts = acts
+    return agent.epsilon
+
+
+def test_dqn_epsilon_linear_and_clamped() -> None:
+    agent = make_dqn(epsilon_start=1.0, epsilon_end=0.05, epsilon_decay_steps=100)
+    assert epsilon_at(agent, 0) == 1.0
+    assert epsilon_at(agent, 50) == pytest.approx(0.525)
+    assert epsilon_at(agent, 100) == pytest.approx(0.05)
+    assert epsilon_at(agent, 10_000) == pytest.approx(0.05)
+    agent = make_dqn(epsilon_start=1.0, epsilon_end=0.05, epsilon_decay_steps=500)
+    values = [epsilon_at(agent, s) for s in range(0, 2000, 7)]
     assert all(a >= b for a, b in zip(values, values[1:]))
-    with pytest.raises(ConfigurationError):
-        epsilon_schedule(0.1, 0.5, 100, 0)
-    with pytest.raises(ValueError):
-        epsilon_schedule(1.0, 0.0, 100, -1)
 
 
 def test_observation_scaler() -> None:
@@ -519,16 +521,30 @@ def test_ddpg_rejects_asymmetric_bounds() -> None:
 
 
 def test_agent_config_validation() -> None:
-    with pytest.raises(ConfigurationError):
-        DqnConfig(gamma=1.5)
-    with pytest.raises(ConfigurationError):
-        DqnConfig(epsilon_start=0.1, epsilon_end=0.5)
-    with pytest.raises(ConfigurationError):
-        DqnConfig(epsilon_start=1.5, epsilon_end=1.5)
-    with pytest.raises(ConfigurationError):
-        DdpgConfig(tau=0.0)
-    with pytest.raises(ConfigurationError):
-        DdpgConfig(ou_theta=0.0)
+    # One fault at a time, each with the exact text it raises.
+    epsilons = "need 0 <= epsilon_end <= epsilon_start <= 1, got"
+    ou = "need ou_theta in (0, 2), finite ou_sigma >= 0 and finite ou_mu; got"
+    cases = [
+        (DqnConfig, {"gamma": 1.5}, "gamma must be in [0, 1], got 1.5"),
+        (DqnConfig, {"epsilon_start": 0.1, "epsilon_end": 0.5}, f"{epsilons} 0.5, 0.1"),
+        (DqnConfig, {"epsilon_start": 1.5, "epsilon_end": 1.5}, f"{epsilons} 1.5, 1.5"),
+        (DqnConfig, {"epsilon_decay_steps": 0}, "epsilon_decay_steps must be >= 1"),
+        (DqnConfig, {"target_update_period": 0}, "target_update_period must be >= 1"),
+        (DqnConfig, {"batch_size": 0}, "batch_size and warmup must be >= 1"),
+        (DqnConfig, {"learning_rate": 0.0}, "learning_rate must be finite and > 0, got 0.0"),
+        (DqnConfig, {"hidden_sizes": (64, 0)}, "hidden_sizes must all be >= 1, got (64, 0)"),
+        (DdpgConfig, {"gamma": -0.1}, "gamma must be in [0, 1], got -0.1"),
+        (DdpgConfig, {"tau": 0.0}, "tau must be in (0, 1], got 0.0"),
+        (DdpgConfig, {"warmup": 0}, "batch_size and warmup must be >= 1"),
+        (DdpgConfig, {"ou_theta": 0.0}, f"{ou} (0.0, 0.2, 0.0)"),
+        (DdpgConfig, {"actor_lr": math.inf}, "actor_lr must be finite and > 0, got inf"),
+        (DdpgConfig, {"critic_lr": math.nan}, "critic_lr must be finite and > 0, got nan"),
+        (DdpgConfig, {"hidden_sizes": (0,)}, "hidden_sizes must all be >= 1, got (0,)"),
+    ]
+    for config, fields, message in cases:
+        with pytest.raises(ConfigurationError) as info:
+            config(**fields)
+        assert str(info.value) == message, fields
 
 
 def overflow_outputs(net: Mlp) -> None:

@@ -14,28 +14,29 @@ change that alters results on purpose regenerates the table with
 computes, in the layout below, and marks each value that differs from
 the committed one) and says why in CHANGES.md.
 
-The hashes were generated with numpy 2.4.6 linked against
-scipy-openblas 0.3.31 (x86-64, Python 3.11), on the SkylakeX kernel.
 Matrix products round differently under another numpy or BLAS build,
 and the same build is enough to change them on another CPU: OpenBLAS
 built with ``DYNAMIC_ARCH`` picks its kernel for the CPU when it loads,
 and under the Haswell kernel (an AVX2-only Intel or an AMD Zen CPU)
-none of the six entries matches. So there the hashes can differ
-without any change to this code. The contract is (config, seed, numpy
-build, BLAS kernel) -> bytes of run.csv and checkpoint.txt. Every
-failure message names the numpy build, the BLAS build and the kernel
-loaded (``blas_kernel.blas_kernel()``).
+none of the SkylakeX entries matches. The contract is (config, seed,
+numpy build, BLAS kernel) -> bytes of run.csv and checkpoint.txt, so
+``GOLDEN`` holds one table per kernel, keyed by the core
+``blas_kernel.blas_core()`` reports, and the hash cases run the table of
+the kernel loaded. The SkylakeX table was generated with numpy 2.4.6
+linked against scipy-openblas 0.3.31 (x86-64, Python 3.11). On a kernel
+with no table, one test fails, naming the numpy build, the BLAS build
+and the kernel (``blas_kernel.blas_kernel()``); so does every hash
+failure.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import tempfile
 
 import numpy as np
 import pytest
-from blas_kernel import blas_kernel
+from blas_kernel import blas_core, blas_kernel
 
 from replaykit.agents import AGENTS, scaler_for
 from replaykit.envs import DiscreteActions, env_spec
@@ -52,64 +53,75 @@ CAPACITY = 300
 WARMUP = 64
 EVAL_EPISODES = 20
 
-# name -> (config mapping, sha256 of run.csv, sha256 of checkpoint.txt,
-#          repr of the checkpoint's evaluate_checkpoint mean and std)
+# name -> config mapping of each golden run
+RUNS = {
+    "cartpole-dqn-baseline": {"env": "cartpole", "agent": "dqn", "episodes": "30"},
+    "cartpole-dqn-cer": {"env": "cartpole", "agent": "dqn", "episodes": "30", "combined": "true"},
+    "cartpole-dqn-per": {
+        "env": "cartpole",
+        "agent": "dqn",
+        "episodes": "30",
+        "prioritized": "true",
+    },
+    "cartpole-dqn-cper": {
+        "env": "cartpole",
+        "agent": "dqn",
+        "episodes": "30",
+        "combined": "true",
+        "prioritized": "true",
+    },
+    "mountaincar-dqn-chper": {
+        "env": "mountaincar",
+        "agent": "dqn",
+        "episodes": "6",
+        "combined": "true",
+        "hindsight": "true",
+        "prioritized": "true",
+    },
+    "pendulum-ddpg-hper": {
+        "env": "pendulum",
+        "agent": "ddpg",
+        "episodes": "6",
+        "hindsight": "true",
+        "prioritized": "true",
+    },
+}
+
+# BLAS core -> name -> (sha256 of run.csv, sha256 of checkpoint.txt,
+#                       repr of the checkpoint's evaluate_checkpoint mean and std)
 GOLDEN = {
-    "cartpole-dqn-baseline": (
-        {"env": "cartpole", "agent": "dqn", "episodes": "30"},
-        "d600f6921feebcc2760a1526fe3b8d899a9107ebe80218a57ce0e8c1aa2a2c83",
-        "93d843d2a8892220da37de693beff0c1c0e37be823a86adb6d70a2a3868b6983",
-        "(9.2, 0.7483314773547881)",
-    ),
-    "cartpole-dqn-cer": (
-        {"env": "cartpole", "agent": "dqn", "episodes": "30", "combined": "true"},
-        "be3f6e7ae84c8cb2a1e4fa92f6d7365ead340ddb5da365196136b2013b2e570c",
-        "a5a825733a957341fea2c4c207bec7cd539887e12fcf35f9c278860f1554f476",
-        "(9.2, 0.7483314773547881)",
-    ),
-    "cartpole-dqn-per": (
-        {"env": "cartpole", "agent": "dqn", "episodes": "30", "prioritized": "true"},
-        "8120ce6a2a7aa0b052e80c44b639eeaaabd78f9ef943b6cf6832063316ddc341",
-        "0afdc7eb4b3cab325f8cc42b3f086dcf49760d49dfebde0e5ba5acea52d40b49",
-        "(10.55, 0.8046738469715539)",
-    ),
-    "cartpole-dqn-cper": (
-        {
-            "env": "cartpole",
-            "agent": "dqn",
-            "episodes": "30",
-            "combined": "true",
-            "prioritized": "true",
-        },
-        "1f8ee1265666b5877fb128e8d36bb808950e7422a057ced98c6a565a398a2845",
-        "7eaac6b422cc233d70a5fb522583673b23c6f1682d5ef7c7bd0427cfc3a85659",
-        "(23.8, 10.557461816175325)",
-    ),
-    "mountaincar-dqn-chper": (
-        {
-            "env": "mountaincar",
-            "agent": "dqn",
-            "episodes": "6",
-            "combined": "true",
-            "hindsight": "true",
-            "prioritized": "true",
-        },
-        "8cb803dc27e81aaeae6d5be514eed46c83d46eabfd4f7e26bd9b8cc53e57f9cf",
-        "b15a5e7ed32c759a8a70af4fba5b5157fcec5d88cf074fe24bc9bb21a15bcc4a",
-        "(-200.0, 0.0)",
-    ),
-    "pendulum-ddpg-hper": (
-        {
-            "env": "pendulum",
-            "agent": "ddpg",
-            "episodes": "6",
-            "hindsight": "true",
-            "prioritized": "true",
-        },
-        "092034942248a5fc513035554aeb860dee6e808ca4c9fcf7dfa569c7247c2bd9",
-        "a03dae6e13d4e6d2781dd049508b9f97ed473fb522f13bd24d0210d97803cc72",
-        "(-1334.9545673963748, 261.17970371852107)",
-    ),
+    "SkylakeX": {
+        "cartpole-dqn-baseline": (
+            "d600f6921feebcc2760a1526fe3b8d899a9107ebe80218a57ce0e8c1aa2a2c83",
+            "93d843d2a8892220da37de693beff0c1c0e37be823a86adb6d70a2a3868b6983",
+            "(9.2, 0.7483314773547881)",
+        ),
+        "cartpole-dqn-cer": (
+            "be3f6e7ae84c8cb2a1e4fa92f6d7365ead340ddb5da365196136b2013b2e570c",
+            "a5a825733a957341fea2c4c207bec7cd539887e12fcf35f9c278860f1554f476",
+            "(9.2, 0.7483314773547881)",
+        ),
+        "cartpole-dqn-per": (
+            "8120ce6a2a7aa0b052e80c44b639eeaaabd78f9ef943b6cf6832063316ddc341",
+            "0afdc7eb4b3cab325f8cc42b3f086dcf49760d49dfebde0e5ba5acea52d40b49",
+            "(10.55, 0.8046738469715539)",
+        ),
+        "cartpole-dqn-cper": (
+            "1f8ee1265666b5877fb128e8d36bb808950e7422a057ced98c6a565a398a2845",
+            "7eaac6b422cc233d70a5fb522583673b23c6f1682d5ef7c7bd0427cfc3a85659",
+            "(23.8, 10.557461816175325)",
+        ),
+        "mountaincar-dqn-chper": (
+            "8cb803dc27e81aaeae6d5be514eed46c83d46eabfd4f7e26bd9b8cc53e57f9cf",
+            "b15a5e7ed32c759a8a70af4fba5b5157fcec5d88cf074fe24bc9bb21a15bcc4a",
+            "(-200.0, 0.0)",
+        ),
+        "pendulum-ddpg-hper": (
+            "092034942248a5fc513035554aeb860dee6e808ca4c9fcf7dfa569c7247c2bd9",
+            "a03dae6e13d4e6d2781dd049508b9f97ed473fb522f13bd24d0210d97803cc72",
+            "(-1334.9545673963748, 261.17970371852107)",
+        ),
+    },
 }
 
 
@@ -120,7 +132,7 @@ def _sha256(path) -> str:
 
 def golden_config(name: str):
     """The RunConfig of the named golden run."""
-    settings = GOLDEN[name][0]
+    settings = RUNS[name]
     return config_from_mapping(
         {
             **settings,
@@ -147,39 +159,41 @@ def golden_run(name: str, out_dir) -> tuple[int, str, str, str]:
 REBASELINE = "python tests/test_golden.py prints the table this host computes"
 
 
-def golden_table(values: dict[str, tuple[str, str, str]]) -> str:
-    """The ``GOLDEN = {...}`` source text with ``values[name]`` (run.csv
-    hash, checkpoint hash, eval repr) as each entry's values, and
-    ``# changed`` after each one that differs from the committed table."""
-    lines = ["GOLDEN = {"]
-    for name, (settings, *committed) in GOLDEN.items():
-        lines.append(f'    "{name}": (')
-        one_line = f"        {json.dumps(settings)},"
-        if len(one_line) <= 88:  # wider settings go one key a line
-            lines.append(one_line)
-        else:
-            lines.append("        {")
-            lines += [f'            "{key}": "{value}",' for key, value in settings.items()]
-            lines.append("        },")
-        for got, old in zip(values[name], committed):
-            lines.append(f'        "{got}",' + ("" if got == old else "  # changed"))
-        lines.append("    ),")
-    return "\n".join(lines + ["}"]) + "\n"
+def golden_table(core: str, values: dict[str, tuple[str, str, str]]) -> str:
+    """The source text of core ``core``'s table in ``GOLDEN``, with
+    ``values[name]`` (run.csv hash, checkpoint hash, eval repr) as each
+    run's values, and ``# changed`` after each one that differs from
+    the committed table of that core (every value, for a new core)."""
+    committed = GOLDEN.get(core, {})
+    lines = [f'    "{core}": {{']
+    for name in RUNS:
+        lines.append(f'        "{name}": (')
+        for got, old in zip(values[name], committed.get(name, (None,) * 3)):
+            lines.append(f'            "{got}",' + ("" if got == old else "  # changed"))
+        lines.append("        ),")
+    return "\n".join(lines + ["    },"]) + "\n"
 
 
 def test_golden_table_prints_the_committed_layout() -> None:
-    committed = {name: tuple(entry[1:]) for name, entry in GOLDEN.items()}
     with open(__file__, encoding="utf-8") as fh:
-        assert golden_table(committed) in fh.read()
-    name = next(iter(GOLDEN))
-    changed = golden_table({**committed, name: ("0" * 64, *committed[name][1:])})
-    assert changed.count("# changed") == 1
-    assert f'        "{"0" * 64}",  # changed\n' in changed
+        source = fh.read()
+    for core, committed in GOLDEN.items():
+        assert list(committed) == list(RUNS)
+        assert golden_table(core, committed) in source
+        name = next(iter(RUNS))
+        changed = golden_table(core, {**committed, name: ("0" * 64, *committed[name][1:])})
+        assert changed.count("# changed") == 1
+        assert f'            "{"0" * 64}",  # changed\n' in changed
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_this_kernel_has_a_golden_table() -> None:
+    assert blas_core() in GOLDEN, f"no golden table for {blas_kernel()}; {REBASELINE}"
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN.get(blas_core(), {})))
 def test_golden_run_hashes(name, tmp_path) -> None:
-    settings, csv_hash, checkpoint_hash, eval_repr = GOLDEN[name]
+    csv_hash, checkpoint_hash, eval_repr = GOLDEN[blas_core()][name]
+    settings = RUNS[name]
     steps, got_csv, got_checkpoint, got_eval = golden_run(name, tmp_path)
     stored = steps * (2 if settings.get("hindsight") == "true" else 1)
     on = f"on {blas_kernel()}; {REBASELINE}"
@@ -193,7 +207,7 @@ def test_golden_run_hashes(name, tmp_path) -> None:
 RELABELED = -1  # the step recorded for a slot that relabeling wrote last
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
+@pytest.mark.parametrize("name", sorted(RUNS))
 def test_golden_run_rows_are_consistent(name) -> None:
     """Trajectory-level invariant of every row a golden run leaves in
     its buffer, bit for bit. The raw transition of every row
@@ -307,7 +321,7 @@ def test_tanh_checkpoints_keep_their_evaluation(name, tmp_path) -> None:
 if __name__ == "__main__":
     print(f"# {blas_kernel()}")
     computed = {}
-    for name in GOLDEN:
+    for name in RUNS:
         with tempfile.TemporaryDirectory() as out:
             computed[name] = golden_run(name, out)[1:]
-    print(golden_table(computed), end="")
+    print(golden_table(blas_core(), computed), end="")

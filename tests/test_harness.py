@@ -13,7 +13,6 @@ from replaykit.agents import (
     DdpgConfig,
     DqnAgent,
     DqnConfig,
-    epsilon_schedule,
     greedy_policy,
     scaler_for,
 )
@@ -669,7 +668,7 @@ def test_train_epsilon_clock_is_the_env_step_count() -> None:
     assert env_steps > dqn.epsilon_decay_steps
     for step, (seen_step, epsilon) in enumerate(used):
         assert seen_step == step
-        assert epsilon == epsilon_schedule(1.0, 0.1, 30, step)
+        assert epsilon == 1.0 + (0.1 - 1.0) * min(step / 30, 1.0)
 
 
 def test_train_ou_noise_starts_every_episode_at_mu() -> None:

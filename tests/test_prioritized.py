@@ -38,25 +38,23 @@ def filled_buffer(n: int, capacity: int | None = None) -> ReplayBuffer:
 
 def test_tree_total_and_update() -> None:
     tree = SumTree(4)
-    for i, v in enumerate([1.0, 2.0, 3.0, 4.0]):
-        tree.set(i, v)
+    tree.set_many(range(4), [1.0, 2.0, 3.0, 4.0])
     assert tree.total == pytest.approx(10.0)
-    tree.set(1, 6.0)
+    tree.set_many([1], [6.0])
     assert tree.total == pytest.approx(14.0)
-    assert tree.leaf(1) == pytest.approx(6.0)
     assert tree.leaves([3, 1, 3]).tolist() == [4.0, 6.0, 4.0]
 
 
 def test_tree_rejects_bad_values_and_indices() -> None:
     tree = SumTree(4)
     with pytest.raises(ValueError):
-        tree.set(0, -1.0)
+        tree.set_many([0], [-1.0])
     with pytest.raises(NumericalError):
-        tree.set(0, float("nan"))
+        tree.set_many([0], [float("nan")])
     with pytest.raises(IndexError):
-        tree.set(4, 1.0)
+        tree.set_many([4], [1.0])
     with pytest.raises(IndexError):
-        tree.leaf(-1)
+        tree.leaves([-1])
     with pytest.raises(IndexError):
         tree.leaves([0, -1])
     with pytest.raises(IndexError):
@@ -67,31 +65,27 @@ def test_tree_rejects_bad_values_and_indices() -> None:
 
 def test_tree_sample_prefix_intervals() -> None:
     tree = SumTree(4)
-    for i, v in enumerate([1.0, 2.0, 3.0, 4.0]):
-        tree.set(i, v)
-    assert tree.sample(0.5) == 0
-    assert tree.sample(9.99) == 3
+    tree.set_many(range(4), [1.0, 2.0, 3.0, 4.0])
+    assert tree.sample_batch([0.5, 9.99]).tolist() == [0, 3]
     # boundaries belong to the right interval
-    assert tree.sample(1.0) == 1
-    assert tree.sample(3.0) == 2
+    assert tree.sample_batch([1.0, 3.0]).tolist() == [1, 2]
 
 
 def test_tree_sample_skips_zero_leaves() -> None:
     tree = SumTree(4)
-    tree.set(2, 5.0)
-    for u in np.linspace(0.0, 4.999, 23):
-        assert tree.sample(float(u)) == 2
+    tree.set_many([2], [5.0])
+    assert tree.sample_batch(np.linspace(0.0, 4.999, 23)).tolist() == [2] * 23
 
 
 def test_tree_sample_domain_errors() -> None:
     tree = SumTree(2)
     with pytest.raises(NotReadyError):
-        tree.sample(0.0)
-    tree.set(0, 2.0)
+        tree.sample_batch([0.0])
+    tree.set_many([0], [2.0])
     with pytest.raises(ValueError):
-        tree.sample(-0.1)
+        tree.sample_batch([-0.1])
     with pytest.raises(ValueError):
-        tree.sample(2.0)
+        tree.sample_batch([2.0])
     with pytest.raises(ValueError):
         tree.sample_batch([0.5, float("nan")])
 
@@ -105,12 +99,11 @@ def test_tree_matches_linear_scan_oracle() -> None:
         if leaves.sum() <= 0.0:
             leaves[int(rng.integers(capacity))] = 1.0
         tree = SumTree(capacity)
-        for i, v in enumerate(leaves):
-            tree.set(i, float(v))
+        tree.set_many(range(capacity), leaves)
         total = leaves.sum()
         assert tree.total == pytest.approx(total, rel=1e-12)
-        for u in rng.uniform(0.0, total * (1.0 - 1e-12), size=12):
-            assert tree.sample(float(u)) == linear_scan_sample(leaves, float(u))
+        us = rng.uniform(0.0, total * (1.0 - 1e-12), size=12)
+        assert tree.sample_batch(us).tolist() == [linear_scan_sample(leaves, u) for u in us]
 
 
 def test_tree_interleaved_ops_stay_consistent() -> None:
@@ -124,24 +117,23 @@ def test_tree_interleaved_ops_stay_consistent() -> None:
             if rng.random() < 0.7 or mirror.sum() == 0.0:
                 index = int(rng.integers(capacity))
                 value = float(rng.uniform(0.0, 10.0))
-                tree.set(index, value)
+                tree.set_many([index], [value])
                 mirror[index] = value
             else:
                 u = float(rng.uniform(0.0, mirror.sum() * (1.0 - 1e-12)))
-                assert tree.sample(u) == linear_scan_sample(mirror, u)
+                assert tree.sample_batch([u])[0] == linear_scan_sample(mirror, u)
             assert tree.total == pytest.approx(mirror.sum(), rel=1e-9, abs=1e-12)
-        for i in range(capacity):
-            assert tree.leaf(i) == pytest.approx(mirror[i])
+        assert tree.leaves(range(capacity)) == pytest.approx(mirror)
 
 
 def test_tree_sample_batch_agrees_with_scalar() -> None:
+    # A draw does not depend on the other offsets in its batch.
     rng = np.random.default_rng(13)
     tree = SumTree(17)
-    for i in range(17):
-        tree.set(i, float(rng.uniform(0.0, 3.0)))
+    tree.set_many(range(17), rng.uniform(0.0, 3.0, size=17))
     us = rng.uniform(0.0, tree.total * (1.0 - 1e-12), size=200)
     batch = tree.sample_batch(us)
-    assert [tree.sample(float(u)) for u in us] == list(batch)
+    assert [tree.sample_batch([u])[0] for u in us] == list(batch)
 
 
 def test_tree_sample_batch_at_exact_prefix_boundaries() -> None:
@@ -156,7 +148,7 @@ def test_tree_sample_batch_at_exact_prefix_boundaries() -> None:
         prefixes = np.concatenate(([0.0], np.cumsum(leaves)[:-1]))
         expected = [linear_scan_sample(leaves, float(u)) for u in prefixes]
         assert tree.sample_batch(prefixes).tolist() == expected
-        assert [tree.sample(float(u)) for u in prefixes] == expected
+        assert [tree.sample_batch([u])[0] for u in prefixes] == expected
 
 
 def boundary_leaves(capacity: int, rng: np.random.Generator) -> np.ndarray:
@@ -188,7 +180,7 @@ def test_tree_matches_oracle_across_block_boundaries(start) -> None:
             tree.set_many(range(capacity), leaves)
         else:
             for i, value in enumerate(leaves):
-                tree.set(i, float(value))
+                tree.set_many([i], [value])
         total = float(leaves.sum())
         assert tree.total == total
         prefixes = np.concatenate(([0.0], np.cumsum(leaves)[:-1]))
@@ -208,7 +200,7 @@ def test_tree_matches_oracle_across_block_boundaries(start) -> None:
         drawn = tree.sample_batch(us)
         assert drawn.tolist() == [linear_scan_sample(leaves, float(u)) for u in us]
         assert np.all(leaves[drawn] > 0.0)
-        assert tree.sample(float(us[-1])) == drawn[-1]
+        assert tree.sample_batch(us[-1:])[0] == drawn[-1]
 
 
 @st.composite
@@ -224,10 +216,13 @@ def tree_writes(draw):
 
 
 def scalar_and_batched(capacity: int, batches) -> tuple[SumTree, SumTree]:
+    """Two stores given the same writes: one pair at a time through the
+    scalar core that ``PrioritizedSampler.insert`` writes through, and
+    one batch at a time through ``set_many``."""
     scalar, batched = SumTree(capacity), SumTree(capacity)
     for batch in batches:
         for index, value in batch:
-            scalar.set(index, value)
+            scalar._write_one(index, value)
         batched.set_many([i for i, _ in batch], [v for _, v in batch])
     return scalar, batched
 
@@ -253,7 +248,7 @@ def test_set_many_bitwise_equals_scalar_sets_across_blocks() -> None:
             values = rng.uniform(0.0, 10.0, size=indices.size)
             values[rng.random(indices.size) < 0.2] = 0.0
             for index, value in zip(indices.tolist(), values.tolist()):
-                scalar.set(index, value)
+                scalar._write_one(index, value)
             batched.set_many(indices, values)
             assert batched.nodes.tobytes() == scalar.nodes.tobytes()
 
@@ -297,37 +292,41 @@ def test_per_config_validation() -> None:
 def test_insert_uses_initial_then_running_max_priority() -> None:
     sampler = PrioritizedSampler(8, PerConfig(alpha=1.0, epsilon=0.01))
     sampler.insert(0)
-    assert sampler.tree.leaf(0) == pytest.approx(1.0)  # max_priority default
+    assert sampler.tree.leaves([0])[0] == pytest.approx(1.0)  # max_priority default
     sampler.update_priorities([0], [5.0])
-    assert sampler.tree.leaf(0) == pytest.approx(5.01)
+    assert sampler.tree.leaves([0])[0] == pytest.approx(5.01)
     sampler.insert(1)
-    assert sampler.tree.leaf(1) == pytest.approx(5.01)
+    assert sampler.tree.leaves([1])[0] == pytest.approx(5.01)
     # overwriting an evicted slot replaces the old priority entirely
     sampler.update_priorities([1], [0.0])
-    assert sampler.tree.leaf(1) == pytest.approx(0.01)
+    assert sampler.tree.leaves([1])[0] == pytest.approx(0.01)
     sampler.insert(1)
-    assert sampler.tree.leaf(1) == pytest.approx(5.01)
+    assert sampler.tree.leaves([1])[0] == pytest.approx(5.01)
+
+
+@pytest.mark.parametrize("slot", [-1, 8])
+def test_insert_rejects_a_slot_out_of_range_and_writes_nothing(slot) -> None:
+    sampler = PrioritizedSampler(8)
+    sampler.insert_many([0, 5])
+    before = sampler.tree.nodes.tobytes()
+    with pytest.raises(IndexError, match=f"leaf {slot} out of range for capacity 8"):
+        sampler.insert(slot)
+    with pytest.raises(IndexError):
+        sampler.insert_many([1, slot])
+    assert sampler.tree.nodes.tobytes() == before
 
 
 def test_update_priorities_floor_and_alpha() -> None:
     sampler = PrioritizedSampler(4, PerConfig(alpha=0.5, epsilon=0.01))
     sampler.insert(0)
     sampler.update_priorities([0], [0.0])
-    assert sampler.tree.leaf(0) == pytest.approx(0.01**0.5)
+    assert sampler.tree.leaves([0])[0] == pytest.approx(0.01**0.5)
     sampler.update_priorities([0], [-2.0])
-    assert sampler.tree.leaf(0) == pytest.approx(2.01**0.5)
+    assert sampler.tree.leaves([0])[0] == pytest.approx(2.01**0.5)
     with pytest.raises(NumericalError):
         sampler.update_priorities([0], [float("nan")])
     with pytest.raises(ValueError):
         sampler.update_priorities([0, 1], [1.0])
-
-
-def test_per_sample_requires_data() -> None:
-    sampler = PrioritizedSampler(4)
-    buf = ReplayBuffer(4)
-    rng = np.random.default_rng(0)
-    with pytest.raises(NotReadyError):
-        sampler.sample(buf, 2, rng)
 
 
 def sampled_frequencies(
@@ -437,18 +436,17 @@ def test_stratified_draws_cover_segments() -> None:
 
 def check_copied_tree_tracks_its_own_writes(make_copy) -> None:
     tree = SumTree(200)
-    for i in range(150):
-        tree.set(i, 1.0)
+    tree.set_many(range(150), np.ones(150))
     twin = make_copy(tree)
     for t in (tree, twin):
-        t.set(10, 50.0)
+        t.set_many([10], [50.0])
         t.set_many([3, 130], [2.0, 0.0])
     assert twin.total == tree.total == 199.0
     assert twin.nodes.tobytes() == tree.nodes.tobytes()
     offsets = np.linspace(0.0, tree.total, 200, endpoint=False)
     assert np.array_equal(twin.sample_batch(offsets), tree.sample_batch(offsets))
-    twin.set(0, 7.0)
-    assert tree.leaf(0) == 1.0 and tree.total == 199.0
+    twin.set_many([0], [7.0])
+    assert tree.leaves([0])[0] == 1.0 and tree.total == 199.0
 
 
 def test_deep_copied_tree_tracks_its_own_writes() -> None:
@@ -565,7 +563,7 @@ def test_store_bounded_by_written_blocks_matches_full_refresh(ops, seed, copy_at
             errors[rng.random(slots.size) < 0.2] = 0.0
             for sampler in samplers:
                 if op == "scatter" and size % 2:
-                    for slot in slots.tolist():  # one SumTree.set each
+                    for slot in slots.tolist():  # one scalar write each
                         sampler.insert(slot)
                 else:
                     sampler.update_priorities(slots, errors)
@@ -603,7 +601,7 @@ def test_store_bounded_by_written_blocks_matches_full_refresh(ops, seed, copy_at
 # A store far larger than the rows it holds, as Pendulum's.
 GROWTH_SLOTS = 20_000
 _GROWTH_OPS = st.lists(
-    st.tuples(st.sampled_from(["set", "set_many", "insert_many"]),
+    st.tuples(st.sampled_from(["insert", "set_many", "insert_many"]),
               st.integers(0, GROWTH_SLOTS - 1), st.integers(1, 300)),
     min_size=1, max_size=30,
 )
@@ -617,8 +615,8 @@ def test_keys_cover_at_most_twice_the_written_blocks(ops) -> None:
     assert tree._keys.size == 0
     for op, start, size in ops:
         slots = (start + np.arange(size)) % GROWTH_SLOTS
-        if op == "set":
-            tree.set(start, float(size))
+        if op == "insert":
+            sampler.insert(start)
         elif op == "set_many":
             tree.set_many(slots, np.linspace(0.0, 1.0, size))
         else:
@@ -646,7 +644,7 @@ def resident():
 def use(capacity):
     tree = SumTree(capacity)
     for i in range(10):
-        tree.set(7 * i, 1.0 + i)
+        tree.set_many([7 * i], [1.0 + i])
     tree.sample_batch(np.linspace(0.0, tree.total, 64, endpoint=False))
     return tree
 

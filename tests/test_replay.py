@@ -6,6 +6,7 @@ from scipy import stats
 
 from replaykit.errors import ConfigurationError, NotReadyError
 from replaykit.hindsight import augment_observation
+from replaykit.prioritized import PrioritizedSampler
 from replaykit.replay import ReplayBuffer, sample_combined, sample_uniform
 
 
@@ -154,14 +155,41 @@ def test_gather_stacks_and_augments() -> None:
     assert np.all(batch.weights == 1.0)
 
 
-def test_sample_uniform_empty_and_bad_batch() -> None:
-    buf = ReplayBuffer(4)
-    rng = np.random.default_rng(0)
-    with pytest.raises(NotReadyError):
-        sample_uniform(buf, 1, rng)
-    buf.append(*make_row(0.0))
-    with pytest.raises(ValueError):
-        sample_uniform(buf, 0, rng)
+def sample_combined_uniform(buffer, batch_size, rng):
+    return sample_combined(buffer, batch_size, sample_uniform, rng)
+
+
+def sample_prioritized(buffer, batch_size, rng):
+    """A fresh prioritized draw over the filled slots of ``buffer``."""
+    sampler = PrioritizedSampler(buffer.capacity)
+    sampler.insert_many(np.arange(len(buffer)))
+    return sampler.sample(buffer, batch_size, rng)
+
+
+EMPTY = "cannot sample from an empty buffer"
+
+
+@pytest.mark.parametrize(
+    "sampler", [sample_uniform, sample_combined_uniform, sample_prioritized],
+    ids=["uniform", "combined", "prioritized"],
+)
+@pytest.mark.parametrize(
+    "rows, batch_size, error, message",
+    [
+        (0, 1, NotReadyError, EMPTY),
+        (0, 0, ValueError, "batch_size must be >= 1, got 0"),
+        (1, 0, ValueError, "batch_size must be >= 1, got 0"),
+        (2, -3, ValueError, "batch_size must be >= 1, got -3"),
+    ],
+    ids=["empty", "empty-batch-0", "batch-0", "batch-negative"],
+)
+def test_samplers_check_batch_size_then_fill(sampler, rows, batch_size, error, message) -> None:
+    # Every sampler makes both checks, the batch size first, with one
+    # exception type and text.
+    buf = filled_buffer(rows, capacity=4)
+    with pytest.raises(error) as info:
+        sampler(buf, batch_size, np.random.default_rng(0))
+    assert info.type is error and str(info.value) == message
 
 
 def test_sample_uniform_single_element_repeats() -> None:
