@@ -3,7 +3,8 @@
 Three subcommands: ``train`` runs one configuration, ``sweep`` runs
 every strategy combination for an (env, agent, seed), and ``eval``
 replays a saved checkpoint with exploration off. Settings resolve in
-order: built-in defaults, then --config file entries, then flags.
+order: built-in defaults, then --config file entries, then --set
+entries, then the flags given.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .harness import evaluate_checkpoint, run_to_dir, sweep
 def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--env", required=True, choices=env_names())
     parser.add_argument("--agent", required=True, choices=list(AGENTS))
-    parser.add_argument("--seed", type=int, default=0, help="run seed (u64)")
+    parser.add_argument("--seed", type=int, help="run seed (u64)")
     parser.add_argument("--episodes", type=int, default=None, help="episode limit")
     parser.add_argument("--config", default=None, help="flat key=value config file")
     parser.add_argument("--out", required=True, help="output directory")
@@ -70,15 +71,12 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             raise ConfigurationError(f"--set expects KEY=VALUE, got {item!r}")
         key, _, value = item.partition("=")
         mapping[key.strip()] = value.strip()
-    mapping["env"] = args.env
-    mapping["agent"] = args.agent
-    mapping["seed"] = str(args.seed)
-    if args.episodes is not None:
-        mapping["episodes"] = str(args.episodes)
-    for flag in ("combined", "prioritized", "hindsight"):
+    # A flag counts only when it is given; config keys parse bools
+    # case-blind, so str() renders all of them.
+    for flag in ("env", "agent", "seed", "episodes", "combined", "prioritized", "hindsight"):
         value = getattr(args, flag, None)
         if value is not None:
-            mapping[flag] = "true" if value else "false"
+            mapping[flag] = str(value)
     return config_from_mapping(mapping)
 
 

@@ -187,11 +187,10 @@ def _key_table(root) -> dict[str, tuple[str | None, str, tuple]]:
 _KEYS = _key_table(RunConfig)
 
 
-def config_from_mapping(mapping: dict[str, str], base: RunConfig | None = None) -> RunConfig:
-    """Build a RunConfig from flat key=value strings, starting from
-    ``base`` (or defaults). Nested hyperparameters use the prefixes
-    dqn_, ddpg_, and per_."""
-    cfg = base or RunConfig()
+def config_from_mapping(mapping: dict[str, str]) -> RunConfig:
+    """Build a RunConfig from flat key=value strings over the defaults.
+    Nested hyperparameters use the prefixes dqn_, ddpg_, and per_."""
+    cfg = RunConfig()
     top: dict[str, object] = {}
     nested: dict[str, dict[str, object]] = {}
     for key, raw in mapping.items():

@@ -17,15 +17,19 @@ stacked input block and hidden activations of a ``forward_pair`` of the
 pair whose online half the network is, the online halves of which are
 also a matrix ``forward``'s hidden activations, plus the backward
 deltas and the flat parameter gradient. Only those two passes write it;
-a stack of rows does not. Lifetimes follow from that:
+a stack of rows does not, and returns no cache. Lifetimes follow from
+one rule:
 
 * ``forward`` outputs and ``backward`` input gradients are always fresh
   arrays that the caller may keep;
-* a cache is valid until the next matrix ``forward`` or ``forward_pair``
-  through the same network with the same row count, or until the
-  parameters change (each update bumps a version counter); ``backward``
-  raises IntegrityError on a cache that is no longer valid, or that is
-  not of this network's workspace, rather than read the wrong buffers;
+* a network's ``version`` stamp counts every event that can make its
+  caches stale: each parameter update (``adam_step``, and ``hard_copy``
+  or ``soft_update`` on a target) and each matrix ``forward`` or
+  ``forward_pair`` through it, at any row count. A cache is valid while
+  the stamp it was made at is current, so only a network's newest cache
+  can be; ``backward`` raises IntegrityError on an older cache, or on
+  one not of this network's workspace, rather than read the wrong
+  buffers;
 * the parameter gradient ``backward`` returns is valid until the next
   ``backward`` through the same network with the same row count.
 
@@ -52,7 +56,7 @@ plain matrix forward, so the bits are those of two ``forward`` calls.
 It reads its inputs from, and writes its hidden activations into, the
 online network's workspace for that row count; its outputs are fresh,
 and its cache is one of the online network that ``backward`` accepts,
-with the same lifetime as a matrix forward's.
+under the same rule as a matrix forward's.
 
 Checkpoints are text with repr floats, so a load gives back every bit.
 ``save_checkpoint`` formats each weight and bias row in pieces of a few
@@ -95,7 +99,8 @@ class Mlp:
     output_scale: float
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    version: int = 0
+    # The staleness stamp of every cache of this network (see above).
+    version: int = field(default=0, init=False)
     params: np.ndarray = field(init=False, repr=False, compare=False)
     _workspaces: dict[int, Workspace] = field(
         init=False, repr=False, compare=False, default_factory=dict
@@ -181,13 +186,11 @@ class Workspace:
     ``pair_hidden[i][0]``. ``delta[i]`` and ``temp[i]`` hold the loss
     gradient at layer i's output and its activation derivative, and
     ``grad`` the flat parameter gradient with per-layer views
-    ``grad_weights`` and ``grad_biases``. ``generation`` counts the
-    passes that wrote into it.
+    ``grad_weights`` and ``grad_biases``.
     """
 
     def __init__(self, net: Mlp, rows: int) -> None:
         sizes = net.layer_sizes
-        self.generation = 0
         self.x = np.empty((2, rows, sizes[0]))
         self.pair_hidden = [np.empty((2, rows, n)) for n in sizes[1:-1]]
         self.hidden = [h[0] for h in self.pair_hidden]
@@ -270,36 +273,35 @@ class NetworkPair:
 
 
 class ForwardCache:
-    """What ``backward`` needs from one forward pass: the activation
-    entering each layer (``inputs``), the post-activation network
-    ``outputs``, the parameter ``version`` they came from, and the
-    ``workspace`` written (None for a stack of rows) with the
-    ``generation`` this pass gave it. A plain slotted class, since
-    every forward builds one."""
+    """What ``backward`` needs from one matrix forward or pair pass: the
+    activation entering each layer (``inputs``), the post-activation
+    network ``outputs``, the network's ``version`` stamp the pass set,
+    and the ``workspace`` it wrote. A plain slotted class, since every
+    such pass builds one."""
 
-    __slots__ = ("inputs", "outputs", "version", "workspace", "generation")
+    __slots__ = ("inputs", "outputs", "version", "workspace")
 
-    def __init__(self, inputs, outputs, version, workspace, generation):
-        self.inputs, self.outputs, self.version = inputs, outputs, version
-        self.workspace, self.generation = workspace, generation
+    def __init__(self, inputs, outputs, version, workspace):
+        self.inputs, self.outputs = inputs, outputs
+        self.version, self.workspace = version, workspace
 
 
-def forward(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+def forward(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, ForwardCache | None]:
     """Evaluate the network on a (rows, input_dim) matrix or a stack of
     single rows of shape (n, 1, input_dim).
 
-    Returns a fresh output with matching rank plus the cache backward
-    needs. A matrix goes through one matrix-matrix product per layer,
-    whose rounding can differ in the last bits from evaluating its rows
-    one at a time. A stack keeps the vector-matrix product of a single
-    row, so each of its rows gives exactly the bits of a one-row matrix
-    ``forward(net, row[None])``; ``backward`` does not accept its cache.
+    Returns a fresh output with matching rank, plus the cache backward
+    needs for a matrix, or None for a stack. A matrix goes through one
+    matrix-matrix product per layer, whose rounding can differ in the
+    last bits from evaluating its rows one at a time. A stack keeps the
+    vector-matrix product of a single row, so each of its rows gives
+    exactly the bits of a one-row matrix ``forward(net, row[None])``.
 
-    A matrix forward writes its hidden activations into the online
-    halves of the network's workspace for its row count (see
-    :class:`Workspace`), which invalidates every earlier cache of that
-    workspace, even when this forward raises. A stack writes no
-    workspace.
+    A matrix forward bumps the network's version, then writes its hidden
+    activations into the online halves of the network's workspace for
+    its row count (see :class:`Workspace`), so every earlier cache of
+    the network is stale, even when this forward raises. A stack writes
+    no workspace and leaves the version as it is.
     """
     a = np.asarray(x, dtype=np.float64)
     if not (a.ndim == 2 or (a.ndim == 3 and a.shape[1] == 1)) or a.shape[-1] != net.input_dim:
@@ -307,16 +309,13 @@ def forward(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
             f"input must be a (rows, {net.input_dim}) matrix or an (n, 1, {net.input_dim}) "
             f"stack of rows, got shape {a.shape}"
         )
-    if a.ndim == 2:
-        ws = net.workspace(a.shape[0])
-        ws.generation += 1
-        hidden = ws.hidden
-    else:
-        ws = None
+    if a.ndim == 3:
         hidden = [np.empty((a.shape[0], 1, n)) for n in net.layer_sizes[1:-1]]
-    out = _layers(net, a, net.weights, net.biases, hidden)
-    generation = 0 if ws is None else ws.generation
-    return out, ForwardCache([a, *hidden], out, net.version, ws, generation)
+        return _layers(net, a, net.weights, net.biases, hidden), None
+    net.version += 1
+    ws = net.workspace(a.shape[0])
+    out = _layers(net, a, net.weights, net.biases, ws.hidden)
+    return out, ForwardCache([a, *ws.hidden], out, net.version, ws)
 
 
 def forward_pair(pair: NetworkPair, rows: int) -> tuple[np.ndarray, np.ndarray, ForwardCache]:
@@ -332,16 +331,15 @@ def forward_pair(pair: NetworkPair, rows: int) -> tuple[np.ndarray, np.ndarray, 
     of ``forward(pair.online, x[0])`` and ``forward(pair.target,
     x[1])``. Returns both fresh outputs and the online network's cache,
     which ``backward(pair.online, ...)`` accepts. Like a matrix forward
-    through the online network, the pass bumps the workspace's
-    generation, so it invalidates the workspace's earlier caches and a
-    later matrix forward or pair pass invalidates its cache.
+    through the online network, the pass first bumps the online
+    network's version, so it makes that network's earlier caches stale;
+    the target's version and caches are left as they are.
     """
     online = pair.online
+    online.version += 1
     ws = online.workspace(rows)
-    ws.generation += 1
     out = _layers(online, ws.x, pair.weights, pair.biases, ws.pair_hidden)
-    cache = ForwardCache(ws.online_inputs, out[0], online.version, ws, ws.generation)
-    return out[0], out[1], cache
+    return out[0], out[1], ForwardCache(ws.online_inputs, out[0], online.version, ws)
 
 
 def _layers(net: Mlp, a: np.ndarray, weights, biases, hidden: list[np.ndarray]) -> np.ndarray:
@@ -377,7 +375,7 @@ def _layers(net: Mlp, a: np.ndarray, weights, biases, hidden: list[np.ndarray]) 
 
 def backward(
     net: Mlp,
-    cache: ForwardCache,
+    cache: ForwardCache | None,
     output_grad: np.ndarray,
     *,
     param_grads: bool = True,
@@ -392,22 +390,21 @@ def backward(
     The input gradient is a fresh array. The parameter gradient is the
     workspace's: it stays valid until the next ``backward`` through this
     network with the same row count, so copy it to keep it longer.
-    Raises IntegrityError when ``cache`` is not of this network's
-    workspace for its row count, or when the parameters changed, or a
-    later forward reused the workspace, since ``cache`` was made.
+    Raises ValueError on None, the cache of a stack of rows, and
+    IntegrityError when ``cache`` is not of this network's workspace for
+    its row count, or when the network's version moved on since
+    ``cache`` was made.
     """
-    ws = cache.workspace
-    if ws is None:
+    if cache is None:
         raise ValueError(
-            "backward needs the cache of a matrix forward, not of an "
-            "(n, 1, input_dim) stack of rows"
+            "backward needs the cache of a matrix forward; an "
+            "(n, 1, input_dim) stack of rows has none"
         )
+    ws = cache.workspace
     if net._workspaces.get(len(cache.outputs)) is not ws:
         raise IntegrityError("forward cache is of another network's workspace")
     if cache.version != net.version:
-        raise IntegrityError("forward cache does not match current parameters")
-    if cache.generation != ws.generation:
-        raise IntegrityError("forward cache was overwritten by a later forward")
+        raise IntegrityError("forward cache is stale: a later forward or update ran")
     gy = np.asarray(output_grad, dtype=np.float64)
     if gy.shape != cache.outputs.shape:
         raise ValueError(
@@ -445,17 +442,26 @@ def backward(
     return (ws.grad if param_grads else None), (delta if input_grad else None)
 
 
+# Adam's decay rates and epsilon, Kingma & Ba's defaults; no config
+# sets them.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+# Every MOMENT_FLUSH_PERIOD-th Adam step zeroes the first moments whose
+# magnitude is below MOMENT_FLOOR (see adam_step).
+MOMENT_FLOOR = 1e-200
+MOMENT_FLUSH_PERIOD = 100
+
+
 @dataclass
 class AdamState:
-    """First/second moment accumulators for one network, flat in the
-    network's parameter layout."""
+    """One network's learning rate, step count and first/second moment
+    accumulators, flat in the network's parameter layout; ``adam_step``
+    reads the decay rates and epsilon from the module constants."""
 
     learning_rate: float
     m: np.ndarray
     v: np.ndarray
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step: int = 0
     # Two preallocated vectors of the same size for the update's temporaries.
     work: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
@@ -474,26 +480,21 @@ def adam_init(net: Mlp, learning_rate: float) -> AdamState:
     )
 
 
-# Every MOMENT_FLUSH_PERIOD-th Adam step zeroes the first moments whose
-# magnitude is below MOMENT_FLOOR (see adam_step).
-MOMENT_FLOOR = 1e-200
-MOMENT_FLUSH_PERIOD = 100
-
-
 def adam_step(net: Mlp, grad: np.ndarray, state: AdamState) -> None:
-    """Apply one Adam update in place and bump the parameter version.
+    """Apply one Adam update in place and bump the network's version.
 
     ``grad`` is a flat gradient laid out like ``net.params``; a
-    non-finite entry raises NumericalError. The bias corrections are
-    folded into the step size and epsilon (Kingma & Ba, end of section
-    2): p -= lr_t * m / (sqrt(v) + eps_t) with
-    lr_t = lr * sqrt(1 - beta2^t) / (1 - beta1^t) and
+    non-finite entry raises NumericalError. With beta1, beta2 and eps
+    the constants ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPSILON``,
+    the bias corrections are folded into the step size and epsilon
+    (Kingma & Ba, end of section 2): p -= lr_t * m / (sqrt(v) + eps_t)
+    with lr_t = lr * sqrt(1 - beta2^t) / (1 - beta1^t) and
     eps_t = eps * sqrt(1 - beta2^t), which is the textbook update with
-    bias-corrected moments and ``epsilon`` added to sqrt(v_hat), so
-    ``epsilon`` keeps its usual meaning. Only the rounding differs (a
-    test holds one step to the textbook form within 1e-12 relative),
-    and two whole-vector divides go away. It is evaluated in that order
-    over the whole vector.
+    bias-corrected moments and eps added to sqrt(v_hat), so eps keeps
+    its usual meaning. Only the rounding differs (a test holds one step
+    to the textbook form within 1e-12 relative), and two whole-vector
+    divides go away. It is evaluated in that order over the whole
+    vector.
 
     A dead relu unit gets zero gradients, and its first moments decay
     by beta1 every step. Left alone they would turn subnormal, and
@@ -502,8 +503,8 @@ def adam_step(net: Mlp, grad: np.ndarray, state: AdamState) -> None:
     ``MOMENT_FLUSH_PERIOD``-th step zeroes each first moment below
     ``MOMENT_FLOOR`` in magnitude, after the moments are updated and
     before the parameters are. In the steps between two flushes a
-    moment at the floor shrinks by at most beta1^100, which keeps it
-    above the smallest normal double for any beta1 >= 0.1.
+    moment at the floor shrinks by at most beta1^100, about 2.7e-5,
+    which keeps it far above the smallest normal double.
 
     Why the flush moves no parameter: the step of an entry is at most
     |m| * lr / ((1 - beta1^t) * eps) in magnitude, and 1 - beta1^t >=
@@ -522,21 +523,21 @@ def adam_step(net: Mlp, grad: np.ndarray, state: AdamState) -> None:
         raise NumericalError("non-finite gradient passed to adam_step")
     state.step += 1
     t = state.step
-    root2 = math.sqrt(1.0 - state.beta2**t)
-    lr_t = state.learning_rate * root2 / (1.0 - state.beta1**t)
+    root2 = math.sqrt(1.0 - ADAM_BETA2**t)
+    lr_t = state.learning_rate * root2 / (1.0 - ADAM_BETA1**t)
     m, v = state.m, state.v
     num, den = state.work
-    m *= state.beta1
-    np.multiply(grad, 1.0 - state.beta1, out=num)
+    m *= ADAM_BETA1
+    np.multiply(grad, 1.0 - ADAM_BETA1, out=num)
     m += num
     if t % MOMENT_FLUSH_PERIOD == 0:
         m[np.abs(m, out=num) < MOMENT_FLOOR] = 0.0
-    v *= state.beta2
+    v *= ADAM_BETA2
     np.square(grad, out=num)
-    num *= 1.0 - state.beta2
+    num *= 1.0 - ADAM_BETA2
     v += num
     np.sqrt(v, out=den)
-    den += state.epsilon * root2
+    den += ADAM_EPSILON * root2
     np.multiply(m, lr_t, out=num)
     num /= den
     net.params -= num
@@ -619,58 +620,43 @@ def _float_row(label: str, a: np.ndarray):
 
 
 def load_checkpoint(path) -> tuple[dict[str, Mlp], dict[str, str]]:
-    """Read a file written by :func:`save_checkpoint`; raises
-    CheckpointError when the file does not have that structure."""
+    """Read a file written by :func:`save_checkpoint`, a line at a time;
+    raises CheckpointError when the file does not have that structure."""
     try:
         with open(path, "r", encoding="ascii") as fh:
-            lines = [line.rstrip("\n") for line in fh]
-        if not lines or lines[0] != _MAGIC:
-            raise ValueError(f"not a {_MAGIC} file")
-        return _parse_checkpoint(lines)
+            rows = (line.rstrip("\n") for line in fh)
+            if next(rows, "") != _MAGIC:
+                raise ValueError(f"not a {_MAGIC} file")
+            return _parse_checkpoint(rows)
     except (IndexError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
         raise CheckpointError(f"{path}: malformed checkpoint: {exc}") from None
 
 
-def _parse_checkpoint(lines: list[str]) -> tuple[dict[str, Mlp], dict[str, str]]:
+def _parse_checkpoint(rows) -> tuple[dict[str, Mlp], dict[str, str]]:
+    """The nets and meta entries of the lines after the magic line, all
+    read through one iterator. A line past the end reads as "", which
+    no line of a net section accepts."""
     meta: dict[str, str] = {}
     nets: dict[str, Mlp] = {}
-    i = 1
-    while i < len(lines):
-        line = lines[i]
-        if not line.strip():
-            i += 1
-            continue
+    for line in rows:
         if line.startswith("meta "):
             _, key, value = line.split(" ", 2)
             meta[key] = value
-            i += 1
-            continue
-        if not line.startswith("net "):
+        elif line.startswith("net "):
+            name = line.split(" ", 1)[1]
+            sizes = tuple(int(n) for n in next(rows, "").split()[1:])
+            act = next(rows, "").split()
+            hidden, output, scale = act[1], act[2], float(act[3])
+            weights, biases = [], []
+            for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+                # numpy parses a token exactly as float() does, and raises
+                # ValueError on every token that float() rejects.
+                w_vals = np.array(next(rows, "").split()[1:], dtype=np.float64)
+                weights.append(w_vals.reshape(fan_in, fan_out))
+                biases.append(np.array(next(rows, "").split()[1:], dtype=np.float64))
+            if next(rows, "") != "end":
+                raise ValueError(f"missing 'end' after net {name!r}")
+            nets[name] = Mlp(sizes, hidden, output, scale, weights, biases)
+        elif line.strip():
             raise ValueError(f"unexpected checkpoint line: {line!r}")
-        name = line.split(" ", 1)[1]
-        sizes = tuple(int(n) for n in lines[i + 1].split()[1:])
-        act_parts = lines[i + 2].split()
-        hidden, output, scale = act_parts[1], act_parts[2], float(act_parts[3])
-        weights = []
-        biases = []
-        i += 3
-        for j in range(len(sizes) - 1):
-            # numpy parses a token exactly as float() does, and raises
-            # ValueError on every token that float() rejects.
-            w_vals = np.array(lines[i].split()[1:], dtype=np.float64)
-            b_vals = np.array(lines[i + 1].split()[1:], dtype=np.float64)
-            weights.append(w_vals.reshape(sizes[j], sizes[j + 1]))
-            biases.append(b_vals)
-            i += 2
-        if lines[i] != "end":
-            raise ValueError(f"missing 'end' after net {name!r}")
-        i += 1
-        nets[name] = Mlp(
-            layer_sizes=sizes,
-            hidden_activation=hidden,
-            output_activation=output,
-            output_scale=scale,
-            weights=weights,
-            biases=biases,
-        )
     return nets, meta

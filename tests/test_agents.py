@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from replaykit import agents, nn
 from replaykit.agents import (
     DdpgAgent,
     DdpgConfig,
@@ -576,6 +577,34 @@ def test_non_finite_network_output_raises_on_every_path() -> None:
     for call in calls:
         with pytest.raises(NumericalError, match="non-finite output"), np.errstate(over="ignore"):
             call()
+
+
+def test_act_and_greedy_policy_each_make_one_forward_call(monkeypatch) -> None:
+    # perfbench sorts its timed chunks by their count of nn.forward calls
+    # through every binding of it, so act and evaluation must run their
+    # network passes through agents' binding of nn.forward, once a call.
+    assert agents.forward is nn.forward
+    calls = []
+
+    def counted(net, x):
+        calls.append(net)
+        return nn.forward(net, x)
+
+    monkeypatch.setattr(agents, "forward", counted)
+    dqn = make_dqn(epsilon_start=0.0, epsilon_end=0.0)
+    ddpg = make_ddpg()
+    rng = np.random.default_rng(15)
+    dqn_policy = greedy_policy(dqn.q, dqn.scaler, None, DiscreteActions(2))
+    ddpg_policy = greedy_policy(ddpg.actor, ddpg.scaler, None, ddpg.actions)
+    for call, net in [
+        (lambda: dqn_policy(rng.normal(size=(7, 3))), dqn.q),
+        (lambda: ddpg_policy(rng.normal(size=(7, 3))), ddpg.actor),
+        (lambda: ddpg.act(rng.normal(size=3), rng), ddpg.actor),
+        (lambda: dqn.act(rng.normal(size=3), rng), dqn.q),
+    ]:
+        calls.clear()
+        call()
+        assert len(calls) == 1 and calls[0] is net
 
 
 def traced_peak_bytes(update, batch: Batch) -> int:

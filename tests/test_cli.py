@@ -78,6 +78,31 @@ def test_config_file_and_set_precedence(tmp_path) -> None:
     assert manifest["episodes"] == "2"
 
 
+@pytest.mark.parametrize(
+    "command, extra, config_text, seed",
+    [
+        ("train", ["--set", "seed=5"], None, "5"),
+        ("train", [], "seed=7\n", "7"),
+        ("train", ["--seed", 3, "--set", "seed=5"], None, "3"),
+        ("sweep", ["--set", "seed=9"], None, "9"),
+    ],
+    ids=["set", "config-file", "flag-beats-set", "sweep-set"],
+)
+def test_seed_flag_counts_only_when_given(tmp_path, command, extra, config_text, seed) -> None:
+    # Without --seed, the config file and --set entries decide the seed.
+    args = [command, "--env", "cartpole", "--agent", "dqn", "--out", tmp_path / "out",
+            *TINY, "--set", "episodes=1", *extra]
+    if config_text is not None:
+        (tmp_path / "base.cfg").write_text(config_text)
+        args += ["--config", tmp_path / "base.cfg"]
+    assert run_cli(args) == 0
+    manifests = sorted((tmp_path / "out").glob("**/manifest.txt"))
+    assert len(manifests) == (4 if command == "sweep" else 1)
+    for path in manifests:
+        manifest = dict(line.partition("=")[::2] for line in path.read_text().splitlines())
+        assert manifest["seed"] == seed
+
+
 def test_episodes_flag_beats_everything(tmp_path) -> None:
     out = tmp_path / "run"
     code = run_cli(["train", "--env", "cartpole", "--agent", "dqn",

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import itertools
 import math
 
@@ -228,23 +229,37 @@ def test_backward_rejects_stacked_rows_cache() -> None:
 
 
 def test_backward_rejects_cache_overwritten_by_later_forward() -> None:
+    # Only a network's newest cache is valid: a later matrix forward
+    # makes older caches stale at its own row count and at any other.
     rng = np.random.default_rng(62)
     net = init_mlp([3, 5, 4, 2], rng)
     gy = rng.normal(size=(6, 2))
     _, first = forward(net, rng.normal(size=(6, 3)))
     x = rng.normal(size=(6, 3))
     _, second = forward(net, x)  # same row count: reuses the workspace
-    with pytest.raises(IntegrityError, match="later forward"):
+    with pytest.raises(IntegrityError, match="stale"):
         backward(net, first, gy)
-    # Another row count has a workspace of its own and leaves it valid.
-    _, other = forward(net, rng.normal(size=(4, 3)))
-    _, one_row = forward(net, rng.normal(size=3)[None])
+    _, other = forward(net, rng.normal(size=(4, 3)))  # another row count
+    with pytest.raises(IntegrityError, match="stale"):
+        backward(net, second, gy)
+    # A stack of rows writes no workspace and leaves the newest cache valid.
+    forward(net, rng.normal(size=(5, 1, 3)))
+    backward(net, other, np.ones((4, 2)))
+    _, second = forward(net, x)
     grad, dx = backward(net, second, gy)
     grad = grad.copy()  # the next backward rewrites the workspace gradient
     fresh_grad, fresh_dx = backward(net, forward(net, x)[1], gy)
     assert same_bits(grad, fresh_grad) and same_bits(dx, fresh_dx)
-    backward(net, other, np.ones((4, 2)))
-    backward(net, one_row, np.ones(2)[None])
+
+
+def test_stack_forward_returns_no_cache() -> None:
+    rng = np.random.default_rng(63)
+    net = init_mlp([3, 4, 2], rng)
+    version = net.version
+    out, cache = forward(net, rng.normal(size=(5, 1, 3)))
+    assert out.shape == (5, 1, 2) and cache is None and net.version == version
+    with pytest.raises(ValueError, match="stack of rows"):
+        backward(net, None, np.ones((5, 2)))
 
 
 def test_forward_that_raises_still_invalidates_older_caches() -> None:
@@ -301,8 +316,13 @@ def test_adam_first_step_matches_hand_computation() -> None:
     adam_step(net, np.array([g, 0.0]), state)  # W0, then b0
     m_hat = g  # m / (1 - beta1)
     v_hat = g * g
-    expected = 0.5 - 1e-3 * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    expected = 0.5 - 1e-3 * m_hat / (np.sqrt(v_hat) + nn.ADAM_EPSILON)
     assert net.weights[0][0, 0] == pytest.approx(expected, rel=1e-12)
+
+
+def test_adam_state_holds_no_constants() -> None:
+    names = {f.name for f in dataclasses.fields(nn.AdamState)}
+    assert names == {"learning_rate", "m", "v", "step", "work"}
 
 
 def test_adam_rejects_nonfinite_gradients() -> None:
@@ -490,6 +510,28 @@ def test_checkpoint_bad_file(tmp_path) -> None:
     path.write_bytes(b"\xff\xfe\x00")
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
+
+
+def test_checkpoint_missing_its_last_end_names_it(tmp_path) -> None:
+    path = tmp_path / "checkpoint.txt"
+    save_checkpoint(path, {"q": init_mlp([4, 2], np.random.default_rng(57))})
+    path.write_text(path.read_text().removesuffix("end\n"))
+    with pytest.raises(CheckpointError, match="missing 'end' after net 'q'"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_loads_blank_lines_and_meta_after_a_net(tmp_path) -> None:
+    rng = np.random.default_rng(58)
+    nets = {"q": init_mlp([4, 3, 2], rng), "pi": init_mlp([4, 2], rng)}
+    path = tmp_path / "checkpoint.txt"
+    save_checkpoint(path, nets, {"env": "cartpole"})
+    text = path.read_text().replace("end\nnet pi", "end\n\n  \nmeta seed 3\nnet pi")
+    path.write_text(text + "\nmeta note x y\n\n")
+    loaded, meta = load_checkpoint(path)
+    assert meta == {"env": "cartpole", "seed": "3", "note": "x y"}
+    assert list(loaded) == ["q", "pi"]
+    for name, net in nets.items():
+        assert_same_net(loaded[name], net)
 
 
 def test_checkpoint_failed_write_keeps_earlier_file(tmp_path) -> None:
@@ -929,23 +971,36 @@ def test_forward_pair_cache_goes_stale() -> None:
     gy = np.ones((8, 2))
     _, _, cache = pair_pass(pair, x, x)
     forward(pair.online, rng.normal(size=(8, 4)))  # same row count
-    with pytest.raises(IntegrityError, match="later forward"):
+    with pytest.raises(IntegrityError, match="stale"):
         backward(pair.online, cache, gy)
     _, _, first = pair_pass(pair, x, x)
     _, _, second = forward_pair(pair, 8)
-    with pytest.raises(IntegrityError, match="later forward"):
+    with pytest.raises(IntegrityError, match="stale"):
         backward(pair.online, first, gy)
-    forward(pair.online, rng.normal(size=(4, 4)))  # another row count
     grad, _ = backward(pair.online, second, gy, input_grad=False)
     adam_step(pair.online, grad, adam_init(pair.online, 1e-3))
-    with pytest.raises(IntegrityError, match="current parameters"):
+    with pytest.raises(IntegrityError, match="stale"):
         backward(pair.online, second, gy)
 
 
+def test_pair_pass_makes_older_caches_of_the_online_network_stale() -> None:
+    pair = make_pair("4-64-64-2", 9)
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(8, 4))
+    _, cache = forward(pair.online, rng.normal(size=(4, 4)))
+    _, target_cache = forward(pair.target, x)
+    pair_pass(pair, x, x)  # another row count than the online cache's
+    with pytest.raises(IntegrityError, match="stale"):
+        backward(pair.online, cache, np.ones((4, 2)))
+    # The pass wrote no workspace of the target.
+    backward(pair.target, target_cache, np.ones((8, 2)))
+
+
 def test_backward_rejects_another_networks_cache() -> None:
-    # The pair's target and a fresh network of the same sizes are at
-    # version 0 like the online network, and each has a workspace for
-    # the same row count.
+    # The pair's target and a fresh network of the same sizes each have
+    # a workspace for the same row count. Each cache is checked against
+    # a network set to the cache's version, so only the workspace
+    # check can refuse it.
     pair = make_pair("4-64-64-2", 8)
     stranger = init_mlp(pair.online.layer_sizes, np.random.default_rng(8),
                         hidden_activation="tanh")
@@ -953,13 +1008,14 @@ def test_backward_rejects_another_networks_cache() -> None:
     x, gy = rng.normal(size=(8, 4)), np.ones((8, 2))
     forward(pair.online, x)
     for other in (pair.target, stranger):
-        assert other.version == pair.online.version == 0
         _, cache = forward(other, x)
+        pair.online.version = cache.version
         with pytest.raises(IntegrityError, match="another network"):
             backward(pair.online, cache, gy)
         backward(other, cache, gy)
     _, _, online_cache = pair_pass(pair, x, x)
     for other in (pair.target, stranger):
+        other.version = online_cache.version
         with pytest.raises(IntegrityError, match="another network"):
             backward(other, online_cache, gy)
     backward(pair.online, online_cache, gy)
